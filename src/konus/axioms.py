@@ -18,6 +18,7 @@ from .core import (
     TradeStatistics,
     cross_value_matrix,
     paasche_matrix,
+    validate_level,
 )
 from .semiring import (
     FLOAT_SLACK,
@@ -74,13 +75,38 @@ def _garp_violations(px: FloatArray, omega: float, tol: float):
     return rel, bad
 
 
-def _shortest_chain(rel: np.ndarray, start: int, goal: int) -> tuple[int, ...]:
-    """Lexicographically smallest shortest path start -> goal along the relation."""
-    parents = {start: None}
+def _garp_satisfied(px: FloatArray, omega: float, tol: float) -> bool:
+    """Verdict of the acyclicity test at one level, without a witness."""
+    _, bad = _garp_violations(px, omega, tol)
+    return not bool(bad.any())
+
+
+def _nearest_source(rel: np.ndarray, bad: np.ndarray) -> int:
+    """Smallest source among the violating pairs joined by the fewest relation steps.
+
+    Grows reachability one step at a time as whole-matrix products, so it
+    holds O(T^2) memory.  ``bad`` must be nonempty and inside the closure.
+    """
+    step = rel.astype(np.float32)  # 0/1 sums stay exact in float32 up to 2**24 periods
+    reach = rel
+    while not (reach & bad).any():
+        reach = reach | ((reach.astype(np.float32) @ step) > 0.0)
+    return int(np.flatnonzero((reach & bad).any(axis=1))[0])
+
+
+def _first_chain(rel: np.ndarray, start: int, goals: np.ndarray) -> tuple[int, ...]:
+    """Lexicographically smallest shortest path from ``start`` to any goal.
+
+    Breadth-first search visits successors in increasing index order and
+    keeps the first parent found, so nodes leave the queue in lexicographic
+    order of their smallest shortest paths; the first goal dequeued ends the
+    smallest chain.
+    """
+    parents: dict[int, int | None] = {start: None}
     frontier = deque([start])
     while frontier:
         node = frontier.popleft()
-        if node == goal:
+        if goals[node]:
             chain = []
             cur: int | None = node
             while cur is not None:
@@ -92,7 +118,7 @@ def _shortest_chain(rel: np.ndarray, start: int, goal: int) -> tuple[int, ...]:
             if nxt not in parents:
                 parents[nxt] = node
                 frontier.append(nxt)
-    raise RuntimeError("no chain found for a pair inside the closure")  # pragma: no cover
+    raise RuntimeError("no chain found for a source inside the closure")  # pragma: no cover
 
 
 def check_garp(ts: TradeStatistics, omega: float = 1.0, *, tol: float = 0.0) -> AxiomVerdict:
@@ -100,23 +126,23 @@ def check_garp(ts: TradeStatistics, omega: float = 1.0, *, tol: float = 0.0) -> 
 
     Satisfied iff for every pair ``t != s`` with ``t`` related to ``s`` through
     the transitive closure of the level-omega relation, the closing comparison
-    ``px[s, s] <= omega * px[s, t]`` holds.  On failure the witness carries a
-    shortest violating chain (ties broken lexicographically).
+    ``px[s, s] <= omega * px[s, t]`` holds.
+
+    On failure the witness chain is the smallest under ``(len(chain), chain)``
+    among the shortest chains of all violating pairs: fewest links first,
+    then the smallest source, then the lexicographically smallest chain from
+    that source.  Recovery keeps O(T^2) memory: reachability levels give the
+    least length, then a single breadth-first search from the smallest
+    source that attains it gives the chain.
     """
-    if omega <= 0.0:
-        raise ValueError("omega must be positive")
+    validate_level(omega, tol)
     px = cross_value_matrix(ts).px
     rel, bad = _garp_violations(px, omega, tol)
-    pairs = np.argwhere(bad)
-    if pairs.size == 0:
+    if not bad.any():
         return AxiomVerdict(satisfied=True, omega=omega)
-    best_chain: tuple[int, ...] | None = None
-    for t, s in pairs:
-        chain = _shortest_chain(rel, int(t), int(s))
-        if best_chain is None or (len(chain), chain) < (len(best_chain), best_chain):
-            best_chain = chain
-    assert best_chain is not None
-    witness = GarpWitness(chain=best_chain, comparison=(best_chain[-1], best_chain[0]), omega=omega)
+    source = _nearest_source(rel, bad)
+    chain = _first_chain(rel, source, bad[source])
+    witness = GarpWitness(chain=chain, comparison=(chain[-1], chain[0]), omega=omega)
     return AxiomVerdict(satisfied=False, omega=omega, witness=witness)
 
 
@@ -135,8 +161,7 @@ def check_harp(ts: TradeStatistics, omega: float = 1.0, *, tol: float = 0.0) -> 
     iff no admissible cycle has geometric mean above omega.  ``tol`` is an
     additive slack on the omega-normalised cycle products.
     """
-    if omega <= 0.0:
-        raise ValueError("omega must be positive")
+    validate_level(omega, tol)
     paasche = paasche_matrix(cross_value_matrix(ts)).values
     scaled = paasche / omega
     np.fill_diagonal(scaled, 0.0)
@@ -169,8 +194,7 @@ def brute_force_harp(
     ``prod(C) <= omega ** k`` for each.  Exponential; intended for small T as
     an independent cross-check of :func:`check_harp`.
     """
-    if omega <= 0.0:
-        raise ValueError("omega must be positive")
+    validate_level(omega, tol)
     paasche = paasche_matrix(cross_value_matrix(ts)).values
     n = paasche.shape[0]
     if max_len is None:

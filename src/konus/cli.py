@@ -26,6 +26,7 @@ from .core import (
     TradeStatistics,
     load_trade_statistics,
     trade_statistics,
+    validate_level,
 )
 from .forecast import (
     enumerate_vertices,
@@ -529,6 +530,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        validate_level(getattr(args, "omega", 1.0), getattr(args, "tolerance", 0.0))
         return args.handler(args)
     except (TradeDataError, FileNotFoundError, json.JSONDecodeError) as exc:
         print(f"input error: {exc}", file=sys.stderr)

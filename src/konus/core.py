@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import csv
 import io
+import math
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
@@ -35,6 +36,17 @@ class TradeDataError(ValueError):
         super().__init__(message)
         self.row = row
         self.column = column
+
+
+def validate_level(omega: float = 1.0, tol: float = 0.0) -> None:
+    """Raise ``ValueError`` unless omega is finite and positive and tol finite and nonnegative.
+
+    Works on plain floats, so it costs next to nothing on per-call paths.
+    """
+    if not (math.isfinite(omega) and omega > 0.0):
+        raise ValueError(f"omega must be finite and positive, got {omega!r}")
+    if not (math.isfinite(tol) and tol >= 0.0):
+        raise ValueError(f"tol must be finite and nonnegative, got {tol!r}")
 
 
 def _frozen(values: np.ndarray) -> np.ndarray:

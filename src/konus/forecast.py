@@ -16,7 +16,7 @@ from itertools import combinations
 import numpy as np
 
 from ._mc import map_trials, trial_rng
-from .axioms import _garp_violations, _harp_satisfied_from_paasche, check_harp
+from .axioms import _garp_satisfied, _garp_violations, _harp_satisfied_from_paasche, check_harp
 from .afriat import InfeasibleAxiomError
 from .core import (
     FloatArray,
@@ -24,8 +24,9 @@ from .core import (
     TradeStatistics,
     cross_value_matrix,
     paasche_matrix,
+    validate_level,
 )
-from .semiring import ClosureMatrix, maxtimes_closure
+from .semiring import ClosureMatrix, maxtimes_closure, maxtimes_product
 
 VERTEX_ENUMERATION_MAX_DIM = 4
 
@@ -141,11 +142,10 @@ def kh_membership(cone: ForecastCone, ts: TradeStatistics, x, *, tol: float = 0.
 
 def kg_membership(ts: TradeStatistics, omega: float, price_new, x, *, tol: float = 0.0) -> bool:
     """True iff appending ``(price_new, x)`` keeps the panel acyclicity-consistent."""
+    validate_level(omega, tol)
     arr = _admissible_bundle(x, ts.num_goods)
     extended = ts.extended(price_new, arr)
-    px = cross_value_matrix(extended).px
-    _, bad = _garp_violations(px, omega, tol)
-    return not bool(bad.any())
+    return _garp_satisfied(cross_value_matrix(extended).px, omega, tol)
 
 
 def kh_polytope(cone: ForecastCone, x_new: float) -> PolytopeDescription:
@@ -233,6 +233,7 @@ def law_of_demand_estimate(ts: TradeStatistics, omega: float,
     can only tighten the outer estimate), otherwise walks need at least one
     intermediate index.
     """
+    validate_level(omega)
     px = cross_value_matrix(ts).px
     diag = px.diagonal()
     ratio = diag[np.newaxis, :].T / px  # px[s, s] / px[s, t]
@@ -245,7 +246,7 @@ def law_of_demand_estimate(ts: TradeStatistics, omega: float,
         path = closure.values
     else:
         # at least one intermediate: one step followed by any walk
-        path = (step_matrix[:, :, np.newaxis] * closure.values[np.newaxis, :, :]).max(axis=1)
+        path = maxtimes_product(step_matrix, closure.values)
     return LawOfDemandEstimate(omega=omega, step_matrix=step_matrix,
                                path_matrix=path, diverged=False)
 
@@ -270,6 +271,7 @@ def law_of_demand_outer(
     matrix; ``forward_delta`` switches to the forward path ``s -> t`` variant.
     True is necessary, not sufficient, for demand-law-consistent extensions.
     """
+    validate_level(omega, tol)
     if omega < 1.0:
         raise ValueError("omega must be at least 1")
     verdict = check_harp(ts, omega)

@@ -13,8 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .axioms import GarpWitness, HarpWitness, check_garp, check_harp
-from .core import TradeStatistics, cross_value_matrix, paasche_matrix
+from .axioms import GarpWitness, HarpWitness, _garp_satisfied, check_garp, check_harp
+from .core import FloatArray, TradeStatistics, cross_value_matrix, paasche_matrix, validate_level
 from .semiring import max_cycle_geomean
 
 # Level reported for a single observation, where no admissible cycle exists
@@ -44,9 +44,8 @@ def harp_irrationality(ts: TradeStatistics) -> float:
     return max_cycle_geomean(paasche, min_len=2)
 
 
-def _garp_breakpoints(ts: TradeStatistics) -> np.ndarray:
+def _garp_breakpoints(px: FloatArray) -> np.ndarray:
     """Off-diagonal ratios ``px[t, t] / px[t, s]``: the only levels where the relation changes."""
-    px = cross_value_matrix(ts).px
     ratios = px.diagonal()[:, np.newaxis] / px
     mask = ~np.eye(px.shape[0], dtype=bool)
     return np.unique(ratios[mask])
@@ -58,11 +57,13 @@ def garp_irrationality(ts: TradeStatistics, *, tol: float = 0.0) -> tuple[float,
     Verdicts are constant between consecutive breakpoints and monotone in the
     level, so scanning breakpoints and interval midpoints decides the infimum
     exactly.  A single observation passes vacuously at every positive level,
-    reported as infimum zero, not attained.
+    reported as infimum zero, not attained.  Probes are verdict-only.
     """
+    validate_level(tol=tol)
     if ts.num_periods < 2:
         return 0.0, False
-    points = _garp_breakpoints(ts)
+    px = cross_value_matrix(ts).px
+    points = _garp_breakpoints(px)
     # candidates alternate each breakpoint with a probe inside the next interval
     candidates: list[tuple[float, bool, float]] = []  # (probe level, is breakpoint, reported value)
     for i, b in enumerate(points):
@@ -70,12 +71,12 @@ def garp_irrationality(ts: TradeStatistics, *, tol: float = 0.0) -> tuple[float,
         above = points[i + 1] if i + 1 < len(points) else b + 1.0
         candidates.append(((float(b) + float(above)) / 2.0, False, float(b)))
     lo, hi = 0, len(candidates) - 1
-    if check_garp(ts, candidates[0][0], tol=tol).satisfied:
+    if _garp_satisfied(px, candidates[0][0], tol):
         hi = 0
     else:
         while hi - lo > 1:  # first candidate where the test passes (monotone in the level)
             mid = (lo + hi) // 2
-            if check_garp(ts, candidates[mid][0], tol=tol).satisfied:
+            if _garp_satisfied(px, candidates[mid][0], tol):
                 hi = mid
             else:
                 lo = mid
@@ -85,15 +86,19 @@ def garp_irrationality(ts: TradeStatistics, *, tol: float = 0.0) -> tuple[float,
 
 def garp_irrationality_bisection(ts: TradeStatistics, *, tol: float = 1e-9) -> float:
     """Bisection estimate of the acyclicity index, kept as an independent cross-check."""
+    validate_level(tol=tol)
     if ts.num_periods < 2:
         return 0.0
-    points = _garp_breakpoints(ts)
+    px = cross_value_matrix(ts).px
+    points = _garp_breakpoints(px)
     lo, hi = float(points[0]), float(points[-1]) + 1.0
-    if check_garp(ts, lo).satisfied:
+    if _garp_satisfied(px, lo, 0.0):
         return lo
     while hi - lo > tol:
         mid = (lo + hi) / 2.0
-        if check_garp(ts, mid).satisfied:
+        if mid in (lo, hi):  # adjacent floats: the bracket cannot narrow further
+            break
+        if _garp_satisfied(px, mid, 0.0):
             hi = mid
         else:
             lo = mid

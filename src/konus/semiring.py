@@ -25,6 +25,9 @@ FLOAT_SLACK = 1e-12
 # Raw tuple budget for the brute-force cycle enumerator.
 DEFAULT_CYCLE_BUDGET = 2_000_000
 
+# Bytes of float products one block of a max-times matrix product may hold.
+_PRODUCT_BLOCK_BYTES = 32 * 2 ** 20
+
 
 class NoAdmissibleCycleError(ValueError):
     """The matrix has no cycle satisfying the requested length constraints."""
@@ -211,12 +214,42 @@ def brute_force_cycle_geomean(
     return best, best_cycle
 
 
+def maxtimes_product(left: FloatArray, right: FloatArray) -> FloatArray:
+    """Max-times matrix product ``out[i, j] = max_m left[i, m] * right[m, j]``.
+
+    The ``(i, m, j)`` products are formed over blocks of the middle index
+    whose cube stays within a fixed byte budget, so memory is O(T^2) at any
+    size while small matrices still go through in a single block.  Every
+    product is the same float multiplication as in the full cube and a
+    maximum does not depend on the order it is taken in, so the result is
+    bit-identical to reducing the whole cube at once.
+    """
+    rows, inner = left.shape
+    cols = right.shape[1]
+    block = max(1, _PRODUCT_BLOCK_BYTES // (8 * rows * cols))
+    out = None
+    for lo in range(0, inner, block):
+        part = (left[:, lo:lo + block, np.newaxis] * right[np.newaxis, lo:lo + block, :]).max(axis=1)
+        out = part if out is None else np.maximum(out, part, out=out)
+    return out
+
+
 def shortest_cycle_above(matrix, bound: float, *, max_len: int | None = None) -> tuple[int, ...] | None:
     """Shortest closed walk (no adjacent repeats) whose edge product exceeds ``bound``.
 
-    Uses exact-length max-product dynamic programming with parent recovery;
-    any violating cycle decomposes into simple ones, so searching lengths up
-    to T suffices.  Returns ``None`` when no such walk exists.
+    Uses exact-length max-product dynamic programming; any violating cycle
+    decomposes into simple ones, so searching lengths up to T suffices.
+    Returns ``None`` when no such walk exists.
+
+    Tie-breaks: the length ``k`` is the least one at which some diagonal
+    entry of the k-th max-times power exceeds ``bound``, and the walk starts
+    from the smallest such index.  Walking back from it, each predecessor is
+    the first ``argmax`` of the start row of the shorter power times the step
+    column, and the cycle is returned rotated to start at its smallest index.
+
+    Memory stays O(T^2): only the current power is kept, each step goes
+    through :func:`maxtimes_product`, and the start row of each shorter power
+    is rebuilt (one vector-matrix step each) once a violating length is found.
     """
     arr = _as_square(matrix)
     if np.any(arr < 0.0):
@@ -226,19 +259,21 @@ def shortest_cycle_above(matrix, bound: float, *, max_len: int | None = None) ->
         return None
     if max_len is None:
         max_len = n
-    steps = arr.copy()
+    steps = arr  # already a private copy
     np.fill_diagonal(steps, 0.0)  # forbid self-steps; adjacency stays distinct
-    powers = [steps]
+    power = steps
     for k in range(2, max_len + 1):
-        nxt = (powers[-1][:, :, np.newaxis] * steps[np.newaxis, :, :]).max(axis=1)
-        powers.append(nxt)
-        diag = np.diagonal(nxt)
+        power = maxtimes_product(power, steps)
+        diag = np.diagonal(power)
         if np.any(diag > bound):
             start = int(np.flatnonzero(diag > bound)[0])
+            rows = [steps[start, :]]  # rows[j - 1]: start row of the j-th power
+            for _ in range(k - 2):
+                rows.append((rows[-1][:, np.newaxis] * steps).max(axis=0))
             walk = [start]
             target = start
             for j in range(k - 1, 0, -1):
-                scores = powers[j - 1][start, :] * steps[:, target]
+                scores = rows[j - 1] * steps[:, target]
                 target = int(np.argmax(scores))
                 walk.append(target)
             walk.reverse()  # a rotation of (start, v1, ..., v_{k-1})

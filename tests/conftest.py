@@ -2,11 +2,18 @@
 
 from __future__ import annotations
 
+from collections import deque
+
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from konus import trade_statistics
 from konus.cli import CounterexampleFixture
+
+# Property tests draw the same examples on every run and have no per-example deadline.
+settings.register_profile("konus", derandomize=True, deadline=None, max_examples=100)
+settings.load_profile("konus")
 
 
 @pytest.fixture
@@ -63,3 +70,63 @@ def near_homothetic_panel(rng, T, m, noise=0.2):
     quantities = shares[np.newaxis, :] * spend[:, np.newaxis] / prices
     quantities = quantities * np.exp(rng.normal(0.0, noise, size=(T, m)))
     return trade_statistics(prices, quantities)
+
+
+def _bfs_chain(rel, start, goal):
+    """Lexicographically smallest shortest path start -> goal along the relation."""
+    parents = {start: None}
+    frontier = deque([start])
+    while frontier:
+        node = frontier.popleft()
+        if node == goal:
+            chain = []
+            cur = node
+            while cur is not None:
+                chain.append(cur)
+                cur = parents[cur]
+            return tuple(reversed(chain))
+        for nxt in np.flatnonzero(rel[node]):
+            nxt = int(nxt)
+            if nxt not in parents:
+                parents[nxt] = node
+                frontier.append(nxt)
+    raise AssertionError("no chain found for a pair inside the closure")
+
+
+def garp_chain_by_pairs(rel, bad):
+    """Witness chain oracle: one BFS per violating pair, smallest ``(len(chain), chain)``."""
+    best = None
+    for t, s in np.argwhere(bad):
+        chain = _bfs_chain(rel, int(t), int(s))
+        if best is None or (len(chain), chain) < (len(best), best):
+            best = chain
+    return best
+
+
+def shortest_cycle_by_cube(matrix, bound, max_len=None):
+    """Cycle-search oracle: exact-length max-product DP keeping every T x T x T power product."""
+    arr = np.array(matrix, dtype=float)
+    n = arr.shape[0]
+    if n < 2:
+        return None
+    if max_len is None:
+        max_len = n
+    steps = arr.copy()
+    np.fill_diagonal(steps, 0.0)
+    powers = [steps]
+    for k in range(2, max_len + 1):
+        nxt = (powers[-1][:, :, np.newaxis] * steps[np.newaxis, :, :]).max(axis=1)
+        powers.append(nxt)
+        diag = np.diagonal(nxt)
+        if np.any(diag > bound):
+            start = int(np.flatnonzero(diag > bound)[0])
+            walk = [start]
+            target = start
+            for j in range(k - 1, 0, -1):
+                scores = powers[j - 1][start, :] * steps[:, target]
+                target = int(np.argmax(scores))
+                walk.append(target)
+            walk.reverse()
+            pivot = walk.index(min(walk))
+            return tuple(walk[pivot:] + walk[:pivot])
+    return None

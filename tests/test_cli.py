@@ -203,3 +203,15 @@ def test_fixture_good_ids_are_stable(tmp_path):
     out = emit_fixture(tmp_path)
     header = (out / "prices.csv").read_text().splitlines()[0]
     assert header == "period,g1,g2,g3"
+
+
+def test_invalid_level_fails_before_any_output(tmp_path, capsys):
+    prices, quantities = write_two_period(tmp_path)
+    for extra in (["--omega", "nan"], ["--omega", "inf"], ["--tolerance", "-1"]):
+        out = tmp_path / "invalid"
+        code = main(["test", prices, quantities, *extra, "--out", str(out)])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert "must be finite" in captured.err
+        assert not out.exists()

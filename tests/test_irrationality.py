@@ -102,3 +102,12 @@ def test_report_single_period():
     report = irrationality_report(trade_statistics([[5.0]], [[2.0]]))
     assert report.omega_h == 1.0 and report.omega_g == 0.0
     assert report.harp_witness is None and report.garp_witness is None
+
+
+def test_bisection_with_zero_tolerance_stops_at_adjacent_floats():
+    rng = np.random.default_rng(13)
+    for _ in range(10):
+        ts = random_panel(rng)
+        value = garp_irrationality_bisection(ts, tol=0.0)
+        omega_g, _ = garp_irrationality(ts)
+        assert value == pytest.approx(omega_g, rel=1e-12)
