@@ -13,9 +13,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .axioms import GarpWitness, HarpWitness, check_garp, check_harp, _relation
-from .core import FloatArray, TradeStatistics, cross_value_matrix, paasche_matrix
-from .semiring import boolean_closure, maxtimes_closure
+from .axioms import GarpWitness, HarpWitness, _harp_verdict, _relation, check_garp
+from .core import FloatArray, TradeStatistics, cross_value_matrix
+from .semiring import boolean_closure
 
 CERTIFICATE_RTOL = 1e-9
 
@@ -103,18 +103,16 @@ def solve_harp_multipliers(ts: TradeStatistics, omega: float = 1.0, *,
 
     Requires the homotheticity test to pass at level omega; raises
     :class:`InfeasibleAxiomError` with the violating cycle otherwise.  The
-    output is normalised so the first period's multiplier is one, making the
-    dual price index a base-period-one series.
+    multipliers are read off the same closure the verdict was decided on, so
+    one O(T^3) closure serves both.  The output is normalised so the first
+    period's multiplier is one, making the dual price index a
+    base-period-one series.
     """
-    verdict = check_harp(ts, omega, tol=tol)
+    verdict, closure = _harp_verdict(ts, omega, tol)
     if not verdict.satisfied:
         raise InfeasibleAxiomError(
             f"homotheticity fails at omega={omega}; no multipliers exist", verdict.witness
         )
-    paasche = paasche_matrix(cross_value_matrix(ts)).values
-    scaled = paasche / omega
-    np.fill_diagonal(scaled, 0.0)
-    closure = maxtimes_closure(scaled, tol=tol)
     lam = np.maximum(1.0, closure.values.max(axis=1))
     lam = lam / lam[0]
     lm = HarpMultipliers(lam=lam, omega=omega)

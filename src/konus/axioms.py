@@ -22,6 +22,7 @@ from .core import (
 )
 from .semiring import (
     FLOAT_SLACK,
+    ClosureMatrix,
     boolean_closure,
     maxtimes_closure,
     shortest_cycle_above,
@@ -153,20 +154,23 @@ def _harp_satisfied_from_paasche(paasche: FloatArray, omega: float, tol: float) 
     return not closure.diverged
 
 
-def check_harp(ts: TradeStatistics, omega: float = 1.0, *, tol: float = 0.0) -> AxiomVerdict:
-    """Test the homotheticity axiom at efficiency level omega.
+def _harp_verdict(ts: TradeStatistics, omega: float,
+                  tol: float) -> tuple[AxiomVerdict, ClosureMatrix | None]:
+    """Homotheticity verdict at one level, with the closure it was read from on success.
 
-    Satisfied iff the max-times closure of the omega-scaled Paasche matrix
-    (diagonal excluded) keeps all diagonal entries at most one, equivalently
-    iff no admissible cycle has geometric mean above omega.  ``tol`` is an
-    additive slack on the omega-normalised cycle products.
+    The closure is the max-times closure of the omega-scaled Paasche matrix
+    with its diagonal zeroed.  On failure its partial state means nothing,
+    so it is dropped before the witness search and ``None`` is returned in
+    its place; the verdict then carries the shortest violating cycle.
     """
     validate_level(omega, tol)
     paasche = paasche_matrix(cross_value_matrix(ts)).values
     scaled = paasche / omega
     np.fill_diagonal(scaled, 0.0)
-    if not maxtimes_closure(scaled, tol=tol).diverged:
-        return AxiomVerdict(satisfied=True, omega=omega)
+    closure = maxtimes_closure(scaled, tol=tol)
+    if not closure.diverged:
+        return AxiomVerdict(satisfied=True, omega=omega), closure
+    del closure
     bound = (1.0 + tol) * (1.0 + FLOAT_SLACK)
     cycle = shortest_cycle_above(scaled, bound)
     if cycle is None:  # pragma: no cover - closure divergence implies a violating cycle
@@ -175,7 +179,18 @@ def check_harp(ts: TradeStatistics, omega: float = 1.0, *, tol: float = 0.0) -> 
     for a, b in zip(cycle, cycle[1:] + cycle[:1]):
         product *= paasche[a, b]
     witness = HarpWitness(cycle=cycle, product=product, omega=omega)
-    return AxiomVerdict(satisfied=False, omega=omega, witness=witness)
+    return AxiomVerdict(satisfied=False, omega=omega, witness=witness), None
+
+
+def check_harp(ts: TradeStatistics, omega: float = 1.0, *, tol: float = 0.0) -> AxiomVerdict:
+    """Test the homotheticity axiom at efficiency level omega.
+
+    Satisfied iff the max-times closure of the omega-scaled Paasche matrix
+    (diagonal excluded) keeps all diagonal entries at most one, equivalently
+    iff no admissible cycle has geometric mean above omega.  ``tol`` is an
+    additive slack on the omega-normalised cycle products.
+    """
+    return _harp_verdict(ts, omega, tol)[0]
 
 
 def brute_force_harp(

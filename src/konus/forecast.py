@@ -10,8 +10,9 @@ random unit price vectors that keep the panel consistent.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import combinations, islice
 
 import numpy as np
 
@@ -29,6 +30,8 @@ from .core import (
 from .semiring import ClosureMatrix, maxtimes_closure, maxtimes_product
 
 VERTEX_ENUMERATION_MAX_DIM = 4
+# Square subsystems that vertex enumeration ranks, solves and tests together.
+_VERTEX_STACK = 1024
 
 
 @dataclass(frozen=True, eq=False)
@@ -97,6 +100,7 @@ def omega_closure(paasche: PaascheMatrix, omega: float) -> ClosureMatrix:
     ``omega ** -(k + 1)`` times its Paasche product, so the closure collects
     the discounted path maxima needed by the cone coefficients.
     """
+    validate_level(omega)
     if omega < 1.0:
         raise ValueError("omega must be at least 1")
     return maxtimes_closure(paasche.values / omega)
@@ -154,8 +158,8 @@ def kh_polytope(cone: ForecastCone, x_new: float) -> PolytopeDescription:
     Emits the per-period inequalities ``gamma[s] <P^s, x> - <price_new, x> >= 0``,
     the budget equality ``<price_new, x> = x_new``, and nonnegativity rows.
     """
-    if x_new <= 0.0:
-        raise ValueError("expenditure must be positive")
+    if not (math.isfinite(x_new) and x_new > 0.0):
+        raise ValueError(f"expenditure must be finite and positive, got {x_new!r}")
     T, m = cone.prices.shape
     variables = tuple(f"x{i + 1}" for i in range(m))
     rows = [
@@ -183,8 +187,12 @@ def enumerate_vertices(poly: PolytopeDescription, *, tol: float = 1e-9) -> Float
     """Brute-force vertex enumeration for low-dimensional constraint lists.
 
     Solves every square subsystem built from the equalities plus a choice of
-    inequalities, keeps feasible solutions, and deduplicates.  Only supported
-    up to dimension four; larger polytopes stay symbolic.
+    inequalities, keeps feasible solutions, and deduplicates.  Subsystems are
+    ranked, solved and tested in stacks of a fixed size, taken in the order
+    of ``itertools.combinations``; every stacked step is the same per-matrix
+    computation as solving them one at a time, so vertex order and
+    deduplication do not change, and memory stays one stack at any size.
+    Only supported up to dimension four; larger polytopes stay symbolic.
     """
     m = len(poly.variables)
     if m > VERTEX_ENUMERATION_MAX_DIM:
@@ -199,17 +207,22 @@ def enumerate_vertices(poly: PolytopeDescription, *, tol: float = 1e-9) -> Float
     b_in = np.array([c.rhs for c in ineq_rows], dtype=float)
     need = m - len(eq_rows)
     vertices: list[np.ndarray] = []
-    for chosen in combinations(range(len(ineq_rows)), need):
-        a = np.vstack([a_eq, a_in[list(chosen)]]) if chosen else a_eq
-        b = np.concatenate([b_eq, b_in[list(chosen)]]) if chosen else b_eq
-        if a.shape[0] != m or np.linalg.matrix_rank(a, tol=1e-12) < m:
+    subsets = combinations(range(len(ineq_rows)), need)
+    while chosen := list(islice(subsets, _VERTEX_STACK)):
+        chosen = np.array(chosen, dtype=int).reshape(len(chosen), need)
+        a = np.concatenate([np.broadcast_to(a_eq, (len(chosen), *a_eq.shape)), a_in[chosen]], axis=1)
+        b = np.concatenate([np.broadcast_to(b_eq, (len(chosen), len(b_eq))), b_in[chosen]], axis=1)
+        full = np.linalg.matrix_rank(a, tol=1e-12) == m
+        if not full.any():
             continue
-        point = np.linalg.solve(a, b)
-        scale = 1.0 + np.abs(b_in) + np.abs(a_in @ point)
-        if np.all(a_in @ point >= b_in - tol * scale) and np.all(
-            np.abs(a_eq @ point - b_eq) <= tol * (1.0 + np.abs(b_eq))
-        ):
-            vertices.append(point)
+        points = np.linalg.solve(a[full], b[full][:, :, np.newaxis])[:, :, 0]
+        lhs_in = (a_in @ points[:, :, np.newaxis])[:, :, 0]
+        lhs_eq = (a_eq @ points[:, :, np.newaxis])[:, :, 0]
+        scale = 1.0 + np.abs(b_in) + np.abs(lhs_in)
+        feasible = np.all(lhs_in >= b_in - tol * scale, axis=1) & np.all(
+            np.abs(lhs_eq - b_eq) <= tol * (1.0 + np.abs(b_eq)), axis=1
+        )
+        vertices.extend(points[feasible])
     unique: list[np.ndarray] = []
     for v in vertices:
         if not any(np.allclose(v, u, atol=10 * tol, rtol=0.0) for u in unique):

@@ -17,8 +17,13 @@ from typing import Sequence
 
 import numpy as np
 
-from .afriat import HarpMultipliers, IndexSeries, konus_divisia_series, solve_harp_multipliers
-from .axioms import check_harp
+from .afriat import (
+    HarpMultipliers,
+    IndexSeries,
+    InfeasibleAxiomError,
+    konus_divisia_series,
+    solve_harp_multipliers,
+)
 from .core import GroupSelection, TradeDataError, TradeStatistics, restrict_to_group, trade_statistics
 from .irrationality import harp_irrationality
 
@@ -188,10 +193,10 @@ def build_hierarchy(ts: TradeStatistics, tree: TreeNode, omega: float = 1.0) -> 
 
 def _analyse_panel(panel: TradeStatistics, omega: float):
     omega_h = harp_irrationality(panel)
-    verdict = check_harp(panel, omega)
-    if not verdict.satisfied:
+    try:
+        lm = solve_harp_multipliers(panel, omega)
+    except InfeasibleAxiomError:
         return "violated", omega_h, None, None
-    lm = solve_harp_multipliers(panel, omega)
     series = konus_divisia_series(panel, lm)
     return "ok", omega_h, lm, series
 

@@ -54,7 +54,7 @@ def _as_square(matrix, name: str = "matrix") -> FloatArray:
     arr = np.array(matrix, dtype=float)
     if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
         raise ValueError(f"{name} must be square, got shape {arr.shape}")
-    if not np.all(np.isfinite(arr)):
+    if not np.isfinite(arr).all():
         raise ValueError(f"{name} must be finite")
     return arr
 
@@ -68,15 +68,17 @@ def maxtimes_closure(matrix, *, tol: float = 0.0) -> ClosureMatrix:
     O(T^3) multiply-compare steps otherwise.
     """
     values = _as_square(matrix)
-    if np.any(values < 0.0):
+    if (values < 0.0).any():
         raise ValueError("max-times closure requires a nonnegative matrix")
     threshold = (1.0 + tol) * (1.0 + FLOAT_SLACK)
-    if np.any(np.diagonal(values) > threshold):
+    diagonal = values.diagonal()  # a view: it follows the in-place relaxation
+    if (diagonal > threshold).any():
         return ClosureMatrix(values=values, diverged=True)
-    n = values.shape[0]
-    for k in range(n):
-        np.maximum(values, np.outer(values[:, k], values[k, :]), out=values)
-        if np.any(np.diagonal(values) > threshold):
+    through = np.empty_like(values)  # walks through pivot k, rewritten in place each step
+    for k in range(values.shape[0]):
+        np.multiply(values[:, k, np.newaxis], values[k], out=through)
+        np.maximum(values, through, out=values)
+        if (diagonal > threshold).any():
             return ClosureMatrix(values=values, diverged=True)
     values.flags.writeable = False
     return ClosureMatrix(values=values, diverged=False)
@@ -93,25 +95,28 @@ def boolean_closure(rel) -> BooleanRelation:
 
 
 def _karp_max_mean(log_weights: FloatArray) -> float:
-    """Karp's maximum mean cycle on a complete digraph given log edge weights."""
+    """Karp's maximum mean cycle on a complete digraph given log edge weights.
+
+    ``d[k, v]`` is the heaviest walk of exactly ``k`` edges from vertex 0 to
+    ``v``; the answer is ``max_v min_k (d[n, v] - d[k, v]) / (n - k)`` over
+    the finite entries.  The final scan is one array expression over the
+    whole table: each ratio is the same subtraction and division as an
+    entry-by-entry loop, and min and max do not depend on the order they
+    are taken in, so the result is bit-identical to it.
+    """
     n = log_weights.shape[0]
     d = np.full((n + 1, n), -np.inf)
     d[0, 0] = 0.0
+    candidates = np.empty_like(log_weights)
     for k in range(1, n + 1):
-        candidates = d[k - 1][:, np.newaxis] + log_weights
-        d[k] = candidates.max(axis=0)
-    best = -np.inf
-    for v in range(n):
-        if not np.isfinite(d[n, v]):
-            continue
-        ratios = [
-            (d[n, v] - d[k, v]) / (n - k)
-            for k in range(n)
-            if np.isfinite(d[k, v])
-        ]
-        if ratios:
-            best = max(best, min(ratios))
-    return best
+        np.add(d[k - 1][:, np.newaxis], log_weights, out=candidates)
+        candidates.max(axis=0, out=d[k])
+    finite = np.isfinite(d[:n])
+    with np.errstate(invalid="ignore"):  # -inf - -inf where d[n, v] is unreachable
+        ratios = (d[n] - d[:n]) / np.arange(n, 0, -1)[:, np.newaxis]
+    worst = np.where(finite, ratios, np.inf).min(axis=0)
+    reached = np.isfinite(d[n]) & finite.any(axis=0)
+    return float(worst[reached].max()) if reached.any() else -np.inf
 
 
 def max_cycle_geomean(matrix, min_len: int = 2) -> float:

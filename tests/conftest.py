@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from collections import deque
+from itertools import combinations
 
 import numpy as np
 import pytest
@@ -130,3 +131,81 @@ def shortest_cycle_by_cube(matrix, bound, max_len=None):
             pivot = walk.index(min(walk))
             return tuple(walk[pivot:] + walk[:pivot])
     return None
+
+
+def closure_by_outer(matrix, tol=0.0, slack=1e-12):
+    """Closure oracle: Floyd-Warshall with a fresh ``np.outer`` per pivot.
+
+    Returns (values, diverged) exactly as the pivot loop it mirrors would.
+    """
+    values = np.array(matrix, dtype=float)
+    threshold = (1.0 + tol) * (1.0 + slack)
+    if np.any(np.diagonal(values) > threshold):
+        return values, True
+    for k in range(values.shape[0]):
+        np.maximum(values, np.outer(values[:, k], values[k, :]), out=values)
+        if np.any(np.diagonal(values) > threshold):
+            return values, True
+    return values, False
+
+
+def karp_max_mean_by_loop(log_weights):
+    """Karp oracle: the final ``max_v min_k`` scan as a loop over vertices and lengths."""
+    n = log_weights.shape[0]
+    d = np.full((n + 1, n), -np.inf)
+    d[0, 0] = 0.0
+    for k in range(1, n + 1):
+        d[k] = (d[k - 1][:, np.newaxis] + log_weights).max(axis=0)
+    best = -np.inf
+    for v in range(n):
+        if not np.isfinite(d[n, v]):
+            continue
+        ratios = [(d[n, v] - d[k, v]) / (n - k) for k in range(n) if np.isfinite(d[k, v])]
+        if ratios:
+            best = max(best, min(ratios))
+    return best
+
+
+def vertices_by_subsets(poly, tol=1e-9):
+    """Vertex oracle: rank, solve and test each square subsystem on its own."""
+    m = len(poly.variables)
+    eq_rows = [c for c in poly.constraints if c.sense == "=="]
+    ineq_rows = [c for c in poly.constraints if c.sense == ">="]
+    a_eq = np.array([c.coeffs for c in eq_rows], dtype=float).reshape(len(eq_rows), m)
+    b_eq = np.array([c.rhs for c in eq_rows], dtype=float)
+    a_in = np.array([c.coeffs for c in ineq_rows], dtype=float).reshape(len(ineq_rows), m)
+    b_in = np.array([c.rhs for c in ineq_rows], dtype=float)
+    vertices = []
+    for chosen in combinations(range(len(ineq_rows)), m - len(eq_rows)):
+        a = np.vstack([a_eq, a_in[list(chosen)]]) if chosen else a_eq
+        b = np.concatenate([b_eq, b_in[list(chosen)]]) if chosen else b_eq
+        if a.shape[0] != m or np.linalg.matrix_rank(a, tol=1e-12) < m:
+            continue
+        point = np.linalg.solve(a, b)
+        scale = 1.0 + np.abs(b_in) + np.abs(a_in @ point)
+        if np.all(a_in @ point >= b_in - tol * scale) and np.all(
+            np.abs(a_eq @ point - b_eq) <= tol * (1.0 + np.abs(b_eq))
+        ):
+            vertices.append(point)
+    unique = []
+    for v in vertices:
+        if not any(np.allclose(v, u, atol=10 * tol, rtol=0.0) for u in unique):
+            unique.append(v)
+    unique.sort(key=lambda v: tuple(np.round(v, 9)))
+    return np.array(unique, dtype=float).reshape(len(unique), m)
+
+
+def count_closures(monkeypatch):
+    """Record the order of every max-times closure konus builds; returns the live list."""
+    import konus
+
+    calls = []
+    original = konus.semiring.maxtimes_closure
+
+    def counted(matrix, *args, **kwargs):
+        calls.append(np.shape(matrix)[0])
+        return original(matrix, *args, **kwargs)
+
+    for module in (konus.semiring, konus.axioms, konus.forecast):
+        monkeypatch.setattr(module, "maxtimes_closure", counted)
+    return calls

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from konus import (
     InfeasibleAxiomError,
@@ -10,7 +11,9 @@ from konus import (
     cross_value_matrix,
     eval_garp_utility,
     eval_harp_utility,
+    harp_irrationality,
     konus_divisia_series,
+    paasche_matrix,
     solve_afriat_numbers,
     solve_harp_multipliers,
     trade_statistics,
@@ -18,7 +21,8 @@ from konus import (
     verify_harp_multipliers,
 )
 
-from conftest import random_panel
+from conftest import closure_by_outer, count_closures, random_panel
+from test_witnesses import panels as witness_panels
 
 
 def test_multipliers_appendix(appendix_panel):
@@ -232,3 +236,28 @@ def test_index_series_base_period_and_euler_identity():
             assert series.consumption[t] * series.price[t] == spend[t]  # exact product
             assert series.price[t] == pytest.approx(1.0 / lm.lam[t], rel=1e-10)
     assert panels > 15
+
+
+@given(witness_panels(max_periods=12), st.floats(1.0, 1.5), st.sampled_from([0.0, 1e-9]))
+def test_multipliers_match_two_closure_path_bitwise(ts, slack, tol):
+    # the multipliers read off the verdict's closure equal those of a second, separate closure
+    omega = harp_irrationality(ts) * slack
+    lm = solve_harp_multipliers(ts, omega, tol=tol)
+    assert check_harp(ts, omega, tol=tol).satisfied
+    scaled = paasche_matrix(cross_value_matrix(ts)).values / omega
+    np.fill_diagonal(scaled, 0.0)
+    values, diverged = closure_by_outer(scaled, tol=tol)
+    assert not diverged
+    lam = np.maximum(1.0, values.max(axis=1))
+    assert lm.lam.tobytes() == (lam / lam[0]).tobytes()
+
+
+def test_multipliers_build_one_closure(monkeypatch):
+    calls = count_closures(monkeypatch)
+    for seed in range(4):
+        ts = random_panel(np.random.default_rng(seed), T=6, m=3)
+        omega = harp_irrationality(ts)
+        solve_harp_multipliers(ts, omega)
+        with pytest.raises(InfeasibleAxiomError):
+            solve_harp_multipliers(ts, omega * 0.9)
+    assert calls == [6] * 8

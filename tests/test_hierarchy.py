@@ -23,7 +23,7 @@ from konus import (
 )
 from konus.hierarchy import TreeNode
 
-from conftest import near_homothetic_panel, random_panel
+from conftest import count_closures, near_homothetic_panel, random_panel
 
 
 def leaf_series(ts, indices):
@@ -183,3 +183,21 @@ def test_render_tree_mentions_all_nodes(appendix_panel_half):
     text = render_tree(build_hierarchy(appendix_panel_half, tree))
     assert "root" in text and "pair" in text
     assert "status=" in text
+
+
+def test_each_analysed_node_builds_one_closure(monkeypatch):
+    calls = count_closures(monkeypatch)
+    ts = cobb_douglas_statistics(8, 6, seed=3)
+    tree = TreeNode("root", (TreeNode("a", (), ("g1", "g2")), TreeNode("b", (), ("g3", "g4", "g5"))),
+                    ("g6",))
+    report = build_hierarchy(ts, tree)
+    assert [node.status for node in report.nodes] == ["ok"] * 3
+    assert len(calls) == 3
+    calls.clear()
+    prices = np.array([[1.0, 2.0, 1.0], [2.0, 1.0, 1.0]])
+    quantities = np.array([[1.0, 1.0, 1.0], [2.0, 1.0, 1.0]])
+    ts = trade_statistics(prices, quantities)  # goods 1-2 form the failing pair
+    tree = TreeNode("root", (TreeNode("bad", (), ("g1", "g2")), TreeNode("solo", (), ("g3",))), ())
+    report = build_hierarchy(ts, tree)
+    assert [node.status for node in report.nodes] == ["blocked", "violated", "ok"]
+    assert len(calls) == 2  # blocked nodes build none

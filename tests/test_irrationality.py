@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from hypothesis import given
 
 from konus import (
     check_garp,
@@ -14,6 +15,7 @@ from konus import (
 )
 
 from conftest import random_panel
+from test_witnesses import panels
 
 
 def test_harp_index_two_period(two_period_panel):
@@ -111,3 +113,13 @@ def test_bisection_with_zero_tolerance_stops_at_adjacent_floats():
         value = garp_irrationality_bisection(ts, tol=0.0)
         omega_g, _ = garp_irrationality(ts)
         assert value == pytest.approx(omega_g, rel=1e-12)
+
+
+@given(panels(max_periods=12))
+def test_each_axiom_passes_at_its_attained_index(ts):
+    assert check_harp(ts, harp_irrationality(ts)).satisfied
+    omega_g, attained = garp_irrationality(ts)
+    if attained:
+        assert check_garp(ts, omega_g).satisfied
+    else:
+        assert not check_garp(ts, omega_g).satisfied

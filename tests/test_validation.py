@@ -8,12 +8,16 @@ from konus import (
     brute_force_harp,
     check_garp,
     check_harp,
+    cross_value_matrix,
     gamma_coefficients,
     garp_irrationality,
     garp_irrationality_bisection,
     kg_membership,
+    kh_polytope,
     law_of_demand_estimate,
     law_of_demand_outer,
+    omega_closure,
+    paasche_matrix,
     solve_afriat_numbers,
     solve_harp_multipliers,
 )
@@ -68,3 +72,17 @@ def test_valid_levels_pass():
     validate_level(1.0, 0.0)
     validate_level(1e-300, 1e300)
     validate_level(tol=0.5)
+
+
+@pytest.mark.parametrize("omega", BAD_OMEGAS)
+def test_omega_closure_names_an_invalid_level(two_period_panel, omega):
+    paasche = paasche_matrix(cross_value_matrix(two_period_panel))
+    with pytest.raises(ValueError, match="omega must be finite and positive"):
+        omega_closure(paasche, omega)
+
+
+@pytest.mark.parametrize("expenditure", [NAN, INF, -INF, 0.0, -1.0])
+def test_kh_polytope_rejects_invalid_expenditure(appendix_panel, expenditure):
+    cone = gamma_coefficients(appendix_panel, 1.0, [1.0, 1.0, 1.0])
+    with pytest.raises(ValueError, match="expenditure must be finite and positive"):
+        kh_polytope(cone, expenditure)
