@@ -32,9 +32,7 @@ from .axioms import (
     check_harp,
 )
 from .core import (
-    CrossValueMatrix,
     GroupSelection,
-    PaascheMatrix,
     TradeDataError,
     TradeStatistics,
     cross_value_matrix,

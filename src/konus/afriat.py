@@ -65,7 +65,7 @@ class IndexSeries:
 def verify_harp_multipliers(lm: HarpMultipliers, ts: TradeStatistics,
                             rtol: float = CERTIFICATE_RTOL) -> None:
     """Check all T^2 off-diagonal inequalities of the homothetic system."""
-    px = cross_value_matrix(ts).px
+    px = cross_value_matrix(ts)
     lam = lm.lam
     lhs = lm.omega * lam[:, np.newaxis] * px
     rhs = (lam * px.diagonal())[np.newaxis, :]
@@ -81,7 +81,7 @@ def verify_harp_multipliers(lm: HarpMultipliers, ts: TradeStatistics,
 def verify_afriat_solution(sol: AfriatSolution, ts: TradeStatistics,
                            rtol: float = CERTIFICATE_RTOL) -> None:
     """Check all T^2 off-diagonal inequalities of the acyclicity system."""
-    px = cross_value_matrix(ts).px
+    px = cross_value_matrix(ts)
     u, lam = sol.utilities, sol.lam
     rhs = u[np.newaxis, :] + lam[np.newaxis, :] * (sol.omega * px.T - px.diagonal()[np.newaxis, :])
     # rhs[t, s] bounds u[t]; slack scales with the magnitudes involved
@@ -135,7 +135,7 @@ def solve_afriat_numbers(ts: TradeStatistics, omega: float = 1.0, *,
         raise InfeasibleAxiomError(
             f"acyclicity fails at omega={omega}; no utility numbers exist", verdict.witness
         )
-    px = cross_value_matrix(ts).px
+    px = cross_value_matrix(ts)
     T = px.shape[0]
     utilities = np.zeros(T)
     lam = np.zeros(T)

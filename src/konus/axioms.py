@@ -23,6 +23,9 @@ from .core import (
 from .semiring import (
     FLOAT_SLACK,
     ClosureMatrix,
+    OracleBudgetError,
+    _admissible_cycles,
+    _canonical_rotation,
     boolean_closure,
     maxtimes_closure,
     shortest_cycle_above,
@@ -137,7 +140,7 @@ def check_garp(ts: TradeStatistics, omega: float = 1.0, *, tol: float = 0.0) -> 
     source that attains it gives the chain.
     """
     validate_level(omega, tol)
-    px = cross_value_matrix(ts).px
+    px = cross_value_matrix(ts)
     rel, bad = _garp_violations(px, omega, tol)
     if not bad.any():
         return AxiomVerdict(satisfied=True, omega=omega)
@@ -147,11 +150,21 @@ def check_garp(ts: TradeStatistics, omega: float = 1.0, *, tol: float = 0.0) -> 
     return AxiomVerdict(satisfied=False, omega=omega, witness=witness)
 
 
-def _harp_satisfied_from_paasche(paasche: FloatArray, omega: float, tol: float) -> bool:
-    scaled = paasche / omega
+def _harp_closure(px: FloatArray, omega: float, tol: float) -> tuple[FloatArray, ClosureMatrix]:
+    """The omega-scaled Paasche matrix with its diagonal zeroed, and its max-times closure."""
+    scaled = paasche_matrix(px) / omega
     np.fill_diagonal(scaled, 0.0)
-    closure = maxtimes_closure(scaled, tol=tol)
-    return not closure.diverged
+    return scaled, maxtimes_closure(scaled, tol=tol)
+
+
+def _verdicts(px: FloatArray, omega: float = 1.0, tol: float = 0.0) -> tuple[bool, bool]:
+    """Verdict-only acyclicity and homotheticity tests of one cross-value matrix.
+
+    Each verdict is the axiom's own; the implication between them is left to
+    the caller, because the Monte Carlo experiments enforce it in different
+    directions.
+    """
+    return _garp_satisfied(px, omega, tol), not _harp_closure(px, omega, tol)[1].diverged
 
 
 def _harp_verdict(ts: TradeStatistics, omega: float,
@@ -164,10 +177,8 @@ def _harp_verdict(ts: TradeStatistics, omega: float,
     its place; the verdict then carries the shortest violating cycle.
     """
     validate_level(omega, tol)
-    paasche = paasche_matrix(cross_value_matrix(ts)).values
-    scaled = paasche / omega
-    np.fill_diagonal(scaled, 0.0)
-    closure = maxtimes_closure(scaled, tol=tol)
+    px = cross_value_matrix(ts)
+    scaled, closure = _harp_closure(px, omega, tol)
     if not closure.diverged:
         return AxiomVerdict(satisfied=True, omega=omega), closure
     del closure
@@ -177,7 +188,7 @@ def _harp_verdict(ts: TradeStatistics, omega: float,
         raise RuntimeError("homotheticity violation detected but no cycle recovered")
     product = 1.0
     for a, b in zip(cycle, cycle[1:] + cycle[:1]):
-        product *= paasche[a, b]
+        product *= px[b, b] / px[a, b]  # the Paasche entry C[a, b]
     witness = HarpWitness(cycle=cycle, product=product, omega=omega)
     return AxiomVerdict(satisfied=False, omega=omega, witness=witness), None
 
@@ -210,7 +221,7 @@ def brute_force_harp(
     an independent cross-check of :func:`check_harp`.
     """
     validate_level(omega, tol)
-    paasche = paasche_matrix(cross_value_matrix(ts)).values
+    paasche = paasche_matrix(cross_value_matrix(ts))
     n = paasche.shape[0]
     if max_len is None:
         max_len = n
@@ -235,36 +246,14 @@ def brute_force_harp(
 
 def _brute_force_length(paasche, scaled, k, bound, budget):
     """Smallest violating cycle of exactly k links, or None."""
-    from .semiring import OracleBudgetError
-
     n = paasche.shape[0]
     if n ** k > budget:
         raise OracleBudgetError(f"oracle too large: {n ** k} tuples of length {k} exceed budget {budget}")
-    if k == 1:
-        normalised = np.diagonal(scaled)
-        violating = np.flatnonzero(normalised > bound)
-        if violating.size:
-            t = int(violating[0])
-            return (t,), float(paasche[t, t])
+    tuples, normalised = _admissible_cycles(scaled, k)
+    rows = tuples[normalised > bound]
+    if not rows.size:
         return None
-    grids = np.meshgrid(*([np.arange(n)] * k), indexing="ij")
-    tuples = np.stack([g.ravel() for g in grids], axis=1)
-    nxt = np.roll(tuples, -1, axis=1)
-    admissible = np.all(tuples != nxt, axis=1)
-    tuples, nxt = tuples[admissible], nxt[admissible]
-    if tuples.size == 0:
-        return None
-    normalised = np.ones(tuples.shape[0])
-    for j in range(k):
-        normalised *= scaled[tuples[:, j], nxt[:, j]]
-    violating = normalised > bound
-    if not np.any(violating):
-        return None
-    rows = tuples[violating]
-    cycle = min(
-        tuple(int(i) for i in row[np.argmin(row):].tolist() + row[:np.argmin(row)].tolist())
-        for row in rows
-    )
+    cycle = min(_canonical_rotation(tuple(int(i) for i in row)) for row in rows)
     product = 1.0
     for a, b in zip(cycle, cycle[1:] + cycle[:1]):
         product *= paasche[a, b]

@@ -19,6 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
+from ._mc import validate_workers
 from .afriat import InfeasibleAxiomError, konus_divisia_series, solve_harp_multipliers
 from .axioms import GarpWitness, HarpWitness, check_garp, check_harp
 from .core import (
@@ -531,6 +532,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         validate_level(getattr(args, "omega", 1.0), getattr(args, "tolerance", 0.0))
+        validate_workers(getattr(args, "workers", 1))
         return args.handler(args)
     except (TradeDataError, FileNotFoundError, json.JSONDecodeError) as exc:
         print(f"input error: {exc}", file=sys.stderr)

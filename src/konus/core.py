@@ -3,8 +3,9 @@
 A trade statistics is a finite panel of ``T`` price vectors and ``T`` demand
 vectors over ``m`` goods.  Everything downstream (axiom tests, index numbers,
 forecasting cones) is a function of the cross-value matrix ``px[t, s] =
-<P^t, X^s>``, so this module is the single place where input validation and
-those dot products happen.
+<P^t, X^s>``, so this module is the single place where input validation,
+those dot products and the Paasche matrix built from them happen.  Both
+matrices are returned as plain ndarrays.
 """
 
 from __future__ import annotations
@@ -140,49 +141,6 @@ def trade_statistics(prices, quantities, good_ids=None, period_ids=None) -> Trad
                            good_ids=tuple(good_ids), period_ids=tuple(period_ids))
 
 
-@dataclass(frozen=True, eq=False)
-class CrossValueMatrix:
-    """T x T matrix of cross values ``px[t, s] = <P^t, X^s>`` (currency units)."""
-
-    px: FloatArray
-
-    def __post_init__(self) -> None:
-        px = np.asarray(self.px, dtype=float)
-        if px.ndim != 2 or px.shape[0] != px.shape[1]:
-            raise TradeDataError("cross-value matrix must be square")
-        if not np.all(px > 0.0):
-            raise TradeDataError("cross-value matrix must be strictly positive")
-        object.__setattr__(self, "px", _frozen(px))
-
-    @property
-    def num_periods(self) -> int:
-        return self.px.shape[0]
-
-
-@dataclass(frozen=True, eq=False)
-class PaascheMatrix:
-    """T x T matrix of pairwise Paasche price indices, ``C[t, s] = px[s, s] / px[t, s]``.
-
-    Dimensionless, strictly positive, with unit diagonal.  Invariant under any
-    per-period rescaling of quantities, which is why every homotheticity test
-    factors through it.
-    """
-
-    values: FloatArray
-
-    def __post_init__(self) -> None:
-        values = np.asarray(self.values, dtype=float)
-        if values.ndim != 2 or values.shape[0] != values.shape[1]:
-            raise TradeDataError("Paasche matrix must be square")
-        if not np.all(values > 0.0):
-            raise TradeDataError("Paasche matrix must be strictly positive")
-        object.__setattr__(self, "values", _frozen(values))
-
-    @property
-    def num_periods(self) -> int:
-        return self.values.shape[0]
-
-
 @dataclass(frozen=True)
 class GroupSelection:
     """Strictly increasing positions of the goods kept by a group restriction."""
@@ -270,18 +228,32 @@ def load_trade_statistics(prices_source, quantities_source) -> TradeStatistics:
                            good_ids=tuple(p_goods), period_ids=tuple(p_periods))
 
 
-def cross_value_matrix(ts: TradeStatistics) -> CrossValueMatrix:
-    """Exact dot products ``px[t, s] = <P^t, X^s>`` for all period pairs."""
-    return CrossValueMatrix(px=ts.prices @ ts.quantities.T)
+def cross_value_matrix(ts: TradeStatistics) -> FloatArray:
+    """Exact dot products ``px[t, s] = <P^t, X^s>`` for all period pairs (currency units)."""
+    return ts.prices @ ts.quantities.T
 
 
-def paasche_matrix(px: CrossValueMatrix) -> PaascheMatrix:
-    """Pairwise Paasche indices ``C[t, s] = px[s, s] / px[t, s]``."""
-    diag = np.diagonal(px.px)
-    return PaascheMatrix(values=diag[np.newaxis, :] / px.px)
+def paasche_matrix(px) -> FloatArray:
+    """Pairwise Paasche indices ``C[t, s] = px[s, s] / px[t, s]`` of a cross-value matrix.
+
+    Dimensionless, strictly positive, with unit diagonal.  Invariant under any
+    per-period rescaling of quantities, which is why every homotheticity test
+    factors through it.  The cross values must form a square, strictly
+    positive matrix; a Paasche entry that overflows or underflows to a
+    non-positive value is rejected too.
+    """
+    px = np.asarray(px, dtype=float)
+    if px.ndim != 2 or px.shape[0] != px.shape[1]:
+        raise TradeDataError("cross-value matrix must be square")
+    if not (px > 0.0).all():
+        raise TradeDataError("cross-value matrix must be strictly positive")
+    paasche = px.diagonal()[np.newaxis, :] / px
+    if not (paasche > 0.0).all():
+        raise TradeDataError("Paasche matrix must be strictly positive")
+    return paasche
 
 
-def paasche_from_statistics(ts: TradeStatistics) -> PaascheMatrix:
+def paasche_from_statistics(ts: TradeStatistics) -> FloatArray:
     return paasche_matrix(cross_value_matrix(ts))
 
 

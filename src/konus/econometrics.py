@@ -19,7 +19,7 @@ from typing import Sequence
 import numpy as np
 
 from ._mc import map_trials, trial_rng
-from .axioms import _garp_violations, _harp_satisfied_from_paasche
+from .axioms import _verdicts
 from .core import FloatArray, TradeStatistics, trade_statistics
 
 VARIANCE_FLOOR = 1e-12
@@ -159,15 +159,10 @@ def simulate_price_paths(ts: TradeStatistics, models: Sequence[ARModel],
 
 def _power_trial(ts: TradeStatistics, models: Sequence[ARModel], seed: int, trial: int) -> tuple[bool, bool]:
     prices = simulate_price_paths(ts, models, trial_rng(seed, trial))
-    px = prices @ ts.quantities.T
-    _, bad = _garp_violations(px, 1.0, 0.0)
-    garp_fails = bool(bad.any())
-    paasche = px.diagonal()[np.newaxis, :] / px
-    harp_fails = not _harp_satisfied_from_paasche(paasche, 1.0, 0.0)
+    garp_ok, harp_ok = _verdicts(prices @ ts.quantities.T)
     # an acyclicity failure is a homotheticity failure; enforce the
     # implication against rounding at the cycle-product boundary
-    harp_fails = harp_fails or garp_fails
-    return garp_fails, harp_fails
+    return not garp_ok, not (harp_ok and garp_ok)
 
 
 def power_estimate(ts: TradeStatistics, trials: int, seed: int, *,
@@ -193,15 +188,8 @@ def power_estimate(ts: TradeStatistics, trials: int, seed: int, *,
 
 
 def _group_verdicts(ts: TradeStatistics, idx: np.ndarray) -> tuple[bool, bool]:
-    prices = ts.prices[:, idx]
-    quantities = ts.quantities[:, idx]
-    px = prices @ quantities.T
-    _, bad = _garp_violations(px, 1.0, 0.0)
-    garp_ok = not bool(bad.any())
-    paasche = px.diagonal()[np.newaxis, :] / px
-    harp_ok = _harp_satisfied_from_paasche(paasche, 1.0, 0.0)
-    garp_ok = garp_ok or harp_ok  # homotheticity implies acyclicity
-    return garp_ok, harp_ok
+    garp_ok, harp_ok = _verdicts(ts.prices[:, idx] @ ts.quantities[:, idx].T)
+    return garp_ok or harp_ok, harp_ok  # homotheticity implies acyclicity
 
 
 def _group_valid(ts: TradeStatistics, idx: np.ndarray) -> bool:

@@ -17,16 +17,9 @@ from itertools import combinations, islice
 import numpy as np
 
 from ._mc import map_trials, trial_rng
-from .axioms import _garp_satisfied, _garp_violations, _harp_satisfied_from_paasche, check_harp
+from .axioms import _garp_satisfied, _harp_verdict, _verdicts, check_harp
 from .afriat import InfeasibleAxiomError
-from .core import (
-    FloatArray,
-    PaascheMatrix,
-    TradeStatistics,
-    cross_value_matrix,
-    paasche_matrix,
-    validate_level,
-)
+from .core import FloatArray, TradeStatistics, cross_value_matrix, validate_level
 from .semiring import ClosureMatrix, maxtimes_closure, maxtimes_product
 
 VERTEX_ENUMERATION_MAX_DIM = 4
@@ -93,7 +86,7 @@ class PolytopeDescription:
     constraints: tuple[LinearConstraint, ...]
 
 
-def omega_closure(paasche: PaascheMatrix, omega: float) -> ClosureMatrix:
+def omega_closure(paasche: FloatArray, omega: float) -> ClosureMatrix:
     """Max-times closure of the omega-discounted Paasche matrix, diagonal included.
 
     A walk with ``k`` intermediate indices contributes
@@ -103,27 +96,35 @@ def omega_closure(paasche: PaascheMatrix, omega: float) -> ClosureMatrix:
     validate_level(omega)
     if omega < 1.0:
         raise ValueError("omega must be at least 1")
-    return maxtimes_closure(paasche.values / omega)
+    return maxtimes_closure(paasche / omega)
 
 
 def gamma_coefficients(ts: TradeStatistics, omega: float, price_new) -> ForecastCone:
-    """Cone coefficients ``gamma[s] = min_t omega^2 / closure[t, s] * <price_new, X^t> / px[t, t]``."""
+    """Cone coefficients ``gamma[s] = min_t omega^2 / closure[t, s] * <price_new, X^t> / px[t, t]``.
+
+    ``closure`` is :func:`omega_closure`, read off the closure that decided
+    the homotheticity verdict: that one leaves out the self-loops, whose
+    weight ``1 / omega <= 1`` can raise only the diagonal, so restoring the
+    diagonal to at least ``1 / omega`` gives it bit for bit.
+    """
     price_new = np.asarray(price_new, dtype=float)
     if price_new.shape != (ts.num_goods,):
         raise ValueError(f"new price must have {ts.num_goods} coordinates")
     if np.any(price_new <= 0.0):
         raise ValueError("new price must be strictly positive")
-    verdict = check_harp(ts, omega)
+    verdict, closure = _harp_verdict(ts, omega, 0.0)
     if not verdict.satisfied:
         raise InfeasibleAxiomError(
             f"homotheticity fails at omega={omega}; the forecasting cone is undefined",
             verdict.witness,
         )
-    paasche = paasche_matrix(cross_value_matrix(ts))
-    closure = omega_closure(paasche, omega)
+    if omega < 1.0:
+        raise ValueError("omega must be at least 1")
+    paths = closure.values.copy()
+    np.fill_diagonal(paths, np.maximum(paths.diagonal(), 1.0 / omega))
     new_values = ts.quantities @ price_new           # <price_new, X^t>
     numerators = omega * omega * new_values / ts.expenditures()
-    gamma = (numerators[:, np.newaxis] / closure.values).min(axis=0)
+    gamma = (numerators[:, np.newaxis] / paths).min(axis=0)
     return ForecastCone(omega=omega, price_new=price_new, gamma=gamma, prices=ts.prices)
 
 
@@ -149,7 +150,7 @@ def kg_membership(ts: TradeStatistics, omega: float, price_new, x, *, tol: float
     validate_level(omega, tol)
     arr = _admissible_bundle(x, ts.num_goods)
     extended = ts.extended(price_new, arr)
-    return _garp_satisfied(cross_value_matrix(extended).px, omega, tol)
+    return _garp_satisfied(cross_value_matrix(extended), omega, tol)
 
 
 def kh_polytope(cone: ForecastCone, x_new: float) -> PolytopeDescription:
@@ -247,7 +248,7 @@ def law_of_demand_estimate(ts: TradeStatistics, omega: float,
     intermediate index.
     """
     validate_level(omega)
-    px = cross_value_matrix(ts).px
+    px = cross_value_matrix(ts)
     diag = px.diagonal()
     ratio = diag[np.newaxis, :].T / px  # px[s, s] / px[s, t]
     step_matrix = np.maximum(diag[np.newaxis, :] / (omega * px), _step(ratio - omega))
@@ -297,7 +298,7 @@ def law_of_demand_outer(
     estimate = law_of_demand_estimate(ts, omega, include_direct_edge=include_direct_edge)
     if estimate.diverged:
         return False
-    px = cross_value_matrix(ts).px
+    px = cross_value_matrix(ts)
     diag = px.diagonal()
     spend_new = float(price_new @ arr) if expenditure is None else float(expenditure)
     obs_at_new = ts.prices @ arr          # <P^s, x>
@@ -325,14 +326,10 @@ def _size_trial(ts: TradeStatistics, base_px: FloatArray, seed: int, trial: int)
     price = sample_positive_sphere(ts.num_goods, trial_rng(seed, trial))
     px = base_px.copy()
     px[-1, :] = ts.quantities @ price
-    _, bad = _garp_violations(px, 1.0, 0.0)
-    garp_ok = not bool(bad.any())
-    paasche = px.diagonal()[np.newaxis, :] / px
-    harp_ok = _harp_satisfied_from_paasche(paasche, 1.0, 0.0)
+    garp_ok, harp_ok = _verdicts(px)
     # homotheticity implies acyclicity; enforce the implication against
     # rounding at the cycle-product boundary so paired dominance is exact
-    garp_ok = garp_ok or harp_ok
-    return garp_ok, harp_ok
+    return garp_ok or harp_ok, harp_ok
 
 
 def forecast_size_paired(ts: TradeStatistics, trials: int, seed: int,
@@ -348,7 +345,7 @@ def forecast_size_paired(ts: TradeStatistics, trials: int, seed: int,
         raise ValueError("trial count must be positive")
     if seed < 0:
         raise ValueError("seed must be nonnegative")
-    base_px = np.array(cross_value_matrix(ts).px)
+    base_px = cross_value_matrix(ts)
     outcomes = map_trials(lambda b: _size_trial(ts, base_px, seed, b), trials, workers)
     garp_hits = sum(1 for g, _ in outcomes if g)
     harp_hits = sum(1 for _, h in outcomes if h)

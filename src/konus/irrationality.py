@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .axioms import GarpWitness, HarpWitness, _garp_satisfied, check_garp, check_harp
-from .core import FloatArray, TradeStatistics, cross_value_matrix, paasche_matrix, validate_level
+from .core import FloatArray, TradeStatistics, cross_value_matrix, paasche_from_statistics, validate_level
 from .semiring import max_cycle_geomean
 
 # Level reported for a single observation, where no admissible cycle exists
@@ -40,8 +40,7 @@ def harp_irrationality(ts: TradeStatistics) -> float:
     """
     if ts.num_periods < 2:
         return SINGLE_PERIOD_HARP_INDEX
-    paasche = paasche_matrix(cross_value_matrix(ts)).values
-    return max_cycle_geomean(paasche, min_len=2)
+    return max_cycle_geomean(paasche_from_statistics(ts), min_len=2)
 
 
 def _garp_breakpoints(px: FloatArray) -> np.ndarray:
@@ -62,7 +61,7 @@ def garp_irrationality(ts: TradeStatistics, *, tol: float = 0.0) -> tuple[float,
     validate_level(tol=tol)
     if ts.num_periods < 2:
         return 0.0, False
-    px = cross_value_matrix(ts).px
+    px = cross_value_matrix(ts)
     points = _garp_breakpoints(px)
     # candidates alternate each breakpoint with a probe inside the next interval
     candidates: list[tuple[float, bool, float]] = []  # (probe level, is breakpoint, reported value)
@@ -89,7 +88,7 @@ def garp_irrationality_bisection(ts: TradeStatistics, *, tol: float = 1e-9) -> f
     validate_level(tol=tol)
     if ts.num_periods < 2:
         return 0.0
-    px = cross_value_matrix(ts).px
+    px = cross_value_matrix(ts)
     points = _garp_breakpoints(px)
     lo, hi = float(points[0]), float(points[-1]) + 1.0
     if _garp_satisfied(px, lo, 0.0):

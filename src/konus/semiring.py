@@ -154,6 +154,24 @@ def _canonical_rotation(cycle: tuple[int, ...]) -> tuple[int, ...]:
     return cycle[pivot:] + cycle[:pivot]
 
 
+def _admissible_cycles(matrix: FloatArray, k: int) -> tuple[np.ndarray, FloatArray]:
+    """Index k-tuples read as cycles, in lexicographic order, with their edge products.
+
+    For ``k >= 2`` tuples with cyclically adjacent repeats are left out; a
+    1-tuple is the self-loop at its index.  Each product multiplies the
+    edges in link order, closing edge last.  Both brute-force oracles
+    enumerate through this one routine.
+    """
+    tuples = np.indices((matrix.shape[0],) * k).reshape(k, -1).T
+    links = [(j, (j + 1) % k) for j in range(k)]
+    if k > 1:
+        tuples = tuples[np.all([tuples[:, a] != tuples[:, b] for a, b in links], axis=0)]
+    products = np.ones(tuples.shape[0])
+    for a, b in links:
+        products *= matrix[tuples[:, a], tuples[:, b]]
+    return tuples, products
+
+
 def brute_force_cycle_geomean(
     matrix,
     min_len: int = 2,
@@ -191,23 +209,9 @@ def brute_force_cycle_geomean(
     best = -np.inf
     best_cycle: tuple[int, ...] | None = None
     for k in lengths:
-        if k == 1:
-            values = np.diagonal(arr)
-            idx = int(np.argmax(values))
-            if values[idx] > best:
-                best = float(values[idx])
-                best_cycle = (idx,)
+        tuples, products = _admissible_cycles(arr, k)
+        if not products.size:
             continue
-        grids = np.meshgrid(*([np.arange(n)] * k), indexing="ij")
-        tuples = np.stack([g.ravel() for g in grids], axis=1)
-        nxt = np.roll(tuples, -1, axis=1)
-        admissible = np.all(tuples != nxt, axis=1)
-        tuples, nxt = tuples[admissible], nxt[admissible]
-        if tuples.size == 0:
-            continue
-        products = np.ones(tuples.shape[0])
-        for j in range(k):
-            products *= arr[tuples[:, j], nxt[:, j]]
         geomeans = products ** (1.0 / k)
         top = float(geomeans.max())
         if top > best:

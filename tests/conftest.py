@@ -209,3 +209,13 @@ def count_closures(monkeypatch):
     for module in (konus.semiring, konus.axioms, konus.forecast):
         monkeypatch.setattr(module, "maxtimes_closure", counted)
     return calls
+
+
+def gamma_by_omega_closure(ts, omega, price_new):
+    """Cone coefficient oracle: the homotheticity test, then a second closure with the diagonal kept."""
+    from konus import check_harp, omega_closure, paasche_from_statistics
+
+    assert check_harp(ts, omega).satisfied
+    closure = omega_closure(paasche_from_statistics(ts), omega)
+    numerators = omega * omega * (ts.quantities @ np.asarray(price_new, dtype=float)) / ts.expenditures()
+    return (numerators[:, np.newaxis] / closure.values).min(axis=0)

@@ -215,3 +215,19 @@ def test_invalid_level_fails_before_any_output(tmp_path, capsys):
         assert captured.out == ""
         assert "must be finite" in captured.err
         assert not out.exists()
+
+
+
+def test_fewer_than_one_worker_fails_before_any_output(tmp_path, capsys):
+    prices, quantities = write_two_period(tmp_path)
+    runs = [["forecast", prices, quantities, "--new-price", "1,1", "--size-trials", "10", "--seed", "1"],
+            ["power", prices, quantities, "--trials", "10", "--seed", "1"],
+            ["groups", prices, quantities, "--sizes", "2", "--samples", "1", "--seed", "1"]]
+    for argv in runs:
+        out = tmp_path / "invalid"
+        code = main([*argv, "--workers", "0", "--out", str(out)])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert "workers must be at least 1" in captured.err
+        assert not out.exists()

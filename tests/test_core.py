@@ -8,9 +8,11 @@ import pytest
 from konus import (
     GroupSelection,
     TradeDataError,
+    check_harp,
     cross_value_matrix,
     load_trade_statistics,
     paasche_from_statistics,
+    paasche_matrix,
     rescale_quantities,
     restrict_to_group,
     trade_statistics,
@@ -34,7 +36,7 @@ def test_load_appendix_tables():
 def test_load_minimal_table():
     ts = load_trade_statistics(io.StringIO("p,g\nt,5\n"), io.StringIO("p,g\nt,2\n"))
     assert ts.num_periods == 1 and ts.num_goods == 1
-    assert cross_value_matrix(ts).px[0, 0] == 10.0
+    assert cross_value_matrix(ts)[0, 0] == 10.0
 
 
 def test_load_rejects_all_zero_quantity_row():
@@ -77,21 +79,21 @@ def test_load_rejects_ragged_row():
 
 def test_cross_values_appendix(appendix_panel):
     np.testing.assert_array_equal(
-        cross_value_matrix(appendix_panel).px,
+        cross_value_matrix(appendix_panel),
         [[2.0, 1.0, 4.0], [2.0, 1.0, 2.0], [2.0, 2.0, 1.0]],
     )
 
 
 def test_cross_values_appendix_half(appendix_panel_half):
     np.testing.assert_allclose(
-        cross_value_matrix(appendix_panel_half).px,
+        cross_value_matrix(appendix_panel_half),
         [[4.5, 4.0, 5.5], [3.5, 3.0, 3.5], [3.5, 3.5, 3.0]],
     )
 
 
 def test_paasche_appendix(appendix_panel):
     np.testing.assert_array_equal(
-        paasche_from_statistics(appendix_panel).values,
+        paasche_from_statistics(appendix_panel),
         [[1.0, 1.0, 0.25], [1.0, 1.0, 0.5], [1.0, 0.5, 1.0]],
     )
 
@@ -100,13 +102,13 @@ def test_paasche_unit_diagonal():
     rng = np.random.default_rng(7)
     for _ in range(20):
         ts = random_panel(rng)
-        np.testing.assert_array_equal(np.diagonal(paasche_from_statistics(ts).values),
+        np.testing.assert_array_equal(np.diagonal(paasche_from_statistics(ts)),
                                       np.ones(ts.num_periods))
 
 
 def test_paasche_single_good_two_periods():
     ts = trade_statistics([[1.0], [2.0]], [[1.0], [1.0]])
-    np.testing.assert_array_equal(paasche_from_statistics(ts).values, [[1.0, 2.0], [0.5, 1.0]])
+    np.testing.assert_array_equal(paasche_from_statistics(ts), [[1.0, 2.0], [0.5, 1.0]])
 
 
 def test_restrict_identity(appendix_panel):
@@ -147,17 +149,17 @@ def test_rescale_identity(appendix_panel):
 def test_rescale_doubles_cross_values(appendix_panel):
     doubled = rescale_quantities(appendix_panel, [2.0, 2.0, 2.0])
     np.testing.assert_array_equal(
-        cross_value_matrix(doubled).px, 2.0 * cross_value_matrix(appendix_panel).px
+        cross_value_matrix(doubled), 2.0 * cross_value_matrix(appendix_panel)
     )
 
 
 def test_rescale_scales_columns(appendix_panel):
     scaled = rescale_quantities(appendix_panel, [1.0, 3.0, 1.0])
-    px = cross_value_matrix(appendix_panel).px
+    px = cross_value_matrix(appendix_panel)
     expected = px * np.array([1.0, 3.0, 1.0])[np.newaxis, :]
-    np.testing.assert_array_equal(cross_value_matrix(scaled).px, expected)
-    paasche = paasche_from_statistics(scaled).values
-    np.testing.assert_allclose(paasche, paasche_from_statistics(appendix_panel).values)
+    np.testing.assert_array_equal(cross_value_matrix(scaled), expected)
+    paasche = paasche_from_statistics(scaled)
+    np.testing.assert_allclose(paasche, paasche_from_statistics(appendix_panel))
 
 
 def test_rescale_rejects_nonpositive(appendix_panel):
@@ -170,8 +172,8 @@ def test_cycle_products_invariant_under_rescaling():
     for _ in range(30):
         ts = random_panel(rng)
         mu = np.exp(rng.normal(0.0, 1.0, size=ts.num_periods))
-        base = paasche_from_statistics(ts).values
-        scaled = paasche_from_statistics(rescale_quantities(ts, mu)).values
+        base = paasche_from_statistics(ts)
+        scaled = paasche_from_statistics(rescale_quantities(ts, mu))
         cycle = rng.permutation(ts.num_periods)
         prod_base = prod_scaled = 1.0
         for a, b in zip(cycle, np.roll(cycle, -1)):
@@ -187,7 +189,7 @@ def test_cross_values_bilinear_in_prices():
     prices[2] *= 3.0
     scaled = trade_statistics(prices, ts.quantities)
     np.testing.assert_allclose(
-        cross_value_matrix(scaled).px[2], 3.0 * cross_value_matrix(ts).px[2], rtol=1e-15
+        cross_value_matrix(scaled)[2], 3.0 * cross_value_matrix(ts)[2], rtol=1e-15
     )
 
 
@@ -208,3 +210,30 @@ def test_group_selection_validation():
 def test_fixture_rejects_bad_epsilon():
     with pytest.raises(ValueError):
         CounterexampleFixture(1.0)
+
+
+@pytest.mark.parametrize("px, message", [
+    (np.ones((2, 3)), "cross-value matrix must be square"),
+    (np.ones(3), "cross-value matrix must be square"),
+    (np.array([[1.0, 0.0], [1.0, 1.0]]), "cross-value matrix must be strictly positive"),
+    (np.array([[1.0, -2.0], [1.0, 1.0]]), "cross-value matrix must be strictly positive"),
+    (np.array([[np.inf, 1.0], [1.0, 1.0]]), "Paasche matrix must be strictly positive"),
+])
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+def test_paasche_matrix_rejects_invalid_cross_values(px, message):
+    with pytest.raises(TradeDataError, match=message):
+        paasche_matrix(px)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_overflowing_cross_values_are_rejected_by_the_axiom_test():
+    ts = trade_statistics([[1e300, 1.0], [1.0, 1.0]], [[1e10, 1.0], [1.0, 1.0]])
+    with pytest.raises(TradeDataError, match="Paasche matrix must be strictly positive"):
+        check_harp(ts)
+
+
+def test_cross_values_and_paasche_are_plain_arrays(appendix_panel):
+    px = cross_value_matrix(appendix_panel)
+    paasche = paasche_matrix(px)
+    assert type(px) is np.ndarray and type(paasche) is np.ndarray
+    np.testing.assert_array_equal(paasche, px.diagonal()[np.newaxis, :] / px)

@@ -66,11 +66,11 @@ def panels_and_levels(draw):
     ts = draw(panels())
     kind = draw(st.sampled_from(["breakpoint", "garp index", "harp index", "any"]))
     if kind == "breakpoint":
-        px = cross_value_matrix(ts).px
+        px = cross_value_matrix(ts)
         t, s = draw(st.permutations(range(ts.num_periods)))[:2]
         return ts, float(px[t, t] / px[t, s])
     if kind == "garp index":  # the last failing breakpoint: critical chains are the long ones
-        px = cross_value_matrix(ts).px
+        px = cross_value_matrix(ts)
         points = np.unique((px.diagonal()[:, np.newaxis] / px)[~np.eye(ts.num_periods, dtype=bool)])
         omega_g, attained = garp_irrationality(ts)
         below = points[points < omega_g] if attained else points[points <= omega_g]
@@ -96,7 +96,7 @@ def small_blocks(rows, cols, width):
 def test_garp_witness_matches_per_pair_oracle(case, tol):
     ts, omega = case
     verdict = check_garp(ts, omega, tol=tol)
-    rel, bad = _garp_violations(cross_value_matrix(ts).px, omega, tol)
+    rel, bad = _garp_violations(cross_value_matrix(ts), omega, tol)
     expected = garp_chain_by_pairs(rel, bad)
     if expected is None:
         assert verdict.satisfied
@@ -112,7 +112,7 @@ def test_harp_witness_matches_cube_oracle(case):
     verdict = check_harp(ts, omega)
     if verdict.satisfied:
         return
-    scaled = paasche_matrix(cross_value_matrix(ts)).values / omega
+    scaled = paasche_matrix(cross_value_matrix(ts)) / omega
     np.fill_diagonal(scaled, 0.0)
     assert verdict.witness.cycle == shortest_cycle_by_cube(scaled, 1.0 + FLOAT_SLACK)
     recheck_harp_witness(ts, verdict.witness)
