@@ -28,6 +28,7 @@ from .semiring import (
     _canonical_rotation,
     boolean_closure,
     maxtimes_closure,
+    maxtimes_converged,
     shortest_cycle_above,
 )
 
@@ -62,10 +63,18 @@ class AxiomVerdict:
     witness: GarpWitness | HarpWitness | None = None
 
 
+def _zero_diagonal(matrices: np.ndarray) -> None:
+    """Set the diagonal of a matrix, or of each matrix of a stack, to zero (False) in place."""
+    np.einsum("...ii->...i", matrices)[...] = 0  # a writeable view of the diagonals, in any layout
+
+
 def _relation(px: FloatArray, omega: float, tol: float) -> np.ndarray:
-    """Direct relation at level omega: t -> s iff px[t, t] >= omega * px[t, s], t != s."""
-    rel = px.diagonal()[:, np.newaxis] >= omega * px - tol
-    np.fill_diagonal(rel, False)
+    """Direct relation at level omega: t -> s iff px[t, t] >= omega * px[t, s], t != s.
+
+    Here and in :func:`_garp_violations`, ``px`` may also be a stack ``[B, T, T]``.
+    """
+    rel = px.diagonal(0, -2, -1)[..., :, np.newaxis] >= omega * px - tol
+    _zero_diagonal(rel)
     return rel
 
 
@@ -73,9 +82,9 @@ def _garp_violations(px: FloatArray, omega: float, tol: float):
     rel = _relation(px, omega, tol)
     closure = boolean_closure(rel)
     # bad[t, s]: t reaches s but the closing comparison px[s, s] <= omega * px[s, t] fails
-    closing_fails = px.diagonal()[np.newaxis, :] > omega * px.T + tol
+    closing_fails = px.diagonal(0, -2, -1)[..., np.newaxis, :] > omega * px.swapaxes(-1, -2) + tol
     bad = closure & closing_fails
-    np.fill_diagonal(bad, False)
+    _zero_diagonal(bad)
     return rel, bad
 
 
@@ -150,21 +159,33 @@ def check_garp(ts: TradeStatistics, omega: float = 1.0, *, tol: float = 0.0) -> 
     return AxiomVerdict(satisfied=False, omega=omega, witness=witness)
 
 
+def _scaled_paasche(px: FloatArray, omega: float) -> FloatArray:
+    """The omega-scaled Paasche matrix with its diagonal zeroed, of one px or of each in a stack."""
+    scaled = paasche_matrix(px)
+    if omega != 1.0:  # dividing by one changes no bit
+        scaled /= omega
+    _zero_diagonal(scaled)
+    return scaled
+
+
 def _harp_closure(px: FloatArray, omega: float, tol: float) -> tuple[FloatArray, ClosureMatrix]:
     """The omega-scaled Paasche matrix with its diagonal zeroed, and its max-times closure."""
-    scaled = paasche_matrix(px) / omega
-    np.fill_diagonal(scaled, 0.0)
+    scaled = _scaled_paasche(px, omega)
     return scaled, maxtimes_closure(scaled, tol=tol)
 
 
-def _verdicts(px: FloatArray, omega: float = 1.0, tol: float = 0.0) -> tuple[bool, bool]:
-    """Verdict-only acyclicity and homotheticity tests of one cross-value matrix.
+def _verdicts(px: FloatArray, omega: float = 1.0, tol: float = 0.0) -> tuple[np.ndarray, np.ndarray]:
+    """Verdict-only acyclicity and homotheticity tests of a stack ``px[B, T, T]`` of cross-value matrices.
 
-    Each verdict is the axiom's own; the implication between them is left to
-    the caller, because the Monte Carlo experiments enforce it in different
-    directions.
+    Returns ``(garp_ok[B], harp_ok[B])``.  Trial b's verdicts are those of
+    :func:`check_garp` and :func:`check_harp` on ``px[b]``: the same
+    comparisons, the same Warshall step and the same max-times pivot loop,
+    run over the whole stack at once.  The implication between the two is
+    left to the caller, because the Monte Carlo experiments enforce it in
+    different directions.
     """
-    return _garp_satisfied(px, omega, tol), not _harp_closure(px, omega, tol)[1].diverged
+    garp_ok = ~_garp_violations(px, omega, tol)[1].any(axis=(1, 2))
+    return garp_ok, maxtimes_converged(_scaled_paasche(px, omega), tol=tol)
 
 
 def _harp_verdict(ts: TradeStatistics, omega: float,

@@ -240,14 +240,16 @@ def paasche_matrix(px) -> FloatArray:
     per-period rescaling of quantities, which is why every homotheticity test
     factors through it.  The cross values must form a square, strictly
     positive matrix; a Paasche entry that overflows or underflows to a
-    non-positive value is rejected too.
+    non-positive value is rejected too.  A stack ``[..., T, T]`` of
+    cross-value matrices gives the stack of their Paasche matrices, under
+    the same checks.
     """
     px = np.asarray(px, dtype=float)
-    if px.ndim != 2 or px.shape[0] != px.shape[1]:
+    if px.ndim < 2 or px.shape[-1] != px.shape[-2]:
         raise TradeDataError("cross-value matrix must be square")
     if not (px > 0.0).all():
         raise TradeDataError("cross-value matrix must be strictly positive")
-    paasche = px.diagonal()[np.newaxis, :] / px
+    paasche = px.diagonal(0, -2, -1)[..., np.newaxis, :] / px
     if not (paasche > 0.0).all():
         raise TradeDataError("Paasche matrix must be strictly positive")
     return paasche

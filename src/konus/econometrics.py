@@ -18,7 +18,7 @@ from typing import Sequence
 
 import numpy as np
 
-from ._mc import map_trials, trial_rng
+from ._mc import batch_size, count_trials, trial_rng
 from .axioms import _verdicts
 from .core import FloatArray, TradeStatistics, trade_statistics
 
@@ -126,43 +126,77 @@ def fit_price_models(ts: TradeStatistics, max_order: int = 2) -> list[ARModel]:
     return [fit_ar(rel[:, i], max_order, good_id=ts.good_ids[i]) for i in range(ts.num_goods)]
 
 
+def _simulate_stack(ts: TradeStatistics, models: Sequence[ARModel],
+                    rngs: Sequence[np.random.Generator]) -> FloatArray:
+    """Simulated price panels ``[B, T, m]``, panel b drawn from ``rngs[b]``.
+
+    Each panel takes its noise for every good in one ``standard_normal``
+    call, in panel order of the goods, which gives the same numbers as one
+    call per good.  The recursion then runs one period at a time on
+    ``[B, goods]`` arrays for each group of goods that share an AR order,
+    and the exponentials and running products run over the whole stack.
+    Every element goes through the same operations in the same order as in
+    a per-good, per-period loop, so each panel is bit-identical to one
+    simulated on its own.
+    """
+    T, m = ts.num_periods, ts.num_goods
+    orders = np.array([model.order for model in models], dtype=int)
+    drawn = np.arange(T - 1) >= orders[:, np.newaxis]  # [good, period]: relatives that take noise
+    scales = np.repeat([math.sqrt(model.sigma2) for model in models], drawn.sum(axis=1))
+    noise = np.empty((len(rngs), scales.size))
+    for rng, row in zip(rngs, noise):
+        rng.standard_normal(out=row)
+    noise *= scales
+    relatives = np.empty((len(rngs), m, T - 1))  # [b, good, period]
+    relatives[:, drawn] = noise  # the row-major order of the drawn entries is the draw order
+    del noise
+    relatives[:, ~drawn] = log_relatives(ts).T[~drawn]
+    for r in np.unique(orders):
+        goods = np.flatnonzero(orders == r)
+        beta = np.array([models[i].beta for i in goods]).T  # beta[lag, good]
+        if r == 0:
+            relatives[:, goods] = beta[0][:, np.newaxis] + relatives[:, goods]  # mean + noise
+            continue
+        group = relatives[:, goods]
+        for j in range(r, T - 1):
+            mean = beta[0]
+            for lag in range(1, r + 1):
+                mean = mean + beta[lag] * group[:, :, j - lag]
+            group[:, :, j] = mean + group[:, :, j]
+        relatives[:, goods] = group
+    paths = np.empty((len(rngs), m, T))
+    paths[:, :, 0] = ts.prices[0]
+    paths[:, :, 1:] = np.exp(relatives, out=relatives)
+    del relatives
+    np.multiply.accumulate(paths, axis=2, out=paths)
+    return np.ascontiguousarray(paths.transpose(0, 2, 1))
+
+
 def simulate_price_paths(ts: TradeStatistics, models: Sequence[ARModel],
                          rng: np.random.Generator) -> FloatArray:
     """Simulated price panel anchored at the observed first period.
 
     The first ``order`` log relatives of each good are copied from the data;
     later relatives follow the fitted recursion with independent Gaussian
-    noise.  Prices are rebuilt multiplicatively, good by good in panel order
-    so the draw sequence is reproducible.
+    noise.  Prices are rebuilt multiplicatively, and the noise is drawn in
+    one call, good after good in panel order, so the draw sequence is
+    reproducible.
     """
     if len(models) != ts.num_goods:
         raise ValueError(f"expected {ts.num_goods} models, got {len(models)}")
-    T = ts.num_periods
-    observed = log_relatives(ts)
-    prices = np.empty_like(ts.prices)
-    prices[0] = ts.prices[0]
-    relatives = np.empty((T - 1, ts.num_goods))
-    for i, model in enumerate(models):
-        r = model.order
-        if r > 0:
-            relatives[:r, i] = observed[:r, i]
-        noise = rng.standard_normal(T - 1 - r) * math.sqrt(model.sigma2)
-        for j in range(r, T - 1):
-            mean = model.beta[0]
-            for lag in range(1, r + 1):
-                mean += model.beta[lag] * relatives[j - lag, i]
-            relatives[j, i] = mean + noise[j - r]
-    for t in range(1, T):
-        prices[t] = prices[t - 1] * np.exp(relatives[t - 1])
-    return prices
+    return _simulate_stack(ts, models, [rng])[0]
 
 
-def _power_trial(ts: TradeStatistics, models: Sequence[ARModel], seed: int, trial: int) -> tuple[bool, bool]:
-    prices = simulate_price_paths(ts, models, trial_rng(seed, trial))
-    garp_ok, harp_ok = _verdicts(prices @ ts.quantities.T)
+def _power_batch(ts: TradeStatistics, models: Sequence[ARModel], seed: int, trials: range) -> np.ndarray:
+    """``(garp_rejected, harp_rejected)`` rows of the power trials in ``trials``."""
+    prices = _simulate_stack(ts, models, [trial_rng(seed, b) for b in trials])
+    px = np.empty((len(trials), ts.num_periods, ts.num_periods))
+    for row, panel in zip(px, prices):
+        row[...] = panel @ ts.quantities.T
+    garp_ok, harp_ok = _verdicts(px)
     # an acyclicity failure is a homotheticity failure; enforce the
     # implication against rounding at the cycle-product boundary
-    return not garp_ok, not (harp_ok and garp_ok)
+    return np.column_stack([~garp_ok, ~(harp_ok & garp_ok)])
 
 
 def power_estimate(ts: TradeStatistics, trials: int, seed: int, *,
@@ -180,16 +214,17 @@ def power_estimate(ts: TradeStatistics, trials: int, seed: int, *,
     if seed < 0:
         raise ValueError("seed must be nonnegative")
     models = fit_price_models(ts, max_order)
-    outcomes = map_trials(lambda b: _power_trial(ts, models, seed, b), trials, workers)
-    garp_rejections = sum(1 for g, _ in outcomes if g)
-    harp_rejections = sum(1 for _, h in outcomes if h)
+    garp_rejections, harp_rejections = count_trials(
+        lambda batch: _power_batch(ts, models, seed, batch), trials, workers,
+        batch_size(ts.num_periods, ts.num_goods))
     return PowerReport(trials=trials, garp_rejections=garp_rejections,
                        harp_rejections=harp_rejections, seed=seed)
 
 
-def _group_verdicts(ts: TradeStatistics, idx: np.ndarray) -> tuple[bool, bool]:
-    garp_ok, harp_ok = _verdicts(ts.prices[:, idx] @ ts.quantities[:, idx].T)
-    return garp_ok or harp_ok, harp_ok  # homotheticity implies acyclicity
+def _group_batch(ts: TradeStatistics, groups: Sequence[np.ndarray]) -> np.ndarray:
+    """``(garp_ok, harp_ok)`` rows of the panel restricted to each group of goods."""
+    garp_ok, harp_ok = _verdicts(np.stack([ts.prices[:, idx] @ ts.quantities[:, idx].T for idx in groups]))
+    return np.column_stack([garp_ok | harp_ok, harp_ok])  # homotheticity implies acyclicity
 
 
 def _group_valid(ts: TradeStatistics, idx: np.ndarray) -> bool:
@@ -224,7 +259,9 @@ def random_group_probability(
     exhaustively; otherwise groups are drawn uniformly without replacement
     within each draw.  Draws whose restricted demand panel has an all-zero
     row are resampled and counted in the ``skipped`` tally.  Single-good
-    groups are rejected because they satisfy both axioms trivially.
+    groups are rejected because they satisfy both axioms trivially.  A size
+    with no valid group, or whose draws run past ``resample_cap``, raises
+    ``ValueError``: both are conditions of the input panel.
     """
     if samples_per_size < 1:
         raise ValueError("samples_per_size must be positive")
@@ -244,29 +281,27 @@ def random_group_probability(
     for size in sizes:
         if math.comb(ts.num_goods, size) <= samples_per_size:
             groups = [np.asarray(c, dtype=int) for c in combinations(range(ts.num_goods), size)]
-            valid = [g for g in groups if _group_valid(ts, g)]
-            skipped = len(groups) - len(valid)
-            verdicts = map_trials(lambda j: _group_verdicts(ts, valid[j]), len(valid), workers)
+            chosen = [g for g in groups if _group_valid(ts, g)]
+            skipped = len(groups) - len(chosen)
+            if not chosen:
+                raise ValueError(f"no valid groups of size {size}")
         else:
-            draws = map_trials(
-                lambda j: _sampled_group(ts, size, seed, j, resample_cap),
-                samples_per_size, workers,
-            )
+            draws = [_sampled_group(ts, size, seed, j, resample_cap) for j in range(samples_per_size)]
             skipped = sum(r for _, r in draws)
             chosen = [idx for idx, _ in draws if idx is not None]
             if len(chosen) < samples_per_size:
-                raise RuntimeError(
+                raise ValueError(
                     f"could not draw enough valid groups of size {size} "
                     f"within the resample cap {resample_cap}"
                 )
-            verdicts = map_trials(lambda j: _group_verdicts(ts, chosen[j]), len(chosen), workers)
-        total = len(verdicts)
-        if total == 0:
-            raise RuntimeError(f"no valid groups of size {size}")
+        total = len(chosen)
+        garp_hits, harp_hits = count_trials(
+            lambda batch: _group_batch(ts, [chosen[j] for j in batch]), total, workers,
+            batch_size(ts.num_periods, size))
         out_sizes.append(size)
         out_samples.append(total)
-        out_garp.append(sum(1 for g, _ in verdicts if g) / total)
-        out_harp.append(sum(1 for _, h in verdicts if h) / total)
+        out_garp.append(garp_hits / total)
+        out_harp.append(harp_hits / total)
         out_skipped.append(skipped)
     return GroupProbabilityCurve(
         sizes=tuple(out_sizes),

@@ -16,7 +16,7 @@ from itertools import combinations, islice
 
 import numpy as np
 
-from ._mc import map_trials, trial_rng
+from ._mc import batch_size, count_trials, trial_rng
 from .axioms import _garp_satisfied, _harp_verdict, _verdicts, check_harp
 from .afriat import InfeasibleAxiomError
 from .core import FloatArray, TradeStatistics, cross_value_matrix, validate_level
@@ -321,15 +321,19 @@ def sample_positive_sphere(m: int, rng: np.random.Generator) -> FloatArray:
             return draw / norm
 
 
-def _size_trial(ts: TradeStatistics, base_px: FloatArray, seed: int, trial: int) -> tuple[bool, bool]:
-    """One size trial: redraw the last period price, test both axioms at level one."""
-    price = sample_positive_sphere(ts.num_goods, trial_rng(seed, trial))
-    px = base_px.copy()
-    px[-1, :] = ts.quantities @ price
+def _size_batch(ts: TradeStatistics, base_px: FloatArray, seed: int, trials: range) -> np.ndarray:
+    """``(garp_ok, harp_ok)`` rows of the size trials in ``trials``.
+
+    Each trial redraws the last period's price and tests both axioms at
+    level one.
+    """
+    prices = [sample_positive_sphere(ts.num_goods, trial_rng(seed, b)) for b in trials]
+    px = np.repeat(base_px[np.newaxis], len(prices), axis=0)
+    px[:, -1, :] = [ts.quantities @ price for price in prices]
     garp_ok, harp_ok = _verdicts(px)
     # homotheticity implies acyclicity; enforce the implication against
     # rounding at the cycle-product boundary so paired dominance is exact
-    return garp_ok or harp_ok, harp_ok
+    return np.column_stack([garp_ok | harp_ok, harp_ok])
 
 
 def forecast_size_paired(ts: TradeStatistics, trials: int, seed: int,
@@ -346,9 +350,9 @@ def forecast_size_paired(ts: TradeStatistics, trials: int, seed: int,
     if seed < 0:
         raise ValueError("seed must be nonnegative")
     base_px = cross_value_matrix(ts)
-    outcomes = map_trials(lambda b: _size_trial(ts, base_px, seed, b), trials, workers)
-    garp_hits = sum(1 for g, _ in outcomes if g)
-    harp_hits = sum(1 for _, h in outcomes if h)
+    garp_hits, harp_hits = count_trials(
+        lambda batch: _size_batch(ts, base_px, seed, batch), trials, workers,
+        batch_size(ts.num_periods, ts.num_goods))
     return (
         SizeReport(axiom="garp", trials=trials, hits=garp_hits, seed=seed),
         SizeReport(axiom="harp", trials=trials, hits=harp_hits, seed=seed),

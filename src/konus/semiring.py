@@ -59,38 +59,91 @@ def _as_square(matrix, name: str = "matrix") -> FloatArray:
     return arr
 
 
+def _relax(values: FloatArray, threshold: float):
+    """Max-times Floyd-Warshall in place over one matrix ``[T, T]`` or a stack ``[B, T, T]``.
+
+    Returns whether the matrix diverged, or for a stack a mask of the trials
+    that did.  A matrix diverges once one of its diagonal entries exceeds
+    ``threshold``, before the first pivot or after any pivot.  A single
+    matrix then stops, holding its state at that pivot.  A diverged trial
+    of a stack leaves the active stack at that pivot, so its walks never
+    grow to ``inf`` and ``inf * 0`` never makes a NaN; the survivors are
+    compacted into the step buffer and the two buffers swap roles, so
+    memory stays two stacks and ``values`` holds closures only if no trial
+    diverged.  Each pivot step is the same elementwise multiply and maximum
+    for a single matrix and for every trial of a stack, so a trial's verdict
+    does not depend on the stack it runs in.
+    """
+    stacked = values.ndim == 3
+    live = np.arange(len(values)) if stacked else None
+    diverged = np.zeros(len(values), dtype=bool) if stacked else False
+    work, through = values, np.empty_like(values)  # through: walks via pivot k, rewritten each step
+    diagonal = work.diagonal(0, -2, -1)  # a view: it follows the in-place relaxation
+    for k in range(values.shape[-1] + 1):
+        above = diagonal > threshold  # after pivot k - 1; at k = 0, before any pivot
+        if above.any():
+            if not stacked:
+                return True
+            keep = ~above.any(axis=1)
+            diverged[live[~keep]] = True
+            live = live[keep]
+            if not live.size:
+                break
+            # mode="clip" writes straight into out; the default mode would buffer the copy
+            np.take(work, np.flatnonzero(keep), axis=0, out=through[:live.size], mode="clip")
+            work, through = through[:live.size], work[:live.size]
+            diagonal = work.diagonal(0, -2, -1)
+        if k < values.shape[-1]:
+            np.multiply(work[..., :, k, np.newaxis], work[..., np.newaxis, k, :], out=through)
+            np.maximum(work, through, out=work)
+    return diverged
+
+
 def maxtimes_closure(matrix, *, tol: float = 0.0) -> ClosureMatrix:
     """Floyd-Warshall closure in the (max, *) semiring over walks with >= 1 edge.
 
     Divergence is declared as soon as a diagonal entry exceeds ``1 + tol``
     (plus the float-rounding slack) at any relaxation stage, because a cycle
     with product above one lets walk products grow without bound.  Runs in
-    O(T^3) multiply-compare steps otherwise.
+    O(T^3) multiply-compare steps otherwise, through the same pivot loop as
+    the stacked :func:`maxtimes_converged`.
     """
     values = _as_square(matrix)
     if (values < 0.0).any():
         raise ValueError("max-times closure requires a nonnegative matrix")
-    threshold = (1.0 + tol) * (1.0 + FLOAT_SLACK)
-    diagonal = values.diagonal()  # a view: it follows the in-place relaxation
-    if (diagonal > threshold).any():
-        return ClosureMatrix(values=values, diverged=True)
-    through = np.empty_like(values)  # walks through pivot k, rewritten in place each step
-    for k in range(values.shape[0]):
-        np.multiply(values[:, k, np.newaxis], values[k], out=through)
-        np.maximum(values, through, out=values)
-        if (diagonal > threshold).any():
-            return ClosureMatrix(values=values, diverged=True)
-    values.flags.writeable = False
-    return ClosureMatrix(values=values, diverged=False)
+    diverged = _relax(values, (1.0 + tol) * (1.0 + FLOAT_SLACK))
+    if not diverged:
+        values.flags.writeable = False
+    return ClosureMatrix(values=values, diverged=diverged)
+
+
+def maxtimes_converged(stack: FloatArray, *, tol: float = 0.0) -> np.ndarray:
+    """Verdict-only max-times closures of a stack ``[B, T, T]``: True where trial b converges.
+
+    Trial b converges iff :func:`maxtimes_closure` of ``stack[b]`` at the
+    same ``tol`` does not diverge; both run the one pivot loop, with the
+    same threshold and the same diagonal check at each pivot.  The stack
+    is relaxed in place, so pass an array the caller no longer needs.
+    """
+    if stack.ndim != 3 or stack.shape[1] != stack.shape[2]:
+        raise ValueError(f"matrix stack must be a stack of square matrices, got shape {stack.shape}")
+    if not np.isfinite(stack).all():
+        raise ValueError("matrix must be finite")
+    if (stack < 0.0).any():
+        raise ValueError("max-times closure requires a nonnegative matrix")
+    return ~_relax(stack, (1.0 + tol) * (1.0 + FLOAT_SLACK))
 
 
 def boolean_closure(rel) -> BooleanRelation:
-    """Warshall transitive closure of a boolean relation (reflexivity not forced)."""
+    """Warshall transitive closure of a boolean relation (reflexivity not forced).
+
+    Also takes a stack ``[..., T, T]`` of relations and closes each one.
+    """
     out = np.array(rel, dtype=bool)
-    if out.ndim != 2 or out.shape[0] != out.shape[1]:
+    if out.ndim < 2 or out.shape[-1] != out.shape[-2]:
         raise ValueError(f"relation must be square, got shape {out.shape}")
-    for k in range(out.shape[0]):
-        out |= np.outer(out[:, k], out[k, :])
+    for k in range(out.shape[-1]):
+        out |= out[..., :, k, np.newaxis] & out[..., np.newaxis, k, :]
     return out
 
 

@@ -219,3 +219,75 @@ def gamma_by_omega_closure(ts, omega, price_new):
     closure = omega_closure(paasche_from_statistics(ts), omega)
     numerators = omega * omega * (ts.quantities @ np.asarray(price_new, dtype=float)) / ts.expenditures()
     return (numerators[:, np.newaxis] / closure.values).min(axis=0)
+
+
+def simulate_price_paths_by_loop(ts, models, rng):
+    """AR simulation oracle: one noise draw per good, then a loop per good, period and lag."""
+    import math
+
+    from konus import log_relatives
+
+    T = ts.num_periods
+    observed = log_relatives(ts)
+    prices = np.empty_like(ts.prices)
+    prices[0] = ts.prices[0]
+    relatives = np.empty((T - 1, ts.num_goods))
+    for i, model in enumerate(models):
+        r = model.order
+        if r > 0:
+            relatives[:r, i] = observed[:r, i]
+        noise = rng.standard_normal(T - 1 - r) * math.sqrt(model.sigma2)
+        for j in range(r, T - 1):
+            mean = model.beta[0]
+            for lag in range(1, r + 1):
+                mean += model.beta[lag] * relatives[j - lag, i]
+            relatives[j, i] = mean + noise[j - r]
+    for t in range(1, T):
+        prices[t] = prices[t - 1] * np.exp(relatives[t - 1])
+    return prices
+
+
+def verdicts_by_trial(px, omega=1.0, tol=0.0):
+    """Verdict oracle for one cross-value matrix: a Warshall loop of ``np.outer`` steps and
+    :func:`closure_by_outer` on the zero-diagonal scaled Paasche matrix, under the same checks."""
+    from konus import paasche_matrix
+
+    diag = px.diagonal()
+    closure = diag[:, np.newaxis] >= omega * px - tol
+    np.fill_diagonal(closure, False)
+    for k in range(px.shape[0]):
+        closure |= np.outer(closure[:, k], closure[k, :])
+    bad = closure & (diag[np.newaxis, :] > omega * px.T + tol)
+    np.fill_diagonal(bad, False)
+    scaled = paasche_matrix(px) / omega
+    np.fill_diagonal(scaled, 0.0)
+    if not np.isfinite(scaled).all():
+        raise ValueError("matrix must be finite")
+    return not bool(bad.any()), not closure_by_outer(scaled, tol)[1]
+
+
+def size_trial(ts, base_px, seed, trial):
+    """Size trial oracle: redraw the last period price, test both axioms at level one."""
+    from konus import sample_positive_sphere
+    from konus._mc import trial_rng
+
+    price = sample_positive_sphere(ts.num_goods, trial_rng(seed, trial))
+    px = base_px.copy()
+    px[-1, :] = ts.quantities @ price
+    garp_ok, harp_ok = verdicts_by_trial(px)
+    return garp_ok or harp_ok, harp_ok
+
+
+def power_trial(ts, models, seed, trial):
+    """Power trial oracle: one simulated panel, rejections with GARP failures forcing HARP ones."""
+    from konus._mc import trial_rng
+
+    prices = simulate_price_paths_by_loop(ts, models, trial_rng(seed, trial))
+    garp_ok, harp_ok = verdicts_by_trial(prices @ ts.quantities.T)
+    return not garp_ok, not (harp_ok and garp_ok)
+
+
+def group_verdicts(ts, idx):
+    """Group oracle: verdicts of the panel restricted to the goods ``idx``."""
+    garp_ok, harp_ok = verdicts_by_trial(ts.prices[:, idx] @ ts.quantities[:, idx].T)
+    return garp_ok or harp_ok, harp_ok

@@ -231,3 +231,16 @@ def test_fewer_than_one_worker_fails_before_any_output(tmp_path, capsys):
         assert captured.out == ""
         assert "workers must be at least 1" in captured.err
         assert not out.exists()
+
+
+def test_groups_without_a_valid_group_exit_two(tmp_path, capsys):
+    # at epsilon 0 every pair of goods leaves some period with an all-zero demand row
+    out = emit_fixture(tmp_path)
+    capsys.readouterr()
+    groups_out = tmp_path / "groups"
+    code = main(["groups", str(out / "prices.csv"), str(out / "quantities.csv"),
+                 "--sizes", "2", "--samples", "40", "--seed", "1", "--out", str(groups_out)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert "input error: no valid groups of size 2" in captured.err

@@ -200,6 +200,17 @@ def test_groups_skip_invalid_restrictions():
     assert curve.skipped == (1,)
 
 
+def test_groups_without_a_valid_group_raise_value_error(appendix_panel):
+    # exhaustive branch: every pair of goods leaves some period with no demand
+    with pytest.raises(ValueError, match="no valid groups of size 2"):
+        random_group_probability(appendix_panel, [2], 40, seed=1)
+    # sampled branch: three periods each buy one good, so no pair covers them all
+    ts = trade_statistics(np.ones((3, 5)), np.eye(3, 5))
+    with pytest.raises(ValueError, match="could not draw enough valid groups of size 2 "
+                                         "within the resample cap 3"):
+        random_group_probability(ts, [2], 5, seed=1, resample_cap=3)
+
+
 def test_group_curve_shape_on_noisy_consistent_panel():
     # on a consistent panel with mild demand noise, nearly every random group
     # passes the acyclicity test while small groups rarely pass the
@@ -226,50 +237,16 @@ def test_generators_shapes_and_consistency():
     assert loose.num_periods == 6 and loose.num_goods == 5
 
 
-def _serial_pool(sizes):
-    """Stand-in for ThreadPoolExecutor that records its size and maps in the calling thread."""
-
-    class SerialPool:
-        def __init__(self, max_workers):
-            sizes.append(max_workers)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, items):
-            return map(fn, items)
-
-    return SerialPool
-
-
-@pytest.mark.parametrize("cpus, expected", [(2, 2), (64, 64), (None, 1)])
-def test_map_trials_runs_at_most_one_thread_per_cpu(monkeypatch, cpus, expected):
-    sizes = []
-    monkeypatch.setattr(_mc, "ThreadPoolExecutor", _serial_pool(sizes))
-    monkeypatch.setattr(_mc.os, "cpu_count", lambda: cpus)
-    assert _mc.map_trials(lambda b: b * b, 10, 100_000) == [b * b for b in range(10)]
-    assert _mc.map_trials(lambda b: b, 7, 3) == list(range(7))
-    assert sizes == [expected, min(3, expected)]
-
-
-def test_capped_pool_keeps_reports(monkeypatch):
+def test_many_workers_keep_reports():
     ts = cobb_douglas_statistics(8, 4, seed=7)
-    serial = power_estimate(ts, 60, seed=2)
-    sizes = []
-    monkeypatch.setattr(_mc, "ThreadPoolExecutor", _serial_pool(sizes))
-    monkeypatch.setattr(_mc.os, "cpu_count", lambda: 2)
-    assert power_estimate(ts, 60, seed=2, workers=1000) == serial
-    assert sizes == [2]
+    assert power_estimate(ts, 60, seed=2, workers=1000) == power_estimate(ts, 60, seed=2)
 
 
 @pytest.mark.parametrize("workers", [0, -3])
 def test_fewer_than_one_worker_is_rejected(workers):
     ts = cobb_douglas_statistics(8, 4, seed=7)
     with pytest.raises(ValueError, match="workers must be at least 1"):
-        _mc.map_trials(lambda b: b, 5, workers)
+        _mc.count_trials(lambda batch: np.ones((len(batch), 2), dtype=bool), 5, workers, 2)
     with pytest.raises(ValueError, match="workers must be at least 1"):
         power_estimate(ts, 5, seed=1, workers=workers)
     with pytest.raises(ValueError, match="workers must be at least 1"):

@@ -331,14 +331,15 @@ def test_size_single_axiom_matches_paired(appendix_panel):
 def test_size_trial_fast_path_matches_naive_reconstruction():
     # the per-trial row update of the cross-value matrix must agree with
     # rebuilding the panel from scratch and running the public checks
+    from conftest import size_trial
+
     from konus import check_garp, cross_value_matrix, sample_positive_sphere
-    from konus.forecast import _size_trial
 
     rng = np.random.default_rng(37)
     ts = harp_panel(rng, T=4, m=3)
     base_px = cross_value_matrix(ts)
     for trial in range(100):
-        garp_ok, harp_ok = _size_trial(ts, base_px, seed=77, trial=trial)
+        garp_ok, harp_ok = size_trial(ts, base_px, seed=77, trial=trial)
         price = sample_positive_sphere(ts.num_goods, np.random.default_rng((77, trial)))
         prices = np.array(ts.prices)
         prices[-1] = price
