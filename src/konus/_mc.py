@@ -1,8 +1,7 @@
 """Shared Monte Carlo plumbing: keyed substreams and batched trial counts.
 
 Per-trial generators depend only on the seed and the trial key, so any
-partition of the trial range into chunks and batches yields bit-identical
-results.
+partition of the trial range into batches yields bit-identical results.
 """
 
 from __future__ import annotations
@@ -17,32 +16,19 @@ def trial_rng(seed: int, *key: int) -> np.random.Generator:
     return np.random.default_rng(tuple(int(k) for k in (seed, *key)))
 
 
-def validate_workers(workers: int) -> None:
-    if workers < 1:
-        raise ValueError(f"workers must be at least 1, got {workers!r}")
-
-
 def batch_size(periods: int, goods: int) -> int:
     """Trials per batch for a T x T cross-value matrix plus T x m prices and noise per trial."""
     return max(1, _BATCH_BYTES // (8 * periods * (periods + 2 * goods)))
 
 
-def count_trials(worker, trials: int, workers: int, batch: int) -> tuple[int, int]:
+def count_trials(worker, trials: int, batch: int) -> tuple[int, int]:
     """Column sums of the ``(garp, harp)`` outcome rows ``worker(range(lo, hi))`` over every trial.
 
     The worker returns one row of two booleans per trial of its range.  The
-    trials are split into ``workers`` contiguous chunks, as by
-    ``np.array_split``, and each chunk into ranges of at most ``batch``
-    trials, run one after another: on the batched kernels a thread pool
-    gave no measurable gain.  Sums do not depend on the split, and memory
-    stays one batch at any trial count.
+    trials run in consecutive ranges of at most ``batch`` trials, one after
+    another, so memory stays one batch at any trial count.
     """
-    validate_workers(workers)
-    chunks = max(1, min(workers, trials))  # chunks beyond the trial count would be empty
-    step, extra = divmod(trials, chunks)
-    bounds = [k * step + min(k, extra) for k in range(chunks + 1)]
     counts = np.zeros(2, dtype=np.int64)
-    for start, stop in zip(bounds, bounds[1:]):
-        for lo in range(start, stop, batch):
-            counts += worker(range(lo, min(lo + batch, stop))).sum(axis=0)
+    for lo in range(0, trials, batch):
+        counts += worker(range(lo, min(lo + batch, trials))).sum(axis=0)
     return int(counts[0]), int(counts[1])

@@ -19,7 +19,6 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from ._mc import validate_workers
 from .afriat import InfeasibleAxiomError, konus_divisia_series, solve_harp_multipliers
 from .axioms import GarpWitness, HarpWitness, check_garp, check_harp
 from .core import (
@@ -71,7 +70,9 @@ class RunManifest:
     @classmethod
     def load(cls, path) -> "RunManifest":
         data = json.loads(Path(path).read_text(encoding="utf-8"))
-        return cls(command=data["command"], params=data["params"],
+        params = dict(data["params"])
+        params.pop("workers", None)  # older runs stored a chunk count that no output ever depended on
+        return cls(command=data["command"], params=params,
                    out_dir=data.get("out_dir", ""), version=data.get("version", ""))
 
     def to_argv(self, out_dir: str | None = None) -> list[str]:
@@ -263,11 +264,10 @@ def _cmd_irrationality(args) -> int:
 
 def _cmd_forecast(args) -> int:
     ts = _load_panel(args)
+    cone = gamma_coefficients(ts, args.omega, _parse_vector(args.new_price)) if args.new_price else None
     out = _resolve_out(args)
     wrote = []
-    if args.new_price:
-        price_new = _parse_vector(args.new_price)
-        cone = gamma_coefficients(ts, args.omega, price_new)
+    if cone is not None:
         _write_csv(out / "gamma.csv", ["period", "gamma"],
                    [[pid, repr(float(g))] for pid, g in zip(ts.period_ids, cone.gamma)])
         wrote.append("gamma.csv")
@@ -288,9 +288,7 @@ def _cmd_forecast(args) -> int:
     if args.size_trials:
         if args.seed is None:
             raise TradeDataError("--seed is required for --size-trials")
-        garp_report, harp_report = forecast_size_paired(
-            ts, args.size_trials, args.seed, workers=args.workers
-        )
+        garp_report, harp_report = forecast_size_paired(ts, args.size_trials, args.seed)
         _write_csv(out / "forecast_size.csv",
                    ["axiom", "trials", "hits", "fraction", "seed"],
                    [[r.axiom, r.trials, r.hits, repr(r.fraction), r.seed]
@@ -301,7 +299,7 @@ def _cmd_forecast(args) -> int:
         raise TradeDataError("nothing to do: pass --new-price and/or --size-trials")
     print(f"wrote {', '.join(wrote)} to {out}")
     RunManifest("forecast", _manifest_params(
-        args, ["omega", "new_price", "expenditure", "size_trials", "seed", "workers"],
+        args, ["omega", "new_price", "expenditure", "size_trials", "seed"],
         [args.prices, args.quantities])).write(out)
     return EXIT_OK
 
@@ -309,12 +307,12 @@ def _cmd_forecast(args) -> int:
 def _cmd_power(args) -> int:
     ts = _load_panel(args)
     out = _resolve_out(args)
-    report = power_estimate(ts, args.trials, args.seed, workers=args.workers)
+    report = power_estimate(ts, args.trials, args.seed)
     print(f"test power: garp {report.w_hat_g!r}, harp {report.w_hat_h!r} ({report.trials} trials)")
     _write_csv(out / "power.csv",
                ["trials", "w_hat_g", "w_hat_h", "seed"],
                [[report.trials, repr(report.w_hat_g), repr(report.w_hat_h), report.seed]])
-    RunManifest("power", _manifest_params(args, ["trials", "seed", "workers"],
+    RunManifest("power", _manifest_params(args, ["trials", "seed"],
                                           [args.prices, args.quantities])).write(out)
     return EXIT_OK
 
@@ -323,7 +321,7 @@ def _cmd_groups(args) -> int:
     ts = _load_panel(args)
     out = _resolve_out(args)
     sizes = [int(s) for s in args.sizes.split(",") if s.strip() != ""]
-    curve = random_group_probability(ts, sizes, args.samples, args.seed, workers=args.workers)
+    curve = random_group_probability(ts, sizes, args.samples, args.seed)
     rows = [
         [size, samples, repr(pg), repr(ph), skipped]
         for size, samples, pg, ph, skipped in zip(
@@ -332,7 +330,7 @@ def _cmd_groups(args) -> int:
     ]
     _write_csv(out / "groups.csv", ["size", "samples", "p_garp", "p_harp", "skipped"], rows)
     print(f"wrote {out / 'groups.csv'} ({len(sizes)} sizes)")
-    RunManifest("groups", _manifest_params(args, ["sizes", "samples", "seed", "workers"],
+    RunManifest("groups", _manifest_params(args, ["sizes", "samples", "seed"],
                                            [args.prices, args.quantities])).write(out)
     return EXIT_OK
 
@@ -483,7 +481,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--size-trials", type=int, default=None,
                    help="Monte Carlo trials for the size measures")
     p.add_argument("--seed", type=int, default=None, help="required with --size-trials")
-    p.add_argument("--workers", type=int, default=1)
     _add_common(p)
     p.set_defaults(handler=_cmd_forecast)
 
@@ -491,7 +488,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_panel_arguments(p)
     p.add_argument("--trials", type=int, required=True)
     p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--workers", type=int, default=1)
     _add_common(p)
     p.set_defaults(handler=_cmd_power)
 
@@ -500,7 +496,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--sizes", required=True, help="comma-separated group sizes, each at least 2")
     p.add_argument("--samples", type=int, required=True, help="samples per size")
     p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--workers", type=int, default=1)
     _add_common(p)
     p.set_defaults(handler=_cmd_groups)
 
@@ -532,7 +527,6 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         validate_level(getattr(args, "omega", 1.0), getattr(args, "tolerance", 0.0))
-        validate_workers(getattr(args, "workers", 1))
         return args.handler(args)
     except (TradeDataError, FileNotFoundError, json.JSONDecodeError) as exc:
         print(f"input error: {exc}", file=sys.stderr)

@@ -117,14 +117,13 @@ class TradeStatistics:
         """Per-period expenditure ``<P^t, X^t>``."""
         return np.einsum("ti,ti->t", self.prices, self.quantities)
 
-    def extended(self, price_new: Sequence[float], quantity_new: Sequence[float],
-                 period_id: str = "new") -> "TradeStatistics":
-        """Statistics with one extra observation appended after the last period."""
+    def extended(self, price_new: Sequence[float], quantity_new: Sequence[float]) -> "TradeStatistics":
+        """Statistics with one extra observation, period ``"new"``, appended after the last period."""
         return TradeStatistics(
             prices=np.vstack([self.prices, np.asarray(price_new, dtype=float)]),
             quantities=np.vstack([self.quantities, np.asarray(quantity_new, dtype=float)]),
             good_ids=self.good_ids,
-            period_ids=self.period_ids + (period_id,),
+            period_ids=self.period_ids + ("new",),
         )
 
 
@@ -239,10 +238,10 @@ def paasche_matrix(px) -> FloatArray:
     Dimensionless, strictly positive, with unit diagonal.  Invariant under any
     per-period rescaling of quantities, which is why every homotheticity test
     factors through it.  The cross values must form a square, strictly
-    positive matrix; a Paasche entry that overflows or underflows to a
-    non-positive value is rejected too.  A stack ``[..., T, T]`` of
-    cross-value matrices gives the stack of their Paasche matrices, under
-    the same checks.
+    positive matrix; a Paasche entry that overflows to infinity or
+    underflows to a non-positive value is rejected too.  A stack
+    ``[..., T, T]`` of cross-value matrices gives the stack of their
+    Paasche matrices, under the same checks.
     """
     px = np.asarray(px, dtype=float)
     if px.ndim < 2 or px.shape[-1] != px.shape[-2]:
@@ -252,6 +251,8 @@ def paasche_matrix(px) -> FloatArray:
     paasche = px.diagonal(0, -2, -1)[..., np.newaxis, :] / px
     if not (paasche > 0.0).all():
         raise TradeDataError("Paasche matrix must be strictly positive")
+    if not (paasche < np.inf).all():
+        raise TradeDataError("Paasche matrix must be finite")
     return paasche
 
 

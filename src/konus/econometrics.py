@@ -5,8 +5,8 @@ Price counterfactuals keep the observed demands and redraw prices from
 per-good autoregressions of log price relatives, so the power estimates
 capture how often consistency would be rejected when prices carry no
 information about demand.  All Monte Carlo routines derive per-trial RNG
-substreams from ``(seed, trial)`` and are therefore reproducible bit for bit
-regardless of worker count.
+substreams from ``(seed, trial)`` and run in batches, so they are
+reproducible bit for bit for any batch size.
 """
 
 from __future__ import annotations
@@ -199,8 +199,7 @@ def _power_batch(ts: TradeStatistics, models: Sequence[ARModel], seed: int, tria
     return np.column_stack([~garp_ok, ~(harp_ok & garp_ok)])
 
 
-def power_estimate(ts: TradeStatistics, trials: int, seed: int, *,
-                   workers: int = 1, max_order: int = 2) -> PowerReport:
+def power_estimate(ts: TradeStatistics, trials: int, seed: int) -> PowerReport:
     """Fraction of randomized panels whose irrationality index exceeds one.
 
     Prices are simulated from the fitted per-good autoregressions while
@@ -213,9 +212,9 @@ def power_estimate(ts: TradeStatistics, trials: int, seed: int, *,
         raise ValueError("trial count must be positive")
     if seed < 0:
         raise ValueError("seed must be nonnegative")
-    models = fit_price_models(ts, max_order)
+    models = fit_price_models(ts)
     garp_rejections, harp_rejections = count_trials(
-        lambda batch: _power_batch(ts, models, seed, batch), trials, workers,
+        lambda batch: _power_batch(ts, models, seed, batch), trials,
         batch_size(ts.num_periods, ts.num_goods))
     return PowerReport(trials=trials, garp_rejections=garp_rejections,
                        harp_rejections=harp_rejections, seed=seed)
@@ -250,7 +249,6 @@ def random_group_probability(
     samples_per_size: int,
     seed: int,
     *,
-    workers: int = 1,
     resample_cap: int = 1000,
 ) -> GroupProbabilityCurve:
     """Fractions of random good groups passing each axiom, per group size.
@@ -296,7 +294,7 @@ def random_group_probability(
                 )
         total = len(chosen)
         garp_hits, harp_hits = count_trials(
-            lambda batch: _group_batch(ts, [chosen[j] for j in batch]), total, workers,
+            lambda batch: _group_batch(ts, [chosen[j] for j in batch]), total,
             batch_size(ts.num_periods, size))
         out_sizes.append(size)
         out_samples.append(total)

@@ -5,7 +5,9 @@ vector, the admissible demand vectors form a polyhedral cone cut out by one
 linear inequality per observed period.  The cone coefficients come from the
 omega-discounted closure of the Paasche matrix.  The size of the acyclicity-
 and homotheticity-based forecasting sets is measured by the fraction of
-random unit price vectors that keep the panel consistent.
+random unit price vectors that keep the panel consistent; the trials run in
+batches, each on its own ``(seed, trial)`` substream, so the counts are
+bit-identical for any batch size.
 """
 
 from __future__ import annotations
@@ -107,11 +109,7 @@ def gamma_coefficients(ts: TradeStatistics, omega: float, price_new) -> Forecast
     weight ``1 / omega <= 1`` can raise only the diagonal, so restoring the
     diagonal to at least ``1 / omega`` gives it bit for bit.
     """
-    price_new = np.asarray(price_new, dtype=float)
-    if price_new.shape != (ts.num_goods,):
-        raise ValueError(f"new price must have {ts.num_goods} coordinates")
-    if np.any(price_new <= 0.0):
-        raise ValueError("new price must be strictly positive")
+    price_new = _admissible_price(price_new, ts.num_goods)
     verdict, closure = _harp_verdict(ts, omega, 0.0)
     if not verdict.satisfied:
         raise InfeasibleAxiomError(
@@ -128,17 +126,33 @@ def gamma_coefficients(ts: TradeStatistics, omega: float, price_new) -> Forecast
     return ForecastCone(omega=omega, price_new=price_new, gamma=gamma, prices=ts.prices)
 
 
+def _admissible_price(price_new, m: int) -> FloatArray:
+    arr = np.asarray(price_new, dtype=float)
+    if arr.shape != (m,):
+        raise ValueError(f"new price must have {m} coordinates")
+    if not (arr.min() > 0.0 and arr.max() < math.inf):  # a NaN fails both comparisons
+        raise ValueError("new price must be finite and strictly positive")
+    return arr
+
+
 def _admissible_bundle(x, m: int) -> FloatArray:
     arr = np.asarray(x, dtype=float)
     if arr.shape != (m,):
         raise ValueError(f"bundle must have {m} coordinates")
-    if np.any(arr < 0.0) or not np.any(arr > 0.0):
-        raise ValueError("bundle must be nonnegative and nonzero")
+    if not (arr.min() >= 0.0 and 0.0 < arr.max() < math.inf):  # a NaN fails both comparisons
+        raise ValueError("bundle must be finite, nonnegative and nonzero")
     return arr
+
+
+def _admissible_expenditure(value: float) -> float:
+    if not (math.isfinite(value) and value > 0.0):
+        raise ValueError(f"expenditure must be finite and positive, got {value!r}")
+    return float(value)
 
 
 def kh_membership(cone: ForecastCone, ts: TradeStatistics, x, *, tol: float = 0.0) -> bool:
     """True iff all cone inequalities hold for the candidate demand vector."""
+    validate_level(tol=tol)
     arr = _admissible_bundle(x, ts.num_goods)
     lhs = cone.gamma * (ts.prices @ arr)
     rhs = float(cone.price_new @ arr)
@@ -159,8 +173,7 @@ def kh_polytope(cone: ForecastCone, x_new: float) -> PolytopeDescription:
     Emits the per-period inequalities ``gamma[s] <P^s, x> - <price_new, x> >= 0``,
     the budget equality ``<price_new, x> = x_new``, and nonnegativity rows.
     """
-    if not (math.isfinite(x_new) and x_new > 0.0):
-        raise ValueError(f"expenditure must be finite and positive, got {x_new!r}")
+    _admissible_expenditure(x_new)
     T, m = cone.prices.shape
     variables = tuple(f"x{i + 1}" for i in range(m))
     rows = [
@@ -195,6 +208,7 @@ def enumerate_vertices(poly: PolytopeDescription, *, tol: float = 1e-9) -> Float
     deduplication do not change, and memory stays one stack at any size.
     Only supported up to dimension four; larger polytopes stay symbolic.
     """
+    validate_level(tol=tol)
     m = len(poly.variables)
     if m > VERTEX_ENUMERATION_MAX_DIM:
         raise ValueError(
@@ -288,19 +302,19 @@ def law_of_demand_outer(
     validate_level(omega, tol)
     if omega < 1.0:
         raise ValueError("omega must be at least 1")
+    price_new = _admissible_price(price_new, ts.num_goods)
+    arr = _admissible_bundle(x, ts.num_goods)
+    spend_new = float(price_new @ arr) if expenditure is None else _admissible_expenditure(expenditure)
     verdict = check_harp(ts, omega)
     if not verdict.satisfied:
         raise InfeasibleAxiomError(
             f"homotheticity fails at omega={omega}", verdict.witness
         )
-    price_new = np.asarray(price_new, dtype=float)
-    arr = _admissible_bundle(x, ts.num_goods)
     estimate = law_of_demand_estimate(ts, omega, include_direct_edge=include_direct_edge)
     if estimate.diverged:
         return False
     px = cross_value_matrix(ts)
     diag = px.diagonal()
-    spend_new = float(price_new @ arr) if expenditure is None else float(expenditure)
     obs_at_new = ts.prices @ arr          # <P^s, x>
     new_at_obs = ts.quantities @ price_new  # <price_new, X^t>
     into_new = np.maximum(spend_new / (omega * obs_at_new), _step(diag / obs_at_new - 1.0))
@@ -336,14 +350,13 @@ def _size_batch(ts: TradeStatistics, base_px: FloatArray, seed: int, trials: ran
     return np.column_stack([garp_ok | harp_ok, harp_ok])
 
 
-def forecast_size_paired(ts: TradeStatistics, trials: int, seed: int,
-                         *, workers: int = 1) -> tuple[SizeReport, SizeReport]:
+def forecast_size_paired(ts: TradeStatistics, trials: int, seed: int) -> tuple[SizeReport, SizeReport]:
     """Size of the acyclicity- and homotheticity-based forecasting sets, paired.
 
     Each trial replaces the last period's price by a random unit vector and
     tests both axioms at level one on the same draw.  Per-trial substreams
     depend only on ``(seed, trial)``, so results are bit-identical for any
-    worker count and the homothetic fraction never exceeds the acyclic one.
+    batch size and the homothetic fraction never exceeds the acyclic one.
     """
     if trials < 1:
         raise ValueError("trial count must be positive")
@@ -351,7 +364,7 @@ def forecast_size_paired(ts: TradeStatistics, trials: int, seed: int,
         raise ValueError("seed must be nonnegative")
     base_px = cross_value_matrix(ts)
     garp_hits, harp_hits = count_trials(
-        lambda batch: _size_batch(ts, base_px, seed, batch), trials, workers,
+        lambda batch: _size_batch(ts, base_px, seed, batch), trials,
         batch_size(ts.num_periods, ts.num_goods))
     return (
         SizeReport(axiom="garp", trials=trials, hits=garp_hits, seed=seed),
@@ -359,11 +372,10 @@ def forecast_size_paired(ts: TradeStatistics, trials: int, seed: int,
     )
 
 
-def forecast_size(ts: TradeStatistics, axiom: str, trials: int, seed: int,
-                  *, workers: int = 1) -> SizeReport:
+def forecast_size(ts: TradeStatistics, axiom: str, trials: int, seed: int) -> SizeReport:
     """Single-axiom size measure; shares price draws with the paired variant."""
     key = axiom.lower()
     if key not in ("garp", "harp"):
         raise ValueError(f"unknown axiom {axiom!r}; expected 'garp' or 'harp'")
-    garp_report, harp_report = forecast_size_paired(ts, trials, seed, workers=workers)
+    garp_report, harp_report = forecast_size_paired(ts, trials, seed)
     return garp_report if key == "garp" else harp_report

@@ -40,7 +40,7 @@ def harp_irrationality(ts: TradeStatistics) -> float:
     """
     if ts.num_periods < 2:
         return SINGLE_PERIOD_HARP_INDEX
-    return max_cycle_geomean(paasche_from_statistics(ts), min_len=2)
+    return max_cycle_geomean(paasche_from_statistics(ts))
 
 
 def _garp_breakpoints(px: FloatArray) -> np.ndarray:

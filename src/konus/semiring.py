@@ -172,34 +172,26 @@ def _karp_max_mean(log_weights: FloatArray) -> float:
     return float(worst[reached].max()) if reached.any() else -np.inf
 
 
-def max_cycle_geomean(matrix, min_len: int = 2) -> float:
+def max_cycle_geomean(matrix) -> float:
     """Maximal geometric mean of edge products over admissible cycles.
 
-    Admissible cycles ``(t_1, ..., t_k, t_1)`` have ``k >= min_len`` and no two
-    cyclically adjacent equal indices, which rules out self-loops.  For
-    ``min_len == 2`` this is an exact maximum-mean-cycle search on logarithms
-    restricted to off-diagonal edges; longer minimum lengths fall back to the
-    brute-force enumerator and are only supported at small sizes.
+    Admissible cycles ``(t_1, ..., t_k, t_1)`` have ``k >= 2`` and no two
+    cyclically adjacent equal indices, which rules out self-loops.  This is
+    an exact maximum-mean-cycle search on logarithms restricted to
+    off-diagonal edges.
     """
     arr = _as_square(matrix)
     if np.any(arr <= 0.0):
         raise ValueError("cycle geomean requires a strictly positive matrix")
-    if min_len < 2:
-        raise ValueError("min_len must be at least 2")
     n = arr.shape[0]
-    if n < 2 or min_len > n:
-        raise NoAdmissibleCycleError(
-            f"no admissible cycle of length >= {min_len} in a {n}x{n} matrix"
-        )
-    if min_len == 2:
-        log_weights = np.log(arr)
-        np.fill_diagonal(log_weights, -np.inf)
-        mean = _karp_max_mean(log_weights)
-        if not np.isfinite(mean):
-            raise NoAdmissibleCycleError("no cycle reachable in cycle search")
-        return float(np.exp(mean))
-    value, _ = brute_force_cycle_geomean(arr, min_len=min_len)
-    return value
+    if n < 2:
+        raise NoAdmissibleCycleError(f"no admissible cycle of length >= 2 in a {n}x{n} matrix")
+    log_weights = np.log(arr)
+    np.fill_diagonal(log_weights, -np.inf)
+    mean = _karp_max_mean(log_weights)
+    if not np.isfinite(mean):
+        raise NoAdmissibleCycleError("no cycle reachable in cycle search")
+    return float(np.exp(mean))
 
 
 def _canonical_rotation(cycle: tuple[int, ...]) -> tuple[int, ...]:

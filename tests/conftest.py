@@ -2,14 +2,16 @@
 
 from __future__ import annotations
 
+import contextlib
 from collections import deque
 from itertools import combinations
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import settings
 
-from konus import trade_statistics
+from konus import econometrics, forecast, trade_statistics
 from konus.cli import CounterexampleFixture
 
 # Property tests draw the same examples on every run and have no per-example deadline.
@@ -33,6 +35,21 @@ def appendix_panel_half():
 def two_period_panel():
     """Two goods, two periods; fails homotheticity at level one (cycle product 1.25)."""
     return trade_statistics([[1.0, 2.0], [2.0, 1.0]], [[1.0, 1.0], [2.0, 1.0]])
+
+
+# Batch sizes for the checks that reports do not depend on the split: none below 64, so the
+# experiments keep their cost; None is the byte budget's own size; 1000 is above most budgets.
+BATCH_SIZES = (64, None, 1000)
+
+
+@contextlib.contextmanager
+def batches_of(size):
+    """Run every experiment in batches of ``size`` trials; None keeps the byte budget's size."""
+    with contextlib.ExitStack() as stack:
+        if size is not None:
+            for module in (econometrics, forecast):
+                stack.enter_context(mock.patch.object(module, "batch_size", lambda periods, goods: size))
+        yield
 
 
 def closure_by_paths(matrix, slack=1e-12):

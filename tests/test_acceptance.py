@@ -41,7 +41,7 @@ from konus import (
 from konus.cli import CounterexampleFixture, intersection_demands
 from konus.hierarchy import TreeNode, build_hierarchy
 
-from conftest import closure_by_paths, near_homothetic_panel, random_panel
+from conftest import BATCH_SIZES, batches_of, closure_by_paths, near_homothetic_panel, random_panel
 
 UNIT_PRICE = np.array([1.0, 1.0, 1.0])
 
@@ -269,17 +269,20 @@ def test_criterion_08_irrationality_indices():
 def test_criterion_09_monte_carlo_dominance_and_determinism():
     started = time.perf_counter()
     ts = cobb_douglas_statistics(10, 10, seed=909)
-    size_reports = [forecast_size_paired(ts, 10_000, seed=909, workers=w) for w in (1, 2, 8)]
+    size_reports, power_reports = [], []
+    for size in BATCH_SIZES:
+        with batches_of(size):
+            size_reports.append(forecast_size_paired(ts, 10_000, seed=909))
+            power_reports.append(power_estimate(ts, 10_000, seed=909))
     for garp_report, harp_report in size_reports:
         assert harp_report.hits <= garp_report.hits
     assert size_reports[0] == size_reports[1] == size_reports[2]
-    power_reports = [power_estimate(ts, 10_000, seed=909, workers=w) for w in (1, 2, 8)]
     for report in power_reports:
         assert report.harp_rejections >= report.garp_rejections
     assert power_reports[0] == power_reports[1] == power_reports[2]
     elapsed = time.perf_counter() - started
     assert elapsed < 120.0
-    _passed(9, f"Monte Carlo dominance and worker determinism ({elapsed:.1f}s)")
+    _passed(9, f"Monte Carlo dominance and batch determinism ({elapsed:.1f}s)")
 
 
 def test_criterion_10_autoregression_recovery():

@@ -4,8 +4,10 @@ import json
 from pathlib import Path
 
 import numpy as np
+import pytest
 
-from konus.cli import CounterexampleFixture, RunManifest, intersection_demands, main
+from konus import cobb_douglas_statistics
+from konus.cli import CounterexampleFixture, RunManifest, _write_statistics_csv, intersection_demands, main
 
 TWO_PERIOD_PRICES = "period,g1,g2\nt1,1,2\nt2,2,1\n"
 TWO_PERIOD_QUANTITIES = "period,g1,g2\nt1,1,1\nt2,2,1\n"
@@ -141,9 +143,6 @@ def test_forecast_command_requires_work(tmp_path, capsys):
 
 def test_power_and_groups_commands(tmp_path, capsys):
     rng = np.random.default_rng(0)
-    from konus import cobb_douglas_statistics
-    from konus.cli import _write_statistics_csv
-
     ts = cobb_douglas_statistics(6, 4, seed=8)
     _write_statistics_csv(ts, tmp_path / "p.csv", tmp_path / "q.csv")
     pdir = tmp_path / "power"
@@ -218,19 +217,53 @@ def test_invalid_level_fails_before_any_output(tmp_path, capsys):
 
 
 
-def test_fewer_than_one_worker_fails_before_any_output(tmp_path, capsys):
-    prices, quantities = write_two_period(tmp_path)
-    runs = [["forecast", prices, quantities, "--new-price", "1,1", "--size-trials", "10", "--seed", "1"],
+def write_power_panel(tmp_path: Path):
+    prices, quantities = tmp_path / "p.csv", tmp_path / "q.csv"
+    _write_statistics_csv(cobb_douglas_statistics(6, 4, seed=8), prices, quantities)
+    return str(prices), str(quantities)
+
+
+def test_workers_option_is_refused_before_any_output(tmp_path, capsys):
+    prices, quantities = write_power_panel(tmp_path)
+    runs = [["forecast", prices, quantities, "--size-trials", "10", "--seed", "1"],
             ["power", prices, quantities, "--trials", "10", "--seed", "1"],
             ["groups", prices, quantities, "--sizes", "2", "--samples", "1", "--seed", "1"]]
     for argv in runs:
-        out = tmp_path / "invalid"
-        code = main([*argv, "--workers", "0", "--out", str(out)])
+        out = tmp_path / "refused"
+        with pytest.raises(SystemExit) as exit_info:
+            main([*argv, "--workers", "2", "--out", str(out)])
         captured = capsys.readouterr()
-        assert code == 2
+        assert exit_info.value.code == 2
         assert captured.out == ""
-        assert "workers must be at least 1" in captured.err
+        assert "unrecognized arguments: --workers 2" in captured.err
         assert not out.exists()
+
+
+def test_non_finite_new_price_fails_before_any_output(tmp_path, capsys):
+    prices, quantities = write_two_period(tmp_path)
+    out = tmp_path / "invalid"
+    code = main(["forecast", prices, quantities, "--new-price", "nan,1", "--out", str(out)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert "new price must be finite and strictly positive" in captured.err
+    assert not out.exists()
+
+
+def test_replay_ignores_the_workers_key_of_older_manifests(tmp_path, capsys):
+    prices, quantities = write_power_panel(tmp_path)
+    direct = tmp_path / "direct"
+    assert main(["power", prices, quantities, "--trials", "200", "--seed", "4", "--out", str(direct)]) == 0
+    old = {"command": "power", "out_dir": str(tmp_path / "old"), "version": "0",
+           "params": {"trials": 200, "seed": 4, "workers": 2, "positional": [prices, quantities]}}
+    (tmp_path / "old.json").write_text(json.dumps(old))
+    replayed = tmp_path / "replayed"
+    assert main(["replay", str(tmp_path / "old.json"), "--out", str(replayed)]) == 0
+    assert (replayed / "power.csv").read_bytes() == (direct / "power.csv").read_bytes()
+    manifests = [json.loads((d / "manifest.json").read_text()) for d in (direct, replayed)]
+    assert manifests[0]["params"] == manifests[1]["params"]
+    assert "workers" not in manifests[1]["params"]
+    capsys.readouterr()
 
 
 def test_groups_without_a_valid_group_exit_two(tmp_path, capsys):

@@ -218,8 +218,10 @@ def test_fixture_rejects_bad_epsilon():
     (np.array([[1.0, 0.0], [1.0, 1.0]]), "cross-value matrix must be strictly positive"),
     (np.array([[1.0, -2.0], [1.0, 1.0]]), "cross-value matrix must be strictly positive"),
     (np.array([[np.inf, 1.0], [1.0, 1.0]]), "Paasche matrix must be strictly positive"),
+    (np.array([[1.0, 1e-10], [1.0, 1e300]]), "Paasche matrix must be finite"),
 ])
 @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
 def test_paasche_matrix_rejects_invalid_cross_values(px, message):
     with pytest.raises(TradeDataError, match=message):
         paasche_matrix(px)

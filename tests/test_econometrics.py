@@ -16,8 +16,9 @@ from konus import (
     simulate_price_paths,
     trade_statistics,
 )
-from konus import _mc
 from konus.econometrics import VARIANCE_FLOOR
+
+from conftest import BATCH_SIZES, batches_of
 
 
 def simulate_ar1(seed, n=500, beta0=0.02, beta1=0.6, sigma=0.05, burn=100):
@@ -133,7 +134,10 @@ def test_power_single_good_is_zero():
 
 def test_power_dominance_and_worker_determinism():
     ts = cobb_douglas_statistics(8, 4, seed=7)
-    reports = [power_estimate(ts, 600, seed=2, workers=w) for w in (1, 2, 8)]
+    reports = []
+    for size in BATCH_SIZES:
+        with batches_of(size):
+            reports.append(power_estimate(ts, 600, seed=2))
     assert reports[0] == reports[1] == reports[2]
     assert reports[0].harp_rejections >= reports[0].garp_rejections
 
@@ -170,8 +174,11 @@ def test_groups_reject_single_good():
 
 def test_groups_ordering_and_determinism():
     ts = random_statistics(4, 7, seed=3)
-    curves = [random_group_probability(ts, [2, 3, 4], 120, seed=9, workers=w) for w in (1, 3)]
-    assert curves[0] == curves[1]
+    curves = []
+    for size in (*BATCH_SIZES, 5):  # every size has 21 or 35 groups: only 5 splits them
+        with batches_of(size):
+            curves.append(random_group_probability(ts, [2, 3, 4], 120, seed=9))
+    assert curves[0] == curves[1] == curves[2] == curves[3]
     for pg, ph in zip(curves[0].p_garp, curves[0].p_harp):
         assert ph <= pg
 
@@ -235,19 +242,3 @@ def test_generators_shapes_and_consistency():
     assert check_harp(ts, 1.0).satisfied and check_garp(ts, 1.0).satisfied
     loose = random_statistics(6, 5, seed=31)
     assert loose.num_periods == 6 and loose.num_goods == 5
-
-
-def test_many_workers_keep_reports():
-    ts = cobb_douglas_statistics(8, 4, seed=7)
-    assert power_estimate(ts, 60, seed=2, workers=1000) == power_estimate(ts, 60, seed=2)
-
-
-@pytest.mark.parametrize("workers", [0, -3])
-def test_fewer_than_one_worker_is_rejected(workers):
-    ts = cobb_douglas_statistics(8, 4, seed=7)
-    with pytest.raises(ValueError, match="workers must be at least 1"):
-        _mc.count_trials(lambda batch: np.ones((len(batch), 2), dtype=bool), 5, workers, 2)
-    with pytest.raises(ValueError, match="workers must be at least 1"):
-        power_estimate(ts, 5, seed=1, workers=workers)
-    with pytest.raises(ValueError, match="workers must be at least 1"):
-        random_group_probability(ts, [2], 5, seed=1, workers=workers)

@@ -23,7 +23,7 @@ from konus import (
 )
 from konus.cli import CounterexampleFixture
 
-from conftest import random_panel
+from conftest import BATCH_SIZES, batches_of, random_panel
 
 UNIT_PRICE = np.array([1.0, 1.0, 1.0])
 
@@ -314,7 +314,10 @@ def test_size_single_period_is_one():
 def test_size_dominance_and_determinism():
     rng = np.random.default_rng(29)
     ts = harp_panel(rng, T=5, m=4)
-    reports = [forecast_size_paired(ts, 1500, seed=11, workers=w) for w in (1, 2, 8)]
+    reports = []
+    for size in BATCH_SIZES:
+        with batches_of(size):
+            reports.append(forecast_size_paired(ts, 1500, seed=11))
     for garp_report, harp_report in reports:
         assert harp_report.hits <= garp_report.hits
     assert reports[0] == reports[1] == reports[2]

@@ -1,12 +1,11 @@
 """The batched Monte Carlo kernels against the per-trial code they replaced.
 
 Price paths must be bit-identical to the scalar AR recursion, and every
-trial's verdict pair equal to the per-trial oracle, for any batch size,
-trial count and worker count.  A warning inside a kernel is an error here:
+trial's verdict pair equal to the per-trial oracle, for any batch size
+and trial count.  A warning inside a kernel is an error here:
 a diverged trial left in the stack would turn ``inf * 0`` into a NaN.
 """
 
-import contextlib
 import math
 import tracemalloc
 from itertools import combinations
@@ -38,6 +37,7 @@ from konus.econometrics import _group_batch, _power_batch, _sampled_group, _simu
 from konus.forecast import _size_batch
 
 from conftest import (
+    batches_of,
     closure_by_outer,
     group_verdicts,
     near_homothetic_panel,
@@ -53,16 +53,6 @@ pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
 BATCHES = st.sampled_from([1, 2, 3, 5, None])
 ELEMENTS = st.sampled_from([0.5, 1.0, 2.0]) | st.floats(0.25, 4.0)
 # arrays draw every element (fill=st.nothing()): a fill value would leave them nearly constant
-
-
-@contextlib.contextmanager
-def batches_of(size):
-    """Run every experiment in batches of ``size`` trials; None keeps the byte budget's size."""
-    with contextlib.ExitStack() as stack:
-        if size is not None:
-            for module in (econometrics, forecast):
-                stack.enter_context(mock.patch.object(module, "batch_size", lambda periods, goods: size))
-        yield
 
 
 def rows(pairs):
@@ -196,36 +186,36 @@ def test_fitted_models_mix_orders_on_the_benchmark_panel_shape():
         assert stack[b].tobytes() == simulate_price_paths_by_loop(ts, models, trial_rng(3, b)).tobytes()
 
 
-@given(mc_panels(), BATCHES, st.integers(1, 13), st.integers(1, 3), st.integers(0, 100))
-@example(cobb_douglas_statistics(3, 1, 0), 2, 7, 1, 0)
-@example(random_statistics(4, 3, 2), 3, 10, 2, 5)
-def test_size_trials_match_per_trial_oracle(ts, batch, trials, workers, seed):
+@given(mc_panels(), BATCHES, st.integers(1, 13), st.integers(0, 100))
+@example(cobb_douglas_statistics(3, 1, 0), 2, 7, 0)
+@example(random_statistics(4, 3, 2), 3, 10, 5)
+def test_size_trials_match_per_trial_oracle(ts, batch, trials, seed):
     base_px = cross_value_matrix(ts)
     expected = [size_trial(ts, base_px, seed, b) for b in range(trials)]
     assert rows(_size_batch(ts, base_px, seed, range(trials))) == expected
     with batches_of(batch):
-        garp, harp = forecast_size_paired(ts, trials, seed, workers=workers)
+        garp, harp = forecast_size_paired(ts, trials, seed)
     assert (garp.hits, harp.hits) == tuple(sum(column) for column in zip(*expected))
 
 
-@given(mc_panels(min_periods=3), BATCHES, st.integers(1, 13), st.integers(1, 3), st.integers(0, 100))
-@example(cobb_douglas_statistics(3, 1, 0), 1, 5, 1, 0)
-@example(random_statistics(5, 3, 2), 5, 11, 3, 4)
-def test_power_trials_match_per_trial_oracle(ts, batch, trials, workers, seed):
+@given(mc_panels(min_periods=3), BATCHES, st.integers(1, 13), st.integers(0, 100))
+@example(cobb_douglas_statistics(3, 1, 0), 1, 5, 0)
+@example(random_statistics(5, 3, 2), 5, 11, 4)
+def test_power_trials_match_per_trial_oracle(ts, batch, trials, seed):
     models = fit_price_models(ts)
     expected = [power_trial(ts, models, seed, b) for b in range(trials)]
     assert rows(_power_batch(ts, models, seed, range(trials))) == expected
     with batches_of(batch):
-        report = power_estimate(ts, trials, seed, workers=workers)
+        report = power_estimate(ts, trials, seed)
     assert (report.garp_rejections, report.harp_rejections) == tuple(sum(column) for column in zip(*expected))
 
 
-@given(mc_panels(min_periods=2, max_goods=7), BATCHES, st.integers(1, 3), st.integers(0, 100))
-def test_group_trials_match_per_trial_oracle(ts, batch, workers, seed):
+@given(mc_panels(min_periods=2, max_goods=7), BATCHES, st.integers(0, 100))
+def test_group_trials_match_per_trial_oracle(ts, batch, seed):
     samples = 9
     sizes = sorted({2, ts.num_goods}) if ts.num_goods >= 2 else []
     with batches_of(batch):
-        curve = random_group_probability(ts, sizes, samples, seed, workers=workers)
+        curve = random_group_probability(ts, sizes, samples, seed)
     for size, p_garp, p_harp in zip(sizes, curve.p_garp, curve.p_harp):
         if math.comb(ts.num_goods, size) <= samples:
             groups = [np.array(c) for c in combinations(range(ts.num_goods), size)]
@@ -263,7 +253,7 @@ def _error(call):
 def test_overflowing_paasche_entries_raise_the_oracle_error():
     # px[0, 0] overflows to inf, so its Paasche column is inf / inf = NaN
     nan_px = np.array([[np.inf, 1e300], [1e10, 2.0]])
-    # px[1, 1] / px[0, 1] overflows to inf, a positive entry the closure refuses
+    # px[1, 1] / px[0, 1] overflows to inf, which paasche_matrix refuses as not finite
     inf_px = np.array([[1.0, 1e-10], [1.0, 1e300]])
     finite_px = np.array([[1.0, 2.0], [2.0, 1.0]])
     with np.errstate(over="ignore", invalid="ignore"):

@@ -1,4 +1,5 @@
-"""Every entry point taking an efficiency level or a slack rejects invalid values."""
+"""Every entry point taking an efficiency level, a slack, a new price, a bundle or an
+expenditure rejects invalid values."""
 
 import math
 
@@ -9,10 +10,12 @@ from konus import (
     check_garp,
     check_harp,
     cross_value_matrix,
+    enumerate_vertices,
     gamma_coefficients,
     garp_irrationality,
     garp_irrationality_bisection,
     kg_membership,
+    kh_membership,
     kh_polytope,
     law_of_demand_estimate,
     law_of_demand_outer,
@@ -26,8 +29,11 @@ from konus.core import validate_level
 NAN, INF = math.nan, math.inf
 BAD_OMEGAS = [NAN, INF, -INF, 0.0, -1.0]
 BAD_TOLS = [NAN, INF, -1.0, -1e-300]
+BAD_VECTORS = [[NAN, 1.0], [INF, 1.0], [NAN, NAN]]
+BAD_EXPENDITURES = [NAN, INF, -INF, 0.0, -1.0]
 
 PRICE, BUNDLE = [1.0, 1.0], [1.0, 1.0]
+WIDE = 2.0  # a level above the two-period panel's homotheticity index sqrt(1.25), so its cone exists
 
 LEVEL_AND_SLACK = [
     lambda ts, omega, tol: check_garp(ts, omega, tol=tol),
@@ -45,6 +51,17 @@ LEVEL_ONLY = [
 SLACK_ONLY = [
     lambda ts, tol: garp_irrationality(ts, tol=tol),
     lambda ts, tol: garp_irrationality_bisection(ts, tol=tol),
+    lambda ts, tol: kh_membership(gamma_coefficients(ts, WIDE, PRICE), ts, BUNDLE, tol=tol),
+    lambda ts, tol: enumerate_vertices(kh_polytope(gamma_coefficients(ts, WIDE, PRICE), 1.0), tol=tol),
+]
+NEW_PRICE_ENTRY_POINTS = [
+    lambda ts, price: gamma_coefficients(ts, WIDE, price),
+    lambda ts, price: law_of_demand_outer(ts, WIDE, price, BUNDLE),
+]
+BUNDLE_ENTRY_POINTS = [
+    lambda ts, x: kh_membership(gamma_coefficients(ts, WIDE, PRICE), ts, x),
+    lambda ts, x: kg_membership(ts, WIDE, PRICE, x),
+    lambda ts, x: law_of_demand_outer(ts, WIDE, PRICE, x),
 ]
 
 
@@ -81,8 +98,24 @@ def test_omega_closure_names_an_invalid_level(two_period_panel, omega):
         omega_closure(paasche, omega)
 
 
-@pytest.mark.parametrize("expenditure", [NAN, INF, -INF, 0.0, -1.0])
+@pytest.mark.parametrize("expenditure", BAD_EXPENDITURES)
 def test_kh_polytope_rejects_invalid_expenditure(appendix_panel, expenditure):
     cone = gamma_coefficients(appendix_panel, 1.0, [1.0, 1.0, 1.0])
     with pytest.raises(ValueError, match="expenditure must be finite and positive"):
         kh_polytope(cone, expenditure)
+
+
+@pytest.mark.parametrize("expenditure", BAD_EXPENDITURES)
+def test_law_of_demand_outer_rejects_invalid_expenditure(two_period_panel, expenditure):
+    with pytest.raises(ValueError, match="expenditure must be finite and positive"):
+        law_of_demand_outer(two_period_panel, WIDE, PRICE, BUNDLE, expenditure=expenditure)
+
+
+@pytest.mark.parametrize("vector", BAD_VECTORS)
+def test_non_finite_vectors_are_rejected(two_period_panel, vector):
+    for call in NEW_PRICE_ENTRY_POINTS:
+        with pytest.raises(ValueError, match="new price must be finite and strictly positive"):
+            call(two_period_panel, vector)
+    for call in BUNDLE_ENTRY_POINTS:
+        with pytest.raises(ValueError, match="bundle must be finite, nonnegative and nonzero"):
+            call(two_period_panel, vector)
