@@ -194,15 +194,12 @@ def eval_harp_utility(lm: HarpMultipliers, ts: TradeStatistics, bundle) -> float
     return float(np.min(lm.lam * (ts.prices @ x)))
 
 
-def eval_garp_utility(sol: AfriatSolution, ts: TradeStatistics, bundle,
-                      omega: float = 1.0) -> float:
+def eval_garp_utility(sol: AfriatSolution, ts: TradeStatistics, bundle) -> float:
     """Piecewise-linear concave utility ``min_s {U[s] + lam[s] (<P^s, x> - px[s, s])}``.
 
     A genuine rationalizer only for solutions at omega one; for omega above
-    one it is exposed as a diagnostic with the same formula (the ``omega``
-    argument is kept for signature symmetry and does not enter the value).
+    one it is exposed as a diagnostic with the same formula.
     """
-    del omega
     x = np.asarray(bundle, dtype=float)
     if x.shape != (ts.num_goods,):
         raise ValueError(f"bundle must have {ts.num_goods} coordinates")

@@ -1,7 +1,10 @@
 """Command-line driver: axiom tests, indices, forecasting, experiments, fixtures.
 
-Every command that writes files also writes a ``manifest.json`` describing the
-run; ``konus replay manifest.json`` reruns it and reproduces the outputs byte
+Handlers compute and ``main`` writes.  Each ``_cmd_*`` handler returns its
+exit code and the files of its run; ``main`` then creates the output
+directory, writes the files in order and, last, a ``manifest.json`` that
+records every parsed option.  A command that fails writes nothing.
+``konus replay manifest.json`` reruns a run and reproduces its outputs byte
 for byte.  Randomized commands require an explicit ``--seed``.  Exit codes:
 0 success, 1 axiom violated, 2 input error, 3 internal error.
 """
@@ -21,19 +24,16 @@ import numpy as np
 from . import __version__
 from .afriat import InfeasibleAxiomError, konus_divisia_series, solve_harp_multipliers
 from .axioms import GarpWitness, HarpWitness, check_garp, check_harp
-from .core import (
-    TradeDataError,
-    TradeStatistics,
-    load_trade_statistics,
-    trade_statistics,
-    validate_level,
-)
+from .core import TradeDataError, TradeStatistics, load_trade_statistics, validate_level
 from .forecast import (
+    VERTEX_ENUMERATION_MAX_DIM,
+    CounterexampleFixture,
+    ForecastCone,
+    check_inclusion,
     enumerate_vertices,
     forecast_size_paired,
     gamma_coefficients,
-    kg_membership,
-    kh_membership,
+    intersection_demands,
     kh_polytope,
 )
 from .hierarchy import build_hierarchy, parse_partition_tree, render_tree
@@ -46,6 +46,11 @@ EXIT_INPUT = 2
 EXIT_INTERNAL = 3
 
 OUTPUT_DIR_ENV = "KONUS_OUT"
+
+# A run's files in write order: a CSV as ``(header, rows)``, a text file as its text.
+Files = dict[str, tuple[list[str], list[list]] | str]
+# Parsed arguments the manifest lists under ``positional``, in command-line order.
+_POSITIONAL = ("name", "prices", "quantities")
 
 
 # ---------------------------------------------------------------------------
@@ -66,6 +71,15 @@ class RunManifest:
         data["out_dir"] = str(out_dir)
         path = out_dir / "manifest.json"
         path.write_text(json.dumps(data, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+
+    @classmethod
+    def from_args(cls, args: argparse.Namespace) -> "RunManifest":
+        """Every parsed option but the dispatch fields and ``--out``, ``None`` values dropped."""
+        options = {key: value for key, value in vars(args).items()
+                   if key not in ("command", "handler", "out") and value is not None}
+        params = {key: value for key, value in options.items() if key not in _POSITIONAL}
+        params["positional"] = [options[key] for key in _POSITIONAL if key in options]
+        return cls(args.command, params)
 
     @classmethod
     def load(cls, path) -> "RunManifest":
@@ -95,63 +109,7 @@ class RunManifest:
 
 
 # ---------------------------------------------------------------------------
-# counterexample fixture: three ray Engel curves over three goods
-
-
-@dataclass(frozen=True)
-class CounterexampleFixture:
-    """Three-good fixture with ray Engel curves and a fourth evaluation budget.
-
-    Demand directions put weight one on the own good and ``epsilon`` on the
-    others; the base panel passes both axioms for every ``epsilon`` below one.
-    The forecasting exercise evaluates demand at the unit price vector with
-    expenditure two, where the homothetic forecasting set is a strict subset
-    of the acyclicity-based support set built from intersection demands.
-    """
-
-    epsilon: float = 0.0
-    prices: tuple[tuple[float, ...], ...] = ((2.0, 1.0, 4.0), (2.0, 1.0, 2.0), (2.0, 2.0, 1.0))
-    price_new: tuple[float, ...] = (1.0, 1.0, 1.0)
-    expenditure_new: float = 2.0
-
-    def __post_init__(self) -> None:
-        if not 0.0 <= self.epsilon < 1.0:
-            raise ValueError("epsilon must lie in [0, 1)")
-
-    def directions(self) -> np.ndarray:
-        m = len(self.prices[0])
-        return np.where(np.eye(m, dtype=bool), 1.0, self.epsilon)
-
-    def demand(self, period: int, expenditure: float) -> np.ndarray:
-        """Ray Engel curve: demand is the direction scaled by expenditure."""
-        return self.directions()[period] * expenditure
-
-    def statistics(self) -> TradeStatistics:
-        """Base panel with unit-parameter demands."""
-        return trade_statistics(np.asarray(self.prices, dtype=float), self.directions())
-
-    def intersection_statistics(self) -> TradeStatistics:
-        """Panel with each demand scaled to cross the new budget plane."""
-        levels = intersection_demands(self)
-        quantities = self.directions() * levels[:, np.newaxis]
-        return trade_statistics(np.asarray(self.prices, dtype=float), quantities)
-
-
-def intersection_demands(fix: CounterexampleFixture) -> np.ndarray:
-    """Expenditure levels at which each Engel curve meets the new budget plane.
-
-    Solves ``<price_new, direction_t * level> = expenditure_new`` per period;
-    linear because the curves are rays.
-    """
-    price_new = np.asarray(fix.price_new, dtype=float)
-    inner = fix.directions() @ price_new
-    if np.any(inner <= 0.0):
-        raise ValueError("degenerate demand direction: zero inner product with the new price")
-    return fix.expenditure_new / inner
-
-
-# ---------------------------------------------------------------------------
-# small output helpers
+# output tables
 
 
 def _write_csv(path: Path, header: list[str], rows: list[list]) -> None:
@@ -161,12 +119,45 @@ def _write_csv(path: Path, header: list[str], rows: list[list]) -> None:
         writer.writerows(rows)
 
 
-def _write_statistics_csv(ts: TradeStatistics, prices_path: Path, quantities_path: Path) -> None:
+def _write_files(out: Path, files: Files) -> None:
+    """Create ``out`` and write ``files`` in order: a CSV per table, text as is."""
+    out.mkdir(parents=True, exist_ok=True)
+    for name, content in files.items():
+        if isinstance(content, str):
+            (out / name).write_text(content, encoding="utf-8")
+        else:
+            _write_csv(out / name, *content)
+
+
+def _panel_files(ts: TradeStatistics) -> Files:
+    """``prices.csv`` and ``quantities.csv`` in the layout the commands read."""
     header = ["period", *ts.good_ids]
-    _write_csv(prices_path, header,
-               [[pid, *(repr(float(v)) for v in row)] for pid, row in zip(ts.period_ids, ts.prices)])
-    _write_csv(quantities_path, header,
-               [[pid, *(repr(float(v)) for v in row)] for pid, row in zip(ts.period_ids, ts.quantities)])
+    return {
+        name: (header, [[pid, *(repr(float(v)) for v in row)] for pid, row in zip(ts.period_ids, table)])
+        for name, table in (("prices.csv", ts.prices), ("quantities.csv", ts.quantities))
+    }
+
+
+def _cone_files(ts: TradeStatistics, cone: ForecastCone,
+                expenditure: float | None) -> tuple[Files, np.ndarray | None]:
+    """``gamma.csv``, and with an expenditure the polytope slice and its vertices.
+
+    Vertices are enumerated only up to ``VERTEX_ENUMERATION_MAX_DIM`` goods;
+    they are returned too, or ``None`` where they were not enumerated.
+    """
+    files: Files = {"gamma.csv": (["period", "gamma"],
+                                  [[pid, repr(float(g))] for pid, g in zip(ts.period_ids, cone.gamma)])}
+    vertices = None
+    if expenditure is not None:
+        poly = kh_polytope(cone, expenditure)
+        files["polytope.csv"] = (["constraint", *poly.variables, "sense", "rhs"],
+                                 [[c.label, *(repr(v) for v in c.coeffs), c.sense, repr(c.rhs)]
+                                  for c in poly.constraints])
+        if ts.num_goods <= VERTEX_ENUMERATION_MAX_DIM:
+            vertices = enumerate_vertices(poly)
+            files["vertices.csv"] = (list(poly.variables),
+                                     [[repr(float(v)) for v in vertex] for vertex in vertices])
+    return files, vertices
 
 
 def _format_witness(ts: TradeStatistics, witness) -> str:
@@ -183,13 +174,6 @@ def _format_witness(ts: TradeStatistics, witness) -> str:
     return str(witness)
 
 
-def _resolve_out(args) -> Path:
-    out = args.out or os.environ.get(OUTPUT_DIR_ENV) or "konus-out"
-    path = Path(out)
-    path.mkdir(parents=True, exist_ok=True)
-    return path
-
-
 def _load_panel(args) -> TradeStatistics:
     return load_trade_statistics(args.prices, args.quantities)
 
@@ -201,19 +185,12 @@ def _parse_vector(text: str) -> np.ndarray:
         raise TradeDataError(f"unparseable vector {text!r}; expected comma-separated numbers") from None
 
 
-def _manifest_params(args, keys: list[str], positional: list[str]) -> dict:
-    params = {key: getattr(args, key) for key in keys if getattr(args, key, None) is not None}
-    params["positional"] = positional
-    return params
-
-
 # ---------------------------------------------------------------------------
-# command handlers
+# command handlers: each computes and returns its exit code and its files
 
 
-def _cmd_test(args) -> int:
+def _cmd_test(args, out: Path) -> tuple[int, Files]:
     ts = _load_panel(args)
-    out = _resolve_out(args)
     axioms = ["garp", "harp"] if args.axiom == "both" else [args.axiom]
     rows = []
     violated = False
@@ -225,101 +202,63 @@ def _cmd_test(args) -> int:
         print(f"{axiom}(omega={args.omega}): {status}" + (f" [{note}]" if note else ""))
         rows.append([axiom, repr(args.omega), status, note])
         violated = violated or not verdict.satisfied
-    _write_csv(out / "verdicts.csv", ["axiom", "omega", "status", "witness"], rows)
-    RunManifest("test", _manifest_params(args, ["axiom", "omega", "tolerance"],
-                                         [args.prices, args.quantities])).write(out)
-    return EXIT_VIOLATED if violated else EXIT_OK
+    files = {"verdicts.csv": (["axiom", "omega", "status", "witness"], rows)}
+    return (EXIT_VIOLATED if violated else EXIT_OK), files
 
 
-def _cmd_indices(args) -> int:
+def _cmd_indices(args, out: Path) -> tuple[int, Files]:
     ts = _load_panel(args)
-    out = _resolve_out(args)
     lm = solve_harp_multipliers(ts, args.omega, tol=args.tolerance)
     series = konus_divisia_series(ts, lm)
     rows = [
         [pid, repr(float(f)), repr(float(q))]
         for pid, f, q in zip(ts.period_ids, series.consumption, series.price)
     ]
-    _write_csv(out / "index_series.csv", ["period", "consumption_index", "price_index"], rows)
     print(f"wrote {out / 'index_series.csv'} ({ts.num_periods} periods)")
-    RunManifest("indices", _manifest_params(args, ["omega", "tolerance"],
-                                            [args.prices, args.quantities])).write(out)
-    return EXIT_OK
+    return EXIT_OK, {"index_series.csv": (["period", "consumption_index", "price_index"], rows)}
 
 
-def _cmd_irrationality(args) -> int:
+def _cmd_irrationality(args, out: Path) -> tuple[int, Files]:
     ts = _load_panel(args)
-    out = _resolve_out(args)
     report = irrationality_report(ts)
     attained = "attained" if report.attained_g else "not attained"
     print(f"acyclicity index omega_G = {report.omega_g!r} ({attained})")
     print(f"homotheticity index omega_H = {report.omega_h!r}")
-    _write_csv(out / "irrationality.csv",
-               ["omega_g", "attained_g", "omega_h"],
-               [[repr(report.omega_g), report.attained_g, repr(report.omega_h)]])
-    RunManifest("irrationality", _manifest_params(args, [],
-                                                  [args.prices, args.quantities])).write(out)
-    return EXIT_OK
+    return EXIT_OK, {"irrationality.csv": (
+        ["omega_g", "attained_g", "omega_h"],
+        [[repr(report.omega_g), report.attained_g, repr(report.omega_h)]])}
 
 
-def _cmd_forecast(args) -> int:
+def _cmd_forecast(args, out: Path) -> tuple[int, Files]:
     ts = _load_panel(args)
-    cone = gamma_coefficients(ts, args.omega, _parse_vector(args.new_price)) if args.new_price else None
-    out = _resolve_out(args)
-    wrote = []
-    if cone is not None:
-        _write_csv(out / "gamma.csv", ["period", "gamma"],
-                   [[pid, repr(float(g))] for pid, g in zip(ts.period_ids, cone.gamma)])
-        wrote.append("gamma.csv")
-        if args.expenditure is not None:
-            poly = kh_polytope(cone, args.expenditure)
-            rows = [
-                [c.label, *(repr(v) for v in c.coeffs), c.sense, repr(c.rhs)]
-                for c in poly.constraints
-            ]
-            _write_csv(out / "polytope.csv",
-                       ["constraint", *poly.variables, "sense", "rhs"], rows)
-            wrote.append("polytope.csv")
-            if ts.num_goods <= 4:
-                vertices = enumerate_vertices(poly)
-                _write_csv(out / "vertices.csv", list(poly.variables),
-                           [[repr(float(v)) for v in vertex] for vertex in vertices])
-                wrote.append("vertices.csv")
+    files: Files = {}
+    if args.new_price:
+        cone = gamma_coefficients(ts, args.omega, _parse_vector(args.new_price))
+        files, _ = _cone_files(ts, cone, args.expenditure)
     if args.size_trials:
         if args.seed is None:
             raise TradeDataError("--seed is required for --size-trials")
         garp_report, harp_report = forecast_size_paired(ts, args.size_trials, args.seed)
-        _write_csv(out / "forecast_size.csv",
-                   ["axiom", "trials", "hits", "fraction", "seed"],
-                   [[r.axiom, r.trials, r.hits, repr(r.fraction), r.seed]
-                    for r in (garp_report, harp_report)])
+        files["forecast_size.csv"] = (["axiom", "trials", "hits", "fraction", "seed"],
+                                      [[r.axiom, r.trials, r.hits, repr(r.fraction), r.seed]
+                                       for r in (garp_report, harp_report)])
         print(f"forecast set size: garp {garp_report.fraction!r}, harp {harp_report.fraction!r}")
-        wrote.append("forecast_size.csv")
-    if not wrote:
+    if not files:
         raise TradeDataError("nothing to do: pass --new-price and/or --size-trials")
-    print(f"wrote {', '.join(wrote)} to {out}")
-    RunManifest("forecast", _manifest_params(
-        args, ["omega", "new_price", "expenditure", "size_trials", "seed"],
-        [args.prices, args.quantities])).write(out)
-    return EXIT_OK
+    print(f"wrote {', '.join(files)} to {out}")
+    return EXIT_OK, files
 
 
-def _cmd_power(args) -> int:
+def _cmd_power(args, out: Path) -> tuple[int, Files]:
     ts = _load_panel(args)
-    out = _resolve_out(args)
     report = power_estimate(ts, args.trials, args.seed)
     print(f"test power: garp {report.w_hat_g!r}, harp {report.w_hat_h!r} ({report.trials} trials)")
-    _write_csv(out / "power.csv",
-               ["trials", "w_hat_g", "w_hat_h", "seed"],
-               [[report.trials, repr(report.w_hat_g), repr(report.w_hat_h), report.seed]])
-    RunManifest("power", _manifest_params(args, ["trials", "seed"],
-                                          [args.prices, args.quantities])).write(out)
-    return EXIT_OK
+    return EXIT_OK, {"power.csv": (["trials", "w_hat_g", "w_hat_h", "seed"],
+                                   [[report.trials, repr(report.w_hat_g), repr(report.w_hat_h), report.seed]])}
 
 
-def _cmd_groups(args) -> int:
+def _cmd_groups(args, out: Path) -> tuple[int, Files]:
     ts = _load_panel(args)
-    out = _resolve_out(args)
     sizes = [int(s) for s in args.sizes.split(",") if s.strip() != ""]
     curve = random_group_probability(ts, sizes, args.samples, args.seed)
     rows = [
@@ -328,16 +267,12 @@ def _cmd_groups(args) -> int:
             curve.sizes, curve.samples, curve.p_garp, curve.p_harp, curve.skipped
         )
     ]
-    _write_csv(out / "groups.csv", ["size", "samples", "p_garp", "p_harp", "skipped"], rows)
     print(f"wrote {out / 'groups.csv'} ({len(sizes)} sizes)")
-    RunManifest("groups", _manifest_params(args, ["sizes", "samples", "seed"],
-                                           [args.prices, args.quantities])).write(out)
-    return EXIT_OK
+    return EXIT_OK, {"groups.csv": (["size", "samples", "p_garp", "p_harp", "skipped"], rows)}
 
 
-def _cmd_hierarchy(args) -> int:
+def _cmd_hierarchy(args, out: Path) -> tuple[int, Files]:
     ts = _load_panel(args)
-    out = _resolve_out(args)
     tree = parse_partition_tree(Path(args.tree).read_text(encoding="utf-8"))
     report = build_hierarchy(ts, tree, args.omega)
     node_rows = []
@@ -348,86 +283,33 @@ def _cmd_hierarchy(args) -> int:
         if node.series is not None:
             for pid, f, q in zip(ts.period_ids, node.series.consumption, node.series.price):
                 index_rows.append([node.name, pid, repr(float(f)), repr(float(q))])
-    _write_csv(out / "hierarchy_nodes.csv",
-               ["name", "size", "harp_pass", "omega_h", "status"], node_rows)
-    _write_csv(out / "hierarchy_indices.csv",
-               ["node", "period", "consumption_index", "price_index"], index_rows)
     text = render_tree(report)
-    (out / "tree.txt").write_text(text + "\n", encoding="utf-8")
     print(text)
-    RunManifest("hierarchy", _manifest_params(args, ["tree", "omega"],
-                                              [args.prices, args.quantities])).write(out)
-    return EXIT_OK
+    return EXIT_OK, {
+        "hierarchy_nodes.csv": (["name", "size", "harp_pass", "omega_h", "status"], node_rows),
+        "hierarchy_indices.csv": (["node", "period", "consumption_index", "price_index"], index_rows),
+        "tree.txt": text + "\n",
+    }
 
 
-def _cmd_fixture(args) -> int:
+def _cmd_fixture(args, out: Path) -> tuple[int, Files]:
     if args.name != "appendix2":
         raise TradeDataError(f"unknown fixture {args.name!r}; available: appendix2")
     fix = CounterexampleFixture(epsilon=args.epsilon)
-    out = _resolve_out(args)
     ts = fix.statistics()
-    _write_statistics_csv(ts, out / "prices.csv", out / "quantities.csv")
-    levels = intersection_demands(fix)
-    _write_csv(out / "intersection_demands.csv", ["period", "expenditure"],
-               [[pid, repr(float(x))] for pid, x in zip(ts.period_ids, levels)])
+    files = _panel_files(ts)
+    files["intersection_demands.csv"] = (["period", "expenditure"],
+                                         [[pid, repr(float(x))]
+                                          for pid, x in zip(ts.period_ids, intersection_demands(fix))])
     cone = gamma_coefficients(ts, 1.0, np.asarray(fix.price_new))
-    _write_csv(out / "gamma.csv", ["period", "gamma"],
-               [[pid, repr(float(g))] for pid, g in zip(ts.period_ids, cone.gamma)])
-    poly = kh_polytope(cone, fix.expenditure_new)
-    _write_csv(out / "polytope.csv",
-               ["constraint", *poly.variables, "sense", "rhs"],
-               [[c.label, *(repr(v) for v in c.coeffs), c.sense, repr(c.rhs)]
-                for c in poly.constraints])
-    vertices = enumerate_vertices(poly)
-    _write_csv(out / "vertices.csv", list(poly.variables),
-               [[repr(float(v)) for v in vertex] for vertex in vertices])
-    wrote = ["prices.csv", "quantities.csv", "intersection_demands.csv",
-             "gamma.csv", "polytope.csv", "vertices.csv"]
+    cone_files, vertices = _cone_files(ts, cone, fix.expenditure_new)
+    files.update(cone_files)
     if args.check_inclusion:
-        verdict = _check_inclusion(fix, cone, vertices)
+        verdict = check_inclusion(fix, cone, vertices)
         print(verdict)
-        (out / "inclusion.txt").write_text(verdict + "\n", encoding="utf-8")
-        wrote.append("inclusion.txt")
-    print(f"wrote {', '.join(wrote)} to {out}")
-    RunManifest("fixture", _manifest_params(args, ["epsilon", "check_inclusion"],
-                                            [args.name])).write(out)
-    return EXIT_OK
-
-
-def _check_inclusion(fix: CounterexampleFixture, cone, vertices: np.ndarray) -> str:
-    """Verify the homothetic set sits strictly inside the acyclic support set."""
-    base = fix.statistics()
-    support = fix.intersection_statistics()
-    price_new = np.asarray(fix.price_new, dtype=float)
-    rng = np.random.default_rng(0)
-    inside = [v for v in vertices]
-    for _ in range(200):  # random points of the homothetic slice
-        weights = rng.dirichlet(np.ones(len(vertices)))
-        inside.append(weights @ vertices)
-    for point in inside:
-        if not kg_membership(support, 1.0, price_new, point):
-            return "inclusion FAILED: a homothetic forecast point left the support set"
-    strict = _strict_inclusion_witness(fix, cone, base, support, price_new)
-    if strict is None:
-        return "inclusion holds but no strict witness found"
-    return ("homothetic forecasting set is strictly contained in the acyclic support set; "
-            f"witness in support set but not homothetic: {np.round(strict, 6).tolist()}")
-
-
-def _strict_inclusion_witness(fix, cone, base, support, price_new):
-    rng = np.random.default_rng(1)
-    for _ in range(2000):
-        draw = rng.dirichlet(np.ones(base.num_goods)) * fix.expenditure_new
-        point = draw / float(price_new @ draw) * fix.expenditure_new
-        if kg_membership(support, 1.0, price_new, point) and not kh_membership(cone, base, point):
-            return point
-    return None
-
-
-def _cmd_replay(args) -> int:
-    manifest = RunManifest.load(args.manifest)
-    argv = manifest.to_argv(out_dir=args.out)
-    return main(argv)
+        files["inclusion.txt"] = verdict + "\n"
+    print(f"wrote {', '.join(files)} to {out}")
+    return EXIT_OK, files
 
 
 # ---------------------------------------------------------------------------
@@ -517,7 +399,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("replay", help="rerun a command from its manifest")
     p.add_argument("manifest", help="path to a manifest.json written by a previous run")
     p.add_argument("--out", default=None, help="override the output directory")
-    p.set_defaults(handler=_cmd_replay)
 
     return parser
 
@@ -526,8 +407,14 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        if args.command == "replay":
+            return main(RunManifest.load(args.manifest).to_argv(out_dir=args.out))
         validate_level(getattr(args, "omega", 1.0), getattr(args, "tolerance", 0.0))
-        return args.handler(args)
+        out = Path(args.out or os.environ.get(OUTPUT_DIR_ENV) or "konus-out")
+        code, files = args.handler(args, out)
+        _write_files(out, files)
+        RunManifest.from_args(args).write(out)
+        return code
     except (TradeDataError, FileNotFoundError, json.JSONDecodeError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_INPUT

@@ -7,7 +7,9 @@ omega-discounted closure of the Paasche matrix.  The size of the acyclicity-
 and homotheticity-based forecasting sets is measured by the fraction of
 random unit price vectors that keep the panel consistent; the trials run in
 batches, each on its own ``(seed, trial)`` substream, so the counts are
-bit-identical for any batch size.
+bit-identical for any batch size.  The appendix-2 counterexample fixture,
+whose homothetic forecasting set sits strictly inside the acyclic support
+set, lives here with its inclusion check.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ import numpy as np
 from ._mc import batch_size, count_trials, trial_rng
 from .axioms import _garp_satisfied, _harp_verdict, _verdicts, check_harp
 from .afriat import InfeasibleAxiomError
-from .core import FloatArray, TradeStatistics, cross_value_matrix, validate_level
+from .core import FloatArray, TradeStatistics, cross_value_matrix, trade_statistics, validate_level
 from .semiring import ClosureMatrix, maxtimes_closure, maxtimes_product
 
 VERTEX_ENUMERATION_MAX_DIM = 4
@@ -379,3 +381,93 @@ def forecast_size(ts: TradeStatistics, axiom: str, trials: int, seed: int) -> Si
         raise ValueError(f"unknown axiom {axiom!r}; expected 'garp' or 'harp'")
     garp_report, harp_report = forecast_size_paired(ts, trials, seed)
     return garp_report if key == "garp" else harp_report
+
+
+# ---------------------------------------------------------------------------
+# counterexample fixture: three ray Engel curves over three goods
+
+
+@dataclass(frozen=True)
+class CounterexampleFixture:
+    """Three-good fixture with ray Engel curves and a fourth evaluation budget.
+
+    Demand directions put weight one on the own good and ``epsilon`` on the
+    others; the base panel passes both axioms for every ``epsilon`` below one.
+    The forecasting exercise evaluates demand at the unit price vector with
+    expenditure two, where the homothetic forecasting set is a strict subset
+    of the acyclicity-based support set built from intersection demands.
+    """
+
+    epsilon: float = 0.0
+    prices: tuple[tuple[float, ...], ...] = ((2.0, 1.0, 4.0), (2.0, 1.0, 2.0), (2.0, 2.0, 1.0))
+    price_new: tuple[float, ...] = (1.0, 1.0, 1.0)
+    expenditure_new: float = 2.0
+
+    def __post_init__(self) -> None:
+        if not 0.0 <= self.epsilon < 1.0:
+            raise ValueError("epsilon must lie in [0, 1)")
+
+    def directions(self) -> np.ndarray:
+        m = len(self.prices[0])
+        return np.where(np.eye(m, dtype=bool), 1.0, self.epsilon)
+
+    def demand(self, period: int, expenditure: float) -> np.ndarray:
+        """Ray Engel curve: demand is the direction scaled by expenditure."""
+        return self.directions()[period] * expenditure
+
+    def statistics(self) -> TradeStatistics:
+        """Base panel with unit-parameter demands."""
+        return trade_statistics(np.asarray(self.prices, dtype=float), self.directions())
+
+    def intersection_statistics(self) -> TradeStatistics:
+        """Panel with each demand scaled to cross the new budget plane."""
+        levels = intersection_demands(self)
+        quantities = self.directions() * levels[:, np.newaxis]
+        return trade_statistics(np.asarray(self.prices, dtype=float), quantities)
+
+
+def intersection_demands(fix: CounterexampleFixture) -> np.ndarray:
+    """Expenditure levels at which each Engel curve meets the new budget plane.
+
+    Solves ``<price_new, direction_t * level> = expenditure_new`` per period;
+    linear because the curves are rays.
+    """
+    price_new = np.asarray(fix.price_new, dtype=float)
+    inner = fix.directions() @ price_new
+    if np.any(inner <= 0.0):
+        raise ValueError("degenerate demand direction: zero inner product with the new price")
+    return fix.expenditure_new / inner
+
+
+def check_inclusion(fix: CounterexampleFixture, cone: ForecastCone, vertices: np.ndarray) -> str:
+    """Verify the homothetic set sits strictly inside the acyclic support set.
+
+    ``cone`` and ``vertices`` are the fixture's homothetic cone and the
+    vertices of its slice at the new expenditure.
+    """
+    base = fix.statistics()
+    support = fix.intersection_statistics()
+    price_new = np.asarray(fix.price_new, dtype=float)
+    rng = np.random.default_rng(0)
+    inside = [v for v in vertices]
+    for _ in range(200):  # random points of the homothetic slice
+        weights = rng.dirichlet(np.ones(len(vertices)))
+        inside.append(weights @ vertices)
+    for point in inside:
+        if not kg_membership(support, 1.0, price_new, point):
+            return "inclusion FAILED: a homothetic forecast point left the support set"
+    strict = _strict_inclusion_witness(fix, cone, base, support, price_new)
+    if strict is None:
+        return "inclusion holds but no strict witness found"
+    return ("homothetic forecasting set is strictly contained in the acyclic support set; "
+            f"witness in support set but not homothetic: {np.round(strict, 6).tolist()}")
+
+
+def _strict_inclusion_witness(fix, cone, base, support, price_new):
+    rng = np.random.default_rng(1)
+    for _ in range(2000):
+        draw = rng.dirichlet(np.ones(base.num_goods)) * fix.expenditure_new
+        point = draw / float(price_new @ draw) * fix.expenditure_new
+        if kg_membership(support, 1.0, price_new, point) and not kh_membership(cone, base, point):
+            return point
+    return None

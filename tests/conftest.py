@@ -12,7 +12,7 @@ import pytest
 from hypothesis import settings
 
 from konus import econometrics, forecast, trade_statistics
-from konus.cli import CounterexampleFixture
+from konus.forecast import CounterexampleFixture
 
 # Property tests draw the same examples on every run and have no per-example deadline.
 settings.register_profile("konus", derandomize=True, deadline=None, max_examples=100)

@@ -38,7 +38,7 @@ from konus import (
     verify_afriat_solution,
     verify_harp_multipliers,
 )
-from konus.cli import CounterexampleFixture, intersection_demands
+from konus.forecast import CounterexampleFixture, intersection_demands
 from konus.hierarchy import TreeNode, build_hierarchy
 
 from conftest import BATCH_SIZES, batches_of, closure_by_paths, near_homothetic_panel, random_panel

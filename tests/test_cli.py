@@ -7,7 +7,8 @@ import numpy as np
 import pytest
 
 from konus import cobb_douglas_statistics
-from konus.cli import CounterexampleFixture, RunManifest, _write_statistics_csv, intersection_demands, main
+from konus.cli import RunManifest, _panel_files, _write_files, main
+from konus.forecast import CounterexampleFixture, intersection_demands
 
 TWO_PERIOD_PRICES = "period,g1,g2\nt1,1,2\nt2,2,1\n"
 TWO_PERIOD_QUANTITIES = "period,g1,g2\nt1,1,1\nt2,2,1\n"
@@ -19,6 +20,11 @@ def write_two_period(tmp_path: Path):
     prices.write_text(TWO_PERIOD_PRICES)
     quantities.write_text(TWO_PERIOD_QUANTITIES)
     return str(prices), str(quantities)
+
+
+def write_power_panel(tmp_path: Path):
+    _write_files(tmp_path, _panel_files(cobb_douglas_statistics(6, 4, seed=8)))
+    return str(tmp_path / "prices.csv"), str(tmp_path / "quantities.csv")
 
 
 def emit_fixture(tmp_path: Path, epsilon=0.0):
@@ -142,16 +148,14 @@ def test_forecast_command_requires_work(tmp_path, capsys):
 
 
 def test_power_and_groups_commands(tmp_path, capsys):
-    rng = np.random.default_rng(0)
-    ts = cobb_douglas_statistics(6, 4, seed=8)
-    _write_statistics_csv(ts, tmp_path / "p.csv", tmp_path / "q.csv")
+    prices, quantities = write_power_panel(tmp_path)
     pdir = tmp_path / "power"
-    assert main(["power", str(tmp_path / "p.csv"), str(tmp_path / "q.csv"),
+    assert main(["power", prices, quantities,
                  "--trials", "200", "--seed", "4", "--out", str(pdir)]) == 0
     header, row = (pdir / "power.csv").read_text().strip().splitlines()
     assert header == "trials,w_hat_g,w_hat_h,seed"
     gdir = tmp_path / "groups"
-    assert main(["groups", str(tmp_path / "p.csv"), str(tmp_path / "q.csv"),
+    assert main(["groups", prices, quantities,
                  "--sizes", "2,4", "--samples", "30", "--seed", "4", "--out", str(gdir)]) == 0
     lines = (gdir / "groups.csv").read_text().strip().splitlines()
     assert lines[0] == "size,samples,p_garp,p_harp,skipped"
@@ -216,13 +220,6 @@ def test_invalid_level_fails_before_any_output(tmp_path, capsys):
         assert not out.exists()
 
 
-
-def write_power_panel(tmp_path: Path):
-    prices, quantities = tmp_path / "p.csv", tmp_path / "q.csv"
-    _write_statistics_csv(cobb_douglas_statistics(6, 4, seed=8), prices, quantities)
-    return str(prices), str(quantities)
-
-
 def test_workers_option_is_refused_before_any_output(tmp_path, capsys):
     prices, quantities = write_power_panel(tmp_path)
     runs = [["forecast", prices, quantities, "--size-trials", "10", "--seed", "1"],
@@ -277,3 +274,91 @@ def test_groups_without_a_valid_group_exit_two(tmp_path, capsys):
     assert code == 2
     assert captured.out == ""
     assert "input error: no valid groups of size 2" in captured.err
+
+
+def write_tree(tmp_path: Path, text: str) -> str:
+    path = tmp_path / "tree.json"
+    path.write_text(text)
+    return str(path)
+
+
+def fixture_panel(tmp_path: Path):
+    out = emit_fixture(tmp_path)
+    return str(out / "prices.csv"), str(out / "quantities.csv")
+
+
+TREE = {"name": "root", "goods": ["g4"], "children": [{"name": "ab", "goods": ["g1", "g2", "g3"]}]}
+
+# command -> (arguments after the panel, manifest params other than the panel)
+MANIFEST_CASES = {
+    "test": ([], {"axiom": "both", "omega": 1.0, "tolerance": 0.0}),
+    "indices": (["--omega", "1.5", "--tolerance", "0.001"], {"omega": 1.5, "tolerance": 0.001}),
+    "irrationality": ([], {}),
+    "forecast": (["--new-price", "1,1,1,1", "--expenditure", "2", "--size-trials", "50", "--seed", "3"],
+                 {"omega": 1.0, "new_price": "1,1,1,1", "expenditure": 2.0, "size_trials": 50, "seed": 3}),
+    "power": (["--trials", "50", "--seed", "3"], {"trials": 50, "seed": 3}),
+    "groups": (["--sizes", "2,3", "--samples", "20", "--seed", "3"], {"sizes": "2,3", "samples": 20, "seed": 3}),
+    "hierarchy": (["--tree", "TREE"], {"tree": "TREE", "omega": 1.0}),
+}
+
+
+@pytest.mark.parametrize("command", [*MANIFEST_CASES, "fixture", "fixture-inclusion"])
+def test_manifest_lists_every_option_and_replays_every_file(tmp_path, command, capsys):
+    if command.startswith("fixture"):
+        extra = ["--check-inclusion"] if command == "fixture-inclusion" else []
+        argv = ["fixture", "appendix2", "--epsilon", "0.25", *extra]
+        expected = {"epsilon": 0.25, "check_inclusion": bool(extra), "positional": ["appendix2"]}
+    else:
+        panel = list(write_power_panel(tmp_path))
+        tree = write_tree(tmp_path, json.dumps(TREE))
+        extra, params = MANIFEST_CASES[command]
+        argv = [command, *panel, *(tree if arg == "TREE" else arg for arg in extra)]
+        expected = {key: tree if value == "TREE" else value for key, value in params.items()}
+        expected["positional"] = panel
+    run = tmp_path / "run"
+    assert main([*argv, "--out", str(run)]) == 0
+    manifest = json.loads((run / "manifest.json").read_text())
+    assert manifest["command"] == argv[0]
+    assert manifest["params"] == expected
+    assert manifest["out_dir"] == str(run)
+    replayed = tmp_path / "replayed"
+    assert main(["replay", str(run / "manifest.json"), "--out", str(replayed)]) == 0
+    names = sorted(path.name for path in run.iterdir())
+    assert names == sorted(path.name for path in replayed.iterdir())
+    assert len(names) > 1
+    for name in names:
+        if name != "manifest.json":
+            assert (replayed / name).read_bytes() == (run / name).read_bytes(), name
+    assert json.loads((replayed / "manifest.json").read_text())["params"] == expected
+    capsys.readouterr()
+
+
+# case -> (argv without --out, built in a scratch directory; exit code)
+FAILING_RUNS = {
+    "indices-inconsistent": (lambda d: ["indices", *write_two_period(d)], 1),
+    "power-no-trials": (lambda d: ["power", *write_power_panel(d), "--trials", "0", "--seed", "1"], 2),
+    "groups-size-above-goods": (
+        lambda d: ["groups", *write_power_panel(d), "--sizes", "9", "--samples", "5", "--seed", "1"], 2),
+    "forecast-negative-size-trials": (
+        lambda d: ["forecast", *write_power_panel(d), "--size-trials", "-3", "--seed", "1"], 2),
+    "hierarchy-truncated-tree": (
+        lambda d: ["hierarchy", *write_power_panel(d), "--tree", write_tree(d, '{"name": "root", "goods": [')], 2),
+    "hierarchy-missing-tree": (
+        lambda d: ["hierarchy", *write_power_panel(d), "--tree", str(d / "missing.json")], 2),
+    "groups-no-valid-group": (
+        lambda d: ["groups", *fixture_panel(d), "--sizes", "2", "--samples", "40", "--seed", "1"], 2),
+}
+
+
+@pytest.mark.parametrize("case", FAILING_RUNS)
+def test_failed_command_leaves_no_output_directory(tmp_path, case, capsys):
+    build, expected_code = FAILING_RUNS[case]
+    argv = build(tmp_path)
+    capsys.readouterr()
+    out = tmp_path / "out"
+    code = main([*argv, "--out", str(out)])
+    captured = capsys.readouterr()
+    assert code == expected_code
+    assert captured.out == ""
+    assert captured.err != ""
+    assert not out.exists()

@@ -17,7 +17,7 @@ from konus import (
     restrict_to_group,
     trade_statistics,
 )
-from konus.cli import CounterexampleFixture
+from konus.forecast import CounterexampleFixture
 
 from conftest import random_panel
 

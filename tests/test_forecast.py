@@ -21,7 +21,7 @@ from konus import (
     sample_positive_sphere,
     trade_statistics,
 )
-from konus.cli import CounterexampleFixture
+from konus.forecast import CounterexampleFixture
 
 from conftest import BATCH_SIZES, batches_of, random_panel
 
