@@ -93,7 +93,6 @@ from .irrationality import (
 )
 from .semiring import (
     BooleanRelation,
-    ClosureMatrix,
     NoAdmissibleCycleError,
     OracleBudgetError,
     boolean_closure,

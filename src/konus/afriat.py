@@ -113,7 +113,7 @@ def solve_harp_multipliers(ts: TradeStatistics, omega: float = 1.0, *,
         raise InfeasibleAxiomError(
             f"homotheticity fails at omega={omega}; no multipliers exist", verdict.witness
         )
-    lam = np.maximum(1.0, closure.values.max(axis=1))
+    lam = np.maximum(1.0, closure.max(axis=1))
     lam = lam / lam[0]
     lm = HarpMultipliers(lam=lam, omega=omega)
     verify_harp_multipliers(lm, ts)
@@ -125,7 +125,8 @@ def solve_afriat_numbers(ts: TradeStatistics, omega: float = 1.0, *,
     """Utility levels and multipliers via the iterative maximal-class algorithm.
 
     Repeatedly peels off a maximal equivalence class of the level-omega
-    relation restricted to the unprocessed periods, assigning the class its
+    relation restricted to the unprocessed periods, read off one transitive
+    closure of the whole relation in O(T^3), assigning the class its
     utility by a min formula over processed periods and its multiplier by the
     dual max formula.  Tie-breaking is lowest index first; the contract is
     feasibility of the output, not specific values.
@@ -141,10 +142,11 @@ def solve_afriat_numbers(ts: TradeStatistics, omega: float = 1.0, *,
     lam = np.zeros(T)
     remaining: list[int] = list(range(T))
     processed: list[int] = []
-    rel_full = _relation(px, omega, tol)
+    reach = boolean_closure(_relation(px, omega, tol))
     while remaining:
-        sub = np.ix_(remaining, remaining)
-        closure = boolean_closure(rel_full[sub])
+        # A peeled class is maximal, so no walk between two remaining periods
+        # passes through it: restricting the closure closes the restriction.
+        closure = reach[np.ix_(remaining, remaining)]
         maximal = None
         for pos, cand in enumerate(remaining):
             reaches_cand = closure[:, pos]

@@ -22,13 +22,12 @@ from .core import (
 )
 from .semiring import (
     FLOAT_SLACK,
-    ClosureMatrix,
     OracleBudgetError,
     _admissible_cycles,
     _canonical_rotation,
+    _relax,
     boolean_closure,
     maxtimes_closure,
-    maxtimes_converged,
     shortest_cycle_above,
 )
 
@@ -160,18 +159,18 @@ def check_garp(ts: TradeStatistics, omega: float = 1.0, *, tol: float = 0.0) -> 
 
 
 def _scaled_paasche(px: FloatArray, omega: float) -> FloatArray:
-    """The omega-scaled Paasche matrix with its diagonal zeroed, of one px or of each in a stack."""
+    """The omega-scaled Paasche matrix with its diagonal zeroed, of one px or of each in a stack.
+
+    Dividing by an omega below one can overflow a finite Paasche entry, so
+    the result is checked here, for the single and the stacked closure alike.
+    """
     scaled = paasche_matrix(px)
     if omega != 1.0:  # dividing by one changes no bit
         scaled /= omega
     _zero_diagonal(scaled)
+    if omega != 1.0 and not np.isfinite(scaled).all():
+        raise ValueError("matrix must be finite")
     return scaled
-
-
-def _harp_closure(px: FloatArray, omega: float, tol: float) -> tuple[FloatArray, ClosureMatrix]:
-    """The omega-scaled Paasche matrix with its diagonal zeroed, and its max-times closure."""
-    scaled = _scaled_paasche(px, omega)
-    return scaled, maxtimes_closure(scaled, tol=tol)
 
 
 def _verdicts(px: FloatArray, omega: float = 1.0, tol: float = 0.0) -> tuple[np.ndarray, np.ndarray]:
@@ -185,24 +184,24 @@ def _verdicts(px: FloatArray, omega: float = 1.0, tol: float = 0.0) -> tuple[np.
     different directions.
     """
     garp_ok = ~_garp_violations(px, omega, tol)[1].any(axis=(1, 2))
-    return garp_ok, maxtimes_converged(_scaled_paasche(px, omega), tol=tol)
+    return garp_ok, ~_relax(_scaled_paasche(px, omega), (1.0 + tol) * (1.0 + FLOAT_SLACK))
 
 
 def _harp_verdict(ts: TradeStatistics, omega: float,
-                  tol: float) -> tuple[AxiomVerdict, ClosureMatrix | None]:
+                  tol: float) -> tuple[AxiomVerdict, FloatArray | None]:
     """Homotheticity verdict at one level, with the closure it was read from on success.
 
     The closure is the max-times closure of the omega-scaled Paasche matrix
-    with its diagonal zeroed.  On failure its partial state means nothing,
-    so it is dropped before the witness search and ``None`` is returned in
-    its place; the verdict then carries the shortest violating cycle.
+    with its diagonal zeroed.  On failure there is none: ``None`` is
+    returned in its place, and the verdict carries the shortest violating
+    cycle.
     """
     validate_level(omega, tol)
     px = cross_value_matrix(ts)
-    scaled, closure = _harp_closure(px, omega, tol)
-    if not closure.diverged:
+    scaled = _scaled_paasche(px, omega)
+    closure = maxtimes_closure(scaled, tol=tol)
+    if closure is not None:
         return AxiomVerdict(satisfied=True, omega=omega), closure
-    del closure
     bound = (1.0 + tol) * (1.0 + FLOAT_SLACK)
     cycle = shortest_cycle_above(scaled, bound)
     if cycle is None:  # pragma: no cover - closure divergence implies a violating cycle

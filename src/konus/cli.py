@@ -230,6 +230,8 @@ def _cmd_irrationality(args, out: Path) -> tuple[int, Files]:
 
 
 def _cmd_forecast(args, out: Path) -> tuple[int, Files]:
+    if args.expenditure is not None and not args.new_price:
+        raise TradeDataError("--expenditure needs --new-price")
     ts = _load_panel(args)
     files: Files = {}
     if args.new_price:
@@ -411,6 +413,9 @@ def main(argv=None) -> int:
             return main(RunManifest.load(args.manifest).to_argv(out_dir=args.out))
         validate_level(getattr(args, "omega", 1.0), getattr(args, "tolerance", 0.0))
         out = Path(args.out or os.environ.get(OUTPUT_DIR_ENV) or "konus-out")
+        blocking = next((p for p in (out, *out.parents) if p.exists() and not p.is_dir()), None)
+        if blocking is not None:
+            raise TradeDataError(f"cannot make output directory {out}: {blocking} is not a directory")
         code, files = args.handler(args, out)
         _write_files(out, files)
         RunManifest.from_args(args).write(out)

@@ -24,7 +24,7 @@ from ._mc import batch_size, count_trials, trial_rng
 from .axioms import _garp_satisfied, _harp_verdict, _verdicts, check_harp
 from .afriat import InfeasibleAxiomError
 from .core import FloatArray, TradeStatistics, cross_value_matrix, trade_statistics, validate_level
-from .semiring import ClosureMatrix, maxtimes_closure, maxtimes_product
+from .semiring import maxtimes_closure
 
 VERTEX_ENUMERATION_MAX_DIM = 4
 # Square subsystems that vertex enumeration ranks, solves and tests together.
@@ -50,14 +50,13 @@ class ForecastCone:
 class LawOfDemandEstimate:
     """Step-function matrix ``D`` and its max-times path maxima ``Delta``.
 
-    ``diverged`` marks a cycle of ``D`` with product above one, in which case
-    the outer estimate is empty.
+    ``path_matrix`` is ``None`` when a cycle of ``D`` has product above one;
+    the outer estimate is then empty.
     """
 
     omega: float
     step_matrix: FloatArray
-    path_matrix: FloatArray
-    diverged: bool
+    path_matrix: FloatArray | None
 
 
 @dataclass(frozen=True)
@@ -90,12 +89,13 @@ class PolytopeDescription:
     constraints: tuple[LinearConstraint, ...]
 
 
-def omega_closure(paasche: FloatArray, omega: float) -> ClosureMatrix:
+def omega_closure(paasche: FloatArray, omega: float) -> FloatArray | None:
     """Max-times closure of the omega-discounted Paasche matrix, diagonal included.
 
     A walk with ``k`` intermediate indices contributes
     ``omega ** -(k + 1)`` times its Paasche product, so the closure collects
-    the discounted path maxima needed by the cone coefficients.
+    the discounted path maxima needed by the cone coefficients.  ``None``
+    where the closure diverges.
     """
     validate_level(omega)
     if omega < 1.0:
@@ -120,7 +120,7 @@ def gamma_coefficients(ts: TradeStatistics, omega: float, price_new) -> Forecast
         )
     if omega < 1.0:
         raise ValueError("omega must be at least 1")
-    paths = closure.values.copy()
+    paths = closure.copy()
     np.fill_diagonal(paths, np.maximum(paths.diagonal(), 1.0 / omega))
     new_values = ts.quantities @ price_new           # <price_new, X^t>
     numerators = omega * omega * new_values / ts.expenditures()
@@ -253,32 +253,20 @@ def _step(values: np.ndarray) -> np.ndarray:
     return (values > 0.0).astype(float)
 
 
-def law_of_demand_estimate(ts: TradeStatistics, omega: float,
-                           *, include_direct_edge: bool = True) -> LawOfDemandEstimate:
+def law_of_demand_estimate(ts: TradeStatistics, omega: float) -> LawOfDemandEstimate:
     """Step matrix ``D`` and its path maxima ``Delta`` for the demand-law outer set.
 
     ``D[s, t] = max(px[t, t] / (omega px[s, t]), step(px[s, s] / px[s, t] - omega))``.
-    ``Delta`` collects max-times walk products of ``D``; with
-    ``include_direct_edge`` the single-edge walk counts (the default, which
-    can only tighten the outer estimate), otherwise walks need at least one
-    intermediate index.
+    ``Delta`` collects max-times products of the walks of ``D`` with at
+    least one edge, the single-edge walk included.
     """
     validate_level(omega)
     px = cross_value_matrix(ts)
     diag = px.diagonal()
     ratio = diag[np.newaxis, :].T / px  # px[s, s] / px[s, t]
     step_matrix = np.maximum(diag[np.newaxis, :] / (omega * px), _step(ratio - omega))
-    closure = maxtimes_closure(step_matrix)
-    if closure.diverged:
-        return LawOfDemandEstimate(omega=omega, step_matrix=step_matrix,
-                                   path_matrix=closure.values, diverged=True)
-    if include_direct_edge:
-        path = closure.values
-    else:
-        # at least one intermediate: one step followed by any walk
-        path = maxtimes_product(step_matrix, closure.values)
     return LawOfDemandEstimate(omega=omega, step_matrix=step_matrix,
-                               path_matrix=path, diverged=False)
+                               path_matrix=maxtimes_closure(step_matrix))
 
 
 def law_of_demand_outer(
@@ -288,18 +276,15 @@ def law_of_demand_outer(
     x,
     expenditure: float | None = None,
     *,
-    include_direct_edge: bool = True,
-    forward_delta: bool = False,
     tol: float = 0.0,
 ) -> bool:
     """Necessary condition for the extension to respect the law of demand.
 
     Evaluates, for every period pair ``(s, t)``, the product of the two
     step-style brackets linking the new observation to periods ``s`` and ``t``
-    against ``1 / Delta``.  The default pairs the bound with the return path
-    ``t -> s``, which is exactly cycle consistency of the extended step
-    matrix; ``forward_delta`` switches to the forward path ``s -> t`` variant.
-    True is necessary, not sufficient, for demand-law-consistent extensions.
+    against ``1 / Delta`` of the return path ``t -> s``, which is exactly
+    cycle consistency of the extended step matrix.  True is necessary, not
+    sufficient, for demand-law-consistent extensions.
     """
     validate_level(omega, tol)
     if omega < 1.0:
@@ -312,8 +297,8 @@ def law_of_demand_outer(
         raise InfeasibleAxiomError(
             f"homotheticity fails at omega={omega}", verdict.witness
         )
-    estimate = law_of_demand_estimate(ts, omega, include_direct_edge=include_direct_edge)
-    if estimate.diverged:
+    estimate = law_of_demand_estimate(ts, omega)
+    if estimate.path_matrix is None:
         return False
     px = cross_value_matrix(ts)
     diag = px.diagonal()
@@ -321,8 +306,7 @@ def law_of_demand_outer(
     new_at_obs = ts.quantities @ price_new  # <price_new, X^t>
     into_new = np.maximum(spend_new / (omega * obs_at_new), _step(diag / obs_at_new - 1.0))
     out_of_new = np.maximum(diag / (omega * new_at_obs), _step(spend_new / (omega * new_at_obs) - 1.0))
-    delta = estimate.path_matrix if forward_delta else estimate.path_matrix.T
-    products = into_new[:, np.newaxis] * out_of_new[np.newaxis, :] * delta
+    products = into_new[:, np.newaxis] * out_of_new[np.newaxis, :] * estimate.path_matrix.T
     return bool(np.all(products <= 1.0 + tol + 1e-12))
 
 

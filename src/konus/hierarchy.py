@@ -79,7 +79,11 @@ def _parse_node(node, path: str) -> TreeNode:
 
 
 def validate_tree(ts: TradeStatistics, tree: TreeNode) -> None:
-    """Check good ids exist and sibling good sets are disjoint, recursively."""
+    """Check good ids exist and sibling good sets are disjoint.
+
+    The root's covered goods list every node's goods, so one pass over them
+    checks the whole tree.
+    """
     seen: set[str] = set()
     for gid in tree.covered_goods():
         if gid not in ts.good_ids:
@@ -87,8 +91,6 @@ def validate_tree(ts: TradeStatistics, tree: TreeNode) -> None:
         if gid in seen:
             raise TradeDataError(f"good id {gid!r} appears in overlapping groups under {tree.name!r}")
         seen.add(gid)
-    for child in tree.children:
-        validate_tree(ts, child)
 
 
 @dataclass(frozen=True, eq=False)

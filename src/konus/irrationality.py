@@ -54,33 +54,28 @@ def garp_irrationality(ts: TradeStatistics, *, tol: float = 0.0) -> tuple[float,
     """Infimum of the levels at which the acyclicity test passes, with attainment.
 
     Verdicts are constant between consecutive breakpoints and monotone in the
-    level, so scanning breakpoints and interval midpoints decides the infimum
-    exactly.  A single observation passes vacuously at every positive level,
-    reported as infimum zero, not attained.  Probes are verdict-only.
+    level, so a bisection over the breakpoints for the least interval whose
+    midpoint passes, then one probe of the breakpoint that opens it, decides
+    the infimum and its attainment exactly.  Past the last breakpoint the
+    relation is empty, so that interval (probed halfway to ``b + 1``) passes.  A
+    single observation passes vacuously at every positive level, reported
+    as infimum zero, not attained.  Probes are verdict-only.
     """
     validate_level(tol=tol)
     if ts.num_periods < 2:
         return 0.0, False
     px = cross_value_matrix(ts)
     points = _garp_breakpoints(px)
-    # candidates alternate each breakpoint with a probe inside the next interval
-    candidates: list[tuple[float, bool, float]] = []  # (probe level, is breakpoint, reported value)
-    for i, b in enumerate(points):
-        candidates.append((float(b), True, float(b)))
-        above = points[i + 1] if i + 1 < len(points) else b + 1.0
-        candidates.append(((float(b) + float(above)) / 2.0, False, float(b)))
-    lo, hi = 0, len(candidates) - 1
-    if _garp_satisfied(px, candidates[0][0], tol):
-        hi = 0
-    else:
-        while hi - lo > 1:  # first candidate where the test passes (monotone in the level)
-            mid = (lo + hi) // 2
-            if _garp_satisfied(px, candidates[mid][0], tol):
-                hi = mid
-            else:
-                lo = mid
-    _, attained, value = candidates[hi]
-    return value, attained
+    midpoints = (points + np.append(points[1:], points[-1] + 1.0)) / 2.0
+    lo, hi = -1, len(points) - 1  # midpoints[hi] passes; midpoints[lo] fails where lo >= 0
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if _garp_satisfied(px, float(midpoints[mid]), tol):
+            hi = mid
+        else:
+            lo = mid
+    value = float(points[hi])
+    return value, _garp_satisfied(px, value, tol)
 
 
 def garp_irrationality_bisection(ts: TradeStatistics, *, tol: float = 1e-9) -> float:

@@ -9,8 +9,6 @@ routine detects that and reports divergence instead of garbage values.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 from numpy.typing import NDArray
 
@@ -37,19 +35,6 @@ class OracleBudgetError(RuntimeError):
     """Brute-force enumeration would exceed its tuple budget."""
 
 
-@dataclass(frozen=True, eq=False)
-class ClosureMatrix:
-    """Max-times closure values plus a divergence flag.
-
-    When ``diverged`` is set, some cycle product exceeded one during the
-    relaxation and the true closure is infinite; ``values`` then holds the
-    partial state and must not be interpreted.
-    """
-
-    values: FloatArray
-    diverged: bool
-
-
 def _as_square(matrix, name: str = "matrix") -> FloatArray:
     arr = np.array(matrix, dtype=float)
     if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
@@ -72,7 +57,9 @@ def _relax(values: FloatArray, threshold: float):
     memory stays two stacks and ``values`` holds closures only if no trial
     diverged.  Each pivot step is the same elementwise multiply and maximum
     for a single matrix and for every trial of a stack, so a trial's verdict
-    does not depend on the stack it runs in.
+    does not depend on the stack it runs in.  The input must be finite and
+    nonnegative: :func:`maxtimes_closure` checks that, and ``axioms._verdicts``
+    builds its stacks that way.
     """
     stacked = values.ndim == 3
     live = np.arange(len(values)) if stacked else None
@@ -99,39 +86,23 @@ def _relax(values: FloatArray, threshold: float):
     return diverged
 
 
-def maxtimes_closure(matrix, *, tol: float = 0.0) -> ClosureMatrix:
+def maxtimes_closure(matrix, *, tol: float = 0.0) -> FloatArray | None:
     """Floyd-Warshall closure in the (max, *) semiring over walks with >= 1 edge.
 
-    Divergence is declared as soon as a diagonal entry exceeds ``1 + tol``
+    Returns the closure as a read-only array, or ``None`` once it diverges:
+    divergence is declared as soon as a diagonal entry exceeds ``1 + tol``
     (plus the float-rounding slack) at any relaxation stage, because a cycle
     with product above one lets walk products grow without bound.  Runs in
-    O(T^3) multiply-compare steps otherwise, through the same pivot loop as
-    the stacked :func:`maxtimes_converged`.
+    O(T^3) multiply-compare steps otherwise, through :func:`_relax`, the
+    pivot loop the stacked verdicts of ``axioms._verdicts`` run too.
     """
     values = _as_square(matrix)
     if (values < 0.0).any():
         raise ValueError("max-times closure requires a nonnegative matrix")
-    diverged = _relax(values, (1.0 + tol) * (1.0 + FLOAT_SLACK))
-    if not diverged:
-        values.flags.writeable = False
-    return ClosureMatrix(values=values, diverged=diverged)
-
-
-def maxtimes_converged(stack: FloatArray, *, tol: float = 0.0) -> np.ndarray:
-    """Verdict-only max-times closures of a stack ``[B, T, T]``: True where trial b converges.
-
-    Trial b converges iff :func:`maxtimes_closure` of ``stack[b]`` at the
-    same ``tol`` does not diverge; both run the one pivot loop, with the
-    same threshold and the same diagonal check at each pivot.  The stack
-    is relaxed in place, so pass an array the caller no longer needs.
-    """
-    if stack.ndim != 3 or stack.shape[1] != stack.shape[2]:
-        raise ValueError(f"matrix stack must be a stack of square matrices, got shape {stack.shape}")
-    if not np.isfinite(stack).all():
-        raise ValueError("matrix must be finite")
-    if (stack < 0.0).any():
-        raise ValueError("max-times closure requires a nonnegative matrix")
-    return ~_relax(stack, (1.0 + tol) * (1.0 + FLOAT_SLACK))
+    if _relax(values, (1.0 + tol) * (1.0 + FLOAT_SLACK)):
+        return None
+    values.flags.writeable = False
+    return values
 
 
 def boolean_closure(rel) -> BooleanRelation:

@@ -235,7 +235,49 @@ def gamma_by_omega_closure(ts, omega, price_new):
     assert check_harp(ts, omega).satisfied
     closure = omega_closure(paasche_from_statistics(ts), omega)
     numerators = omega * omega * (ts.quantities @ np.asarray(price_new, dtype=float)) / ts.expenditures()
-    return (numerators[:, np.newaxis] / closure.values).min(axis=0)
+    return (numerators[:, np.newaxis] / closure).min(axis=0)
+
+
+def afriat_numbers_by_class_closures(ts, omega=1.0, tol=0.0):
+    """Acyclicity certificate oracle: close the relation on the remaining periods again for every
+    peeled class.  Returns ``(utilities, lam)`` unverified; the acyclicity test must pass."""
+    from konus import boolean_closure, cross_value_matrix
+    from konus.axioms import _relation
+
+    px = cross_value_matrix(ts)
+    T = px.shape[0]
+    utilities = np.zeros(T)
+    lam = np.zeros(T)
+    remaining = list(range(T))
+    processed = []
+    rel_full = _relation(px, omega, tol)
+    while remaining:
+        closure = boolean_closure(rel_full[np.ix_(remaining, remaining)])
+        maximal = next(pos for pos in range(len(remaining))
+                       if np.all(~closure[:, pos] | closure[pos, :]))
+        clazz = [remaining[p] for p in np.flatnonzero(closure[:, maximal])]
+        if remaining[maximal] not in clazz:
+            clazz.append(remaining[maximal])
+        clazz.sort()
+        if not processed:
+            utilities[clazz] = 1.0
+            lam[clazz] = 1.0
+        else:
+            prev = np.asarray(processed, dtype=int)
+            members = np.asarray(clazz, dtype=int)
+            bounds = utilities[prev][np.newaxis, :] + lam[prev][np.newaxis, :] * (
+                omega * px[np.ix_(prev, members)].T - px.diagonal()[prev][np.newaxis, :]
+            )
+            u_new = min(float(bounds.min()), float(utilities[prev].min()))
+            denom = omega * px[np.ix_(members, prev)] - px.diagonal()[members][:, np.newaxis]
+            with np.errstate(divide="ignore", invalid="ignore"):
+                ratios = (utilities[prev][np.newaxis, :] - u_new) / denom
+            ratios = np.where(denom > 0.0, ratios, -np.inf)
+            utilities[clazz] = u_new
+            lam[clazz] = max(1.0, float(ratios.max()))
+        processed.extend(clazz)
+        remaining = [t for t in remaining if t not in clazz]
+    return utilities, lam
 
 
 def simulate_price_paths_by_loop(ts, models, rng):

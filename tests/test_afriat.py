@@ -2,15 +2,18 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import assume, example, given, strategies as st
 
 from konus import (
+    AfriatSolution,
+    CertificateError,
     InfeasibleAxiomError,
     check_garp,
     check_harp,
     cross_value_matrix,
     eval_garp_utility,
     eval_harp_utility,
+    garp_irrationality,
     harp_irrationality,
     konus_divisia_series,
     paasche_matrix,
@@ -21,7 +24,7 @@ from konus import (
     verify_harp_multipliers,
 )
 
-from conftest import closure_by_outer, count_closures, random_panel
+from conftest import afriat_numbers_by_class_closures, closure_by_outer, count_closures, random_panel
 from test_witnesses import panels as witness_panels
 
 
@@ -261,3 +264,22 @@ def test_multipliers_build_one_closure(monkeypatch):
         with pytest.raises(InfeasibleAxiomError):
             solve_harp_multipliers(ts, omega * 0.9)
     assert calls == [6] * 8
+
+
+@given(witness_panels(max_periods=12), st.sampled_from([1.0, 1.0 + 1e-9]) | st.floats(1.0, 1.5),
+       st.sampled_from([0.0, 1e-9]))
+# a cycle of indifference 0 -> 1 -> 2 -> 0 whose class only the closure finds, below a fourth period
+@example(trade_statistics([[1, 1, 2, 3], [2, 1, 1, 3], [1, 2, 1, 3], [1, 1, 1, 1]], np.eye(4)), 1.0, 0.0)
+def test_afriat_numbers_match_per_class_closures_bitwise(ts, slack, tol):
+    # one closure restricted at each step gives the numbers of a fresh closure per peeled class
+    omega = garp_irrationality(ts)[0] * slack
+    assume(check_garp(ts, omega, tol=tol).satisfied)
+    utilities, lam = afriat_numbers_by_class_closures(ts, omega, tol)
+    try:
+        sol = solve_afriat_numbers(ts, omega, tol=tol)
+    except CertificateError:
+        with pytest.raises(CertificateError):
+            verify_afriat_solution(AfriatSolution(utilities=utilities, lam=lam, omega=omega), ts)
+        return
+    assert sol.utilities.tobytes() == utilities.tobytes()
+    assert sol.lam.tobytes() == lam.tobytes()

@@ -247,6 +247,31 @@ def test_non_finite_new_price_fails_before_any_output(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_out_naming_an_existing_file_fails_before_any_output(tmp_path, capsys):
+    prices, quantities = write_two_period(tmp_path)
+    afile = tmp_path / "afile"
+    afile.write_text("kept\n")
+    for out in (afile, afile / "sub"):
+        code = main(["test", prices, quantities, "--out", str(out)])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert f"{afile} is not a directory" in captured.err
+        assert afile.read_text() == "kept\n"
+
+
+def test_expenditure_without_new_price_fails_before_any_output(tmp_path, capsys):
+    prices, quantities = write_power_panel(tmp_path)
+    out = tmp_path / "fc"
+    code = main(["forecast", prices, quantities, "--expenditure", "2", "--size-trials", "10",
+                 "--seed", "1", "--out", str(out)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert "--expenditure needs --new-price" in captured.err
+    assert not out.exists()
+
+
 def test_replay_ignores_the_workers_key_of_older_manifests(tmp_path, capsys):
     prices, quantities = write_power_panel(tmp_path)
     direct = tmp_path / "direct"

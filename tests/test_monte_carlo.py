@@ -19,6 +19,7 @@ from hypothesis.extra.numpy import arrays
 from konus import (
     ARModel,
     TradeDataError,
+    check_harp,
     cobb_douglas_statistics,
     cross_value_matrix,
     fit_price_models,
@@ -30,7 +31,7 @@ from konus import (
     trade_statistics,
 )
 from konus import econometrics, forecast
-from konus.semiring import boolean_closure, maxtimes_closure, maxtimes_converged
+from konus.semiring import FLOAT_SLACK, _relax, boolean_closure, maxtimes_closure
 from konus._mc import trial_rng
 from konus.axioms import _verdicts
 from konus.econometrics import _group_batch, _power_batch, _sampled_group, _simulate_stack
@@ -134,8 +135,8 @@ def test_stacked_closures_match_per_matrix_oracles(trials, order, data):
     elements = st.sampled_from([0.0, 0.5, 1.0, 2.0]) | st.floats(0.0, 1.5)
     matrices = data.draw(arrays(float, (trials, order, order), elements=elements, fill=st.nothing()))
     expected = [not closure_by_outer(matrix)[1] for matrix in matrices]
-    assert maxtimes_converged(matrices.copy()).tolist() == expected
-    assert [not maxtimes_closure(matrix).diverged for matrix in matrices] == expected
+    assert (~_relax(matrices.copy(), 1.0 + FLOAT_SLACK)).tolist() == expected  # the stacked pivot loop
+    assert [maxtimes_closure(matrix) is not None for matrix in matrices] == expected
 
 
 def test_stack_where_every_trial_diverges_at_pivot_zero():
@@ -271,6 +272,16 @@ def test_overflowing_paasche_entries_raise_the_oracle_error():
         assert _error(lambda: forecast_size_paired(ts, 5, 1)) == expected
         assert _error(lambda: random_group_probability(ts, [2], 5, 1)) == \
             _error(lambda: group_verdicts(ts, np.array([0, 1])))
+
+
+def test_overflowing_scaled_paasche_raises_the_oracle_error():
+    # C[0, 1] = 1e7 / 1e-300 is finite, but dividing it by omega = 0.01 overflows
+    px = np.array([[1.0, 1e-300], [1.0, 1e7]])
+    with np.errstate(over="ignore"):
+        expected = _error(lambda: verdicts_by_trial(px, 0.01))
+        assert expected == (ValueError, "matrix must be finite")
+        assert _error(lambda: _verdicts(np.array([px, px]), 0.01)) == expected
+        assert _error(lambda: check_harp(trade_statistics(px, np.eye(2)), 0.01)) == expected
 
 
 def _traced_peak(call):

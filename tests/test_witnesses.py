@@ -13,14 +13,13 @@ from konus import (
     cross_value_matrix,
     garp_irrationality,
     harp_irrationality,
-    law_of_demand_estimate,
     paasche_matrix,
     random_statistics,
     trade_statistics,
 )
 from konus import semiring
 from konus.axioms import _garp_violations
-from konus.semiring import FLOAT_SLACK, maxtimes_closure, maxtimes_product, shortest_cycle_above
+from konus.semiring import FLOAT_SLACK, maxtimes_product, shortest_cycle_above
 
 from conftest import garp_chain_by_pairs, shortest_cycle_by_cube
 from test_axioms import recheck_garp_witness, recheck_harp_witness
@@ -140,22 +139,6 @@ def test_maxtimes_product_is_bitwise_the_cube_maximum(rows, inner, cols, data):
     width = data.draw(st.integers(1, inner), label="block width")
     with small_blocks(rows, cols, width):
         assert np.array_equal(maxtimes_product(left, right), expected)
-
-
-def test_law_of_demand_paths_without_direct_edge_match_the_cube():
-    rng = np.random.default_rng(5)
-    checked = 0
-    for _ in range(40):
-        T, m = int(rng.integers(2, 9)), int(rng.integers(1, 4))
-        ts = trade_statistics(np.exp(rng.normal(0, 0.3, (T, m))), np.exp(rng.normal(0, 0.3, (T, m))))
-        estimate = law_of_demand_estimate(ts, 1.5, include_direct_edge=False)
-        if estimate.diverged:
-            continue
-        checked += 1
-        closure = maxtimes_closure(estimate.step_matrix).values
-        cube = (estimate.step_matrix[:, :, np.newaxis] * closure[np.newaxis, :, :]).max(axis=1)
-        assert np.array_equal(estimate.path_matrix, cube)
-    assert checked > 10
 
 
 def test_t1000_failing_panel_gets_both_witnesses_under_100_mb():
