@@ -64,7 +64,15 @@ class AxiomVerdict:
 
 def _zero_diagonal(matrices: np.ndarray) -> None:
     """Set the diagonal of a matrix, or of each matrix of a stack, to zero (False) in place."""
-    np.einsum("...ii->...i", matrices)[...] = 0  # a writeable view of the diagonals, in any layout
+    if matrices.ndim == 2:
+        matrices.flat[::len(matrices) + 1] = 0  # np.fill_diagonal's stride, without its checks
+    else:
+        np.einsum("...ii->...i", matrices)[...] = 0  # a writeable view of the diagonals, in any layout
+
+
+def _level_bound(px: FloatArray, omega: float, slack: float) -> FloatArray:
+    """``omega * px + slack``; at level one with no slack ``px`` itself, as neither step changes a comparison."""
+    return px if omega == 1.0 and slack == 0.0 else omega * px + slack
 
 
 def _relation(px: FloatArray, omega: float, tol: float) -> np.ndarray:
@@ -72,7 +80,7 @@ def _relation(px: FloatArray, omega: float, tol: float) -> np.ndarray:
 
     Here and in :func:`_garp_violations`, ``px`` may also be a stack ``[B, T, T]``.
     """
-    rel = px.diagonal(0, -2, -1)[..., :, np.newaxis] >= omega * px - tol
+    rel = px.diagonal(0, -2, -1)[..., :, np.newaxis] >= _level_bound(px, omega, -tol)
     _zero_diagonal(rel)
     return rel
 
@@ -81,7 +89,7 @@ def _garp_violations(px: FloatArray, omega: float, tol: float):
     rel = _relation(px, omega, tol)
     closure = boolean_closure(rel)
     # bad[t, s]: t reaches s but the closing comparison px[s, s] <= omega * px[s, t] fails
-    closing_fails = px.diagonal(0, -2, -1)[..., np.newaxis, :] > omega * px.swapaxes(-1, -2) + tol
+    closing_fails = px.diagonal(0, -2, -1)[..., np.newaxis, :] > _level_bound(px.swapaxes(-1, -2), omega, tol)
     bad = closure & closing_fails
     _zero_diagonal(bad)
     return rel, bad

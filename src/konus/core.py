@@ -56,6 +56,46 @@ def _frozen(values: np.ndarray) -> np.ndarray:
     return out
 
 
+def _check_rows(prices: FloatArray, quantities: FloatArray,
+                good_ids: tuple[str, ...], period_ids: tuple[str, ...]) -> None:
+    """Raise :class:`TradeDataError` at the first invalid entry of some rows of a panel.
+
+    ``period_ids`` labels the rows given.  Each check runs over all of them
+    before the next: finiteness, then positive prices, then nonnegative
+    quantities, then no all-zero quantity row.  On rows appended to a valid
+    panel this raises exactly what checking the whole table would.
+    """
+    p_low, p_high = prices.min(), prices.max()
+    q_low, q_high = quantities.min(), quantities.max()
+    # a NaN makes both extrema NaN, and every comparison with NaN is False
+    if not (-np.inf < p_low and p_high < np.inf and -np.inf < q_low and q_high < np.inf):
+        raise TradeDataError("prices and quantities must be finite")
+    if not p_low > 0.0:
+        t, i = np.argwhere(prices <= 0.0)[0]
+        raise TradeDataError("non-positive price", row=period_ids[t], column=good_ids[i])
+    if q_low < 0.0:
+        t, i = np.argwhere(quantities < 0.0)[0]
+        raise TradeDataError("negative quantity", row=period_ids[t], column=good_ids[i])
+    if q_low == 0.0:  # only then can a row be all zero
+        zero_rows = np.flatnonzero(quantities.max(axis=1) <= 0.0)
+        if zero_rows.size:
+            raise TradeDataError("all-zero quantity row", row=period_ids[zero_rows[0]])
+
+
+def _observation(values, m: int) -> FloatArray:
+    """One new observation's ``m`` values: shape ``(m,)`` or ``(1, m)``, or a scalar when ``m`` is one.
+
+    A block of ``k != 1`` rows of ``m`` values raises :class:`TradeDataError`,
+    as a table with the wrong number of period ids does; any other shape
+    raises a plain ``ValueError``.
+    """
+    row = np.asarray(values, dtype=float)
+    if row.shape not in ((m,), (1, m)) and not (m == 1 and row.ndim == 0):
+        error = TradeDataError if row.ndim == 2 and row.shape[1] == m else ValueError
+        raise error(f"a new observation must be one row of {m} values, got shape {row.shape}")
+    return row
+
+
 @dataclass(frozen=True, eq=False)
 class TradeStatistics:
     """Panel of ``T`` observations of prices and demands for ``m`` goods.
@@ -89,17 +129,7 @@ class TradeStatistics:
             raise TradeDataError(f"expected {m} good ids, got {len(good_ids)}")
         if len(period_ids) != T:
             raise TradeDataError(f"expected {T} period ids, got {len(period_ids)}")
-        if not np.all(np.isfinite(prices)) or not np.all(np.isfinite(quantities)):
-            raise TradeDataError("prices and quantities must be finite")
-        if not np.all(prices > 0.0):
-            t, i = np.argwhere(prices <= 0.0)[0]
-            raise TradeDataError("non-positive price", row=period_ids[t], column=good_ids[i])
-        if np.any(quantities < 0.0):
-            t, i = np.argwhere(quantities < 0.0)[0]
-            raise TradeDataError("negative quantity", row=period_ids[t], column=good_ids[i])
-        zero_rows = np.flatnonzero(quantities.max(axis=1) <= 0.0)
-        if zero_rows.size:
-            raise TradeDataError("all-zero quantity row", row=period_ids[zero_rows[0]])
+        _check_rows(prices, quantities, good_ids, period_ids)
         object.__setattr__(self, "prices", _frozen(prices))
         object.__setattr__(self, "quantities", _frozen(quantities))
         object.__setattr__(self, "good_ids", good_ids)
@@ -118,13 +148,28 @@ class TradeStatistics:
         return np.einsum("ti,ti->t", self.prices, self.quantities)
 
     def extended(self, price_new: Sequence[float], quantity_new: Sequence[float]) -> "TradeStatistics":
-        """Statistics with one extra observation, period ``"new"``, appended after the last period."""
-        return TradeStatistics(
-            prices=np.vstack([self.prices, np.asarray(price_new, dtype=float)]),
-            quantities=np.vstack([self.quantities, np.asarray(quantity_new, dtype=float)]),
-            good_ids=self.good_ids,
-            period_ids=self.period_ids + ("new",),
-        )
+        """Statistics with one extra observation, period ``"new"``, appended after the last period.
+
+        Trusts the invariants this panel was validated for and checks only
+        the appended row: each :class:`TradeDataError` carries the message
+        and location that validating the whole extended table would give.
+        """
+        T, m = self.prices.shape
+        prices = np.empty((T + 1, m))
+        quantities = np.empty((T + 1, m))
+        prices[:T] = self.prices
+        quantities[:T] = self.quantities
+        prices[T] = _observation(price_new, m)
+        quantities[T] = _observation(quantity_new, m)
+        period_ids = self.period_ids + ("new",)
+        _check_rows(prices[T:], quantities[T:], self.good_ids, period_ids[T:])
+        prices.flags.writeable = False
+        quantities.flags.writeable = False
+        out = object.__new__(TradeStatistics)  # the whole-table checks of __post_init__ hold already
+        for name, value in (("prices", prices), ("quantities", quantities),
+                            ("good_ids", self.good_ids), ("period_ids", period_ids)):
+            object.__setattr__(out, name, value)
+        return out
 
 
 def trade_statistics(prices, quantities, good_ids=None, period_ids=None) -> TradeStatistics:
@@ -246,12 +291,13 @@ def paasche_matrix(px) -> FloatArray:
     px = np.asarray(px, dtype=float)
     if px.ndim < 2 or px.shape[-1] != px.shape[-2]:
         raise TradeDataError("cross-value matrix must be square")
-    if not (px > 0.0).all():
+    # a NaN entry makes an extremum NaN, and every comparison with NaN is False
+    if not px.min(initial=np.inf) > 0.0:
         raise TradeDataError("cross-value matrix must be strictly positive")
     paasche = px.diagonal(0, -2, -1)[..., np.newaxis, :] / px
-    if not (paasche > 0.0).all():
+    if not paasche.min(initial=np.inf) > 0.0:
         raise TradeDataError("Paasche matrix must be strictly positive")
-    if not (paasche < np.inf).all():
+    if not paasche.max(initial=-np.inf) < np.inf:
         raise TradeDataError("Paasche matrix must be finite")
     return paasche
 

@@ -158,15 +158,15 @@ def kh_membership(cone: ForecastCone, ts: TradeStatistics, x, *, tol: float = 0.
     arr = _admissible_bundle(x, ts.num_goods)
     lhs = cone.gamma * (ts.prices @ arr)
     rhs = float(cone.price_new @ arr)
-    return bool(np.all(lhs >= rhs - tol))
+    return bool((lhs >= rhs - tol).all())
 
 
 def kg_membership(ts: TradeStatistics, omega: float, price_new, x, *, tol: float = 0.0) -> bool:
     """True iff appending ``(price_new, x)`` keeps the panel acyclicity-consistent."""
     validate_level(omega, tol)
+    price_new = _admissible_price(price_new, ts.num_goods)
     arr = _admissible_bundle(x, ts.num_goods)
-    extended = ts.extended(price_new, arr)
-    return _garp_satisfied(cross_value_matrix(extended), omega, tol)
+    return _garp_satisfied(cross_value_matrix(ts.extended(price_new, arr)), omega, tol)
 
 
 def kh_polytope(cone: ForecastCone, x_new: float) -> PolytopeDescription:

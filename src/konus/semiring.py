@@ -35,13 +35,19 @@ class OracleBudgetError(RuntimeError):
     """Brute-force enumeration would exceed its tuple budget."""
 
 
-def _as_square(matrix, name: str = "matrix") -> FloatArray:
+def _as_square(matrix, name: str = "matrix") -> tuple[FloatArray, float]:
+    """A private float copy of a finite square matrix, and its least entry for the caller's sign check.
+
+    The two extrema are the only scans: a NaN entry makes both NaN, and
+    every comparison with NaN is False.
+    """
     arr = np.array(matrix, dtype=float)
     if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
         raise ValueError(f"{name} must be square, got shape {arr.shape}")
-    if not np.isfinite(arr).all():
+    low, high = arr.min(initial=np.inf), arr.max(initial=-np.inf)
+    if not (-np.inf < low and high < np.inf):
         raise ValueError(f"{name} must be finite")
-    return arr
+    return arr, low
 
 
 def _relax(values: FloatArray, threshold: float):
@@ -96,8 +102,8 @@ def maxtimes_closure(matrix, *, tol: float = 0.0) -> FloatArray | None:
     O(T^3) multiply-compare steps otherwise, through :func:`_relax`, the
     pivot loop the stacked verdicts of ``axioms._verdicts`` run too.
     """
-    values = _as_square(matrix)
-    if (values < 0.0).any():
+    values, low = _as_square(matrix)
+    if low < 0.0:
         raise ValueError("max-times closure requires a nonnegative matrix")
     if _relax(values, (1.0 + tol) * (1.0 + FLOAT_SLACK)):
         return None
@@ -151,8 +157,8 @@ def max_cycle_geomean(matrix) -> float:
     an exact maximum-mean-cycle search on logarithms restricted to
     off-diagonal edges.
     """
-    arr = _as_square(matrix)
-    if np.any(arr <= 0.0):
+    arr, low = _as_square(matrix)
+    if low <= 0.0:
         raise ValueError("cycle geomean requires a strictly positive matrix")
     n = arr.shape[0]
     if n < 2:
@@ -205,8 +211,8 @@ def brute_force_cycle_geomean(
     with product ``matrix[t, t]``, the literal reading under which relaxed
     homotheticity can never hold below the diagonal level.
     """
-    arr = _as_square(matrix)
-    if np.any(arr <= 0.0):
+    arr, low = _as_square(matrix)
+    if low <= 0.0:
         raise ValueError("cycle geomean requires a strictly positive matrix")
     n = arr.shape[0]
     if max_len is None:
@@ -276,8 +282,8 @@ def shortest_cycle_above(matrix, bound: float, *, max_len: int | None = None) ->
     through :func:`maxtimes_product`, and the start row of each shorter power
     is rebuilt (one vector-matrix step each) once a violating length is found.
     """
-    arr = _as_square(matrix)
-    if np.any(arr < 0.0):
+    arr, low = _as_square(matrix)
+    if low < 0.0:
         raise ValueError("cycle search requires a nonnegative matrix")
     n = arr.shape[0]
     if n < 2:
@@ -289,9 +295,9 @@ def shortest_cycle_above(matrix, bound: float, *, max_len: int | None = None) ->
     power = steps
     for k in range(2, max_len + 1):
         power = maxtimes_product(power, steps)
-        diag = np.diagonal(power)
-        if np.any(diag > bound):
-            start = int(np.flatnonzero(diag > bound)[0])
+        starts = (power.diagonal() > bound).nonzero()[0]
+        if starts.size:
+            start = int(starts[0])
             rows = [steps[start, :]]  # rows[j - 1]: start row of the j-th power
             for _ in range(k - 2):
                 rows.append((rows[-1][:, np.newaxis] * steps).max(axis=0))
@@ -299,7 +305,7 @@ def shortest_cycle_above(matrix, bound: float, *, max_len: int | None = None) ->
             target = start
             for j in range(k - 1, 0, -1):
                 scores = rows[j - 1] * steps[:, target]
-                target = int(np.argmax(scores))
+                target = int(scores.argmax())
                 walk.append(target)
             walk.reverse()  # a rotation of (start, v1, ..., v_{k-1})
             return _canonical_rotation(tuple(walk))

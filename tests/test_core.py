@@ -1,13 +1,17 @@
 """Panel loading, validation, and the derived cross-value / Paasche matrices."""
 
 import io
+import math
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
+from hypothesis.extra.numpy import arrays
 
 from konus import (
     GroupSelection,
     TradeDataError,
+    check_garp,
     check_harp,
     cross_value_matrix,
     load_trade_statistics,
@@ -239,3 +243,81 @@ def test_cross_values_and_paasche_are_plain_arrays(appendix_panel):
     paasche = paasche_matrix(px)
     assert type(px) is np.ndarray and type(paasche) is np.ndarray
     np.testing.assert_array_equal(paasche, px.diagonal()[np.newaxis, :] / px)
+
+
+POSITIVE = st.sampled_from([0.5, 1.0, 2.0]) | st.floats(0.2, 5.0)
+NONNEGATIVE = st.sampled_from([0.0, 0.5, 1.0, 2.0]) | st.floats(0.0, 5.0)
+
+
+@st.composite
+def panels_and_new_rows(draw):
+    """A panel of 1..6 periods over 1..4 goods, with a valid new observation for it."""
+    T, m = draw(st.integers(1, 6)), draw(st.integers(1, 4))
+    prices = draw(arrays(float, (T + 1, m), elements=POSITIVE))
+    quantities = draw(arrays(float, (T + 1, m), elements=NONNEGATIVE))
+    quantities[quantities.max(axis=1) == 0.0, 0] = 1.0  # no all-zero demand row
+    return trade_statistics(prices[:T], quantities[:T]), prices[T], quantities[T]
+
+
+def stacked(ts, price, quantity):
+    """The extended panel built and validated as a whole table."""
+    return trade_statistics(np.vstack([ts.prices, price]), np.vstack([ts.quantities, quantity]),
+                            good_ids=ts.good_ids, period_ids=ts.period_ids + ("new",))
+
+
+def assert_same_panel(got, want):
+    for name in ("prices", "quantities"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+        assert not a.flags.writeable
+    assert got.good_ids == want.good_ids
+    assert got.period_ids == want.period_ids and got.period_ids[-1] == "new"
+
+
+@given(panels_and_new_rows())
+def test_extended_is_the_stacked_panel(case):
+    ts, price, quantity = case
+    got, want = ts.extended(price, quantity), stacked(ts, price, quantity)
+    assert_same_panel(got, want)
+    for check in (check_garp, check_harp):
+        assert check(got) == check(want)
+
+
+def test_extended_accepts_a_one_row_table_and_a_scalar_for_one_good(two_period_panel):
+    assert_same_panel(two_period_panel.extended([[2.0, 3.0]], [[1.0, 0.0]]),
+                      stacked(two_period_panel, [2.0, 3.0], [1.0, 0.0]))
+    single = trade_statistics([[1.0], [2.0]], [[1.0], [1.0]])
+    assert_same_panel(single.extended(3.0, 2.0), stacked(single, [3.0], [2.0]))
+
+
+NAN, INF = math.nan, math.inf
+FINITE = "prices and quantities must be finite"
+
+
+@pytest.mark.parametrize("price, quantity, error, message", [
+    ([0.0, 1.0], [1.0, 1.0], TradeDataError, "non-positive price (row 'new', column 'g1')"),
+    ([1.0, -2.0], [1.0, 1.0], TradeDataError, "non-positive price (row 'new', column 'g2')"),
+    ([NAN, 1.0], [1.0, 1.0], TradeDataError, FINITE),
+    ([1.0, INF], [1.0, 1.0], TradeDataError, FINITE),
+    ([1.0, 1.0], [1.0, -1.0], TradeDataError, "negative quantity (row 'new', column 'g2')"),
+    ([1.0, 1.0], [NAN, 1.0], TradeDataError, FINITE),
+    ([1.0, 1.0], [1.0, INF], TradeDataError, FINITE),
+    ([1.0, 1.0], [0.0, 0.0], TradeDataError, "all-zero quantity row (row 'new')"),
+    ([0.0, 1.0], [NAN, 1.0], TradeDataError, FINITE),  # finiteness is checked first
+    ([1.0, 1.0], [-1.0, 0.0], TradeDataError, "negative quantity (row 'new', column 'g1')"),
+    ([1.0, 1.0, 1.0], [1.0, 1.0], ValueError, None),
+    ([1.0, 1.0], [1.0], ValueError, None),
+    (1.0, [1.0, 1.0], ValueError, None),
+])
+def test_extended_rejects_a_bad_new_row(two_period_panel, price, quantity, error, message):
+    with pytest.raises(ValueError) as caught:
+        two_period_panel.extended(price, quantity)
+    assert type(caught.value) is error
+    if message is not None:
+        assert str(caught.value) == message
+
+
+@pytest.mark.parametrize("rows", [np.ones((2, 2)), np.ones((0, 2))])
+def test_extended_rejects_a_block_of_other_than_one_row(two_period_panel, rows):
+    with pytest.raises(TradeDataError):
+        two_period_panel.extended(rows, rows)

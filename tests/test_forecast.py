@@ -21,9 +21,11 @@ from konus import (
     sample_positive_sphere,
     trade_statistics,
 )
+from konus.axioms import HarpWitness
 from konus.forecast import CounterexampleFixture
+from konus.semiring import FLOAT_SLACK
 
-from conftest import BATCH_SIZES, batches_of, random_panel
+from conftest import BATCH_SIZES, batches_of, count_closures, random_panel, shortest_cycle_by_cube
 
 UNIT_PRICE = np.array([1.0, 1.0, 1.0])
 
@@ -179,6 +181,33 @@ def test_cone_membership_matches_extended_axiom_check():
             direct = kh_membership(cone, ts, x)
             extended = check_harp(ts.extended(price, x), 1.0).satisfied
             assert direct == extended
+
+
+def test_extended_axiom_check_builds_one_closure_and_the_cube_witness(monkeypatch):
+    calls = count_closures(monkeypatch)
+    rng = np.random.default_rng(11)
+    outcomes = {True: 0, False: 0}
+    for _ in range(60):
+        T, m = int(rng.integers(1, 6)), int(rng.integers(1, 5))
+        ts = random_panel(rng, T=T, m=m)
+        price = np.exp(rng.normal(0.0, 0.5, size=m))
+        for _ in range(10):
+            extended = ts.extended(price, rng.dirichlet(np.ones(m)) * float(rng.uniform(0.2, 5.0)))
+            calls.clear()
+            verdict = check_harp(extended, 1.0)
+            assert calls == [T + 1]
+            outcomes[verdict.satisfied] += 1
+            if verdict.satisfied:
+                continue
+            paasche = paasche_from_statistics(extended)
+            steps = paasche.copy()
+            np.fill_diagonal(steps, 0.0)
+            cycle = shortest_cycle_by_cube(steps, 1.0 + FLOAT_SLACK)
+            product = 1.0
+            for a, b in zip(cycle, cycle[1:] + cycle[:1]):
+                product *= paasche[a, b]
+            assert verdict.witness == HarpWitness(cycle=cycle, product=product, omega=1.0)
+    assert min(outcomes.values()) > 100
 
 
 def test_cone_monotone_in_level():

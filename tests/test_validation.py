@@ -57,6 +57,7 @@ SLACK_ONLY = [
 NEW_PRICE_ENTRY_POINTS = [
     lambda ts, price: gamma_coefficients(ts, WIDE, price),
     lambda ts, price: law_of_demand_outer(ts, WIDE, price, BUNDLE),
+    lambda ts, price: kg_membership(ts, WIDE, price, BUNDLE),
 ]
 BUNDLE_ENTRY_POINTS = [
     lambda ts, x: kh_membership(gamma_coefficients(ts, WIDE, PRICE), ts, x),
@@ -119,3 +120,10 @@ def test_non_finite_vectors_are_rejected(two_period_panel, vector):
     for call in BUNDLE_ENTRY_POINTS:
         with pytest.raises(ValueError, match="bundle must be finite, nonnegative and nonzero"):
             call(two_period_panel, vector)
+
+
+@pytest.mark.parametrize("price", [[1.0], [1.0, 1.0, 1.0]])
+def test_new_price_of_the_wrong_length_is_rejected(two_period_panel, price):
+    for call in NEW_PRICE_ENTRY_POINTS:
+        with pytest.raises(ValueError, match="new price must have 2 coordinates"):
+            call(two_period_panel, price)
