@@ -27,7 +27,6 @@ from .axioms import (
     AxiomVerdict,
     GarpWitness,
     HarpWitness,
-    brute_force_harp,
     check_garp,
     check_harp,
 )
@@ -37,7 +36,6 @@ from .core import (
     TradeStatistics,
     cross_value_matrix,
     load_trade_statistics,
-    paasche_from_statistics,
     paasche_matrix,
     rescale_quantities,
     restrict_to_group,
@@ -63,7 +61,6 @@ from .forecast import (
     PolytopeDescription,
     SizeReport,
     enumerate_vertices,
-    forecast_size,
     forecast_size_paired,
     gamma_coefficients,
     kg_membership,
@@ -71,7 +68,6 @@ from .forecast import (
     kh_polytope,
     law_of_demand_estimate,
     law_of_demand_outer,
-    omega_closure,
     sample_positive_sphere,
 )
 from .hierarchy import (
@@ -87,16 +83,13 @@ from .hierarchy import (
 from .irrationality import (
     IrrationalityReport,
     garp_irrationality,
-    garp_irrationality_bisection,
     harp_irrationality,
     irrationality_report,
 )
 from .semiring import (
     BooleanRelation,
     NoAdmissibleCycleError,
-    OracleBudgetError,
     boolean_closure,
-    brute_force_cycle_geomean,
     max_cycle_geomean,
     maxtimes_closure,
 )

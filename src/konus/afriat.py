@@ -186,13 +186,22 @@ def solve_afriat_numbers(ts: TradeStatistics, omega: float = 1.0, *,
     return sol
 
 
+def _utility_bundle(bundle, m: int) -> FloatArray:
+    """A bundle of ``m`` finite, nonnegative coordinates to evaluate a utility at; zero is allowed."""
+    x = np.asarray(bundle, dtype=float)
+    if x.shape != (m,):
+        raise ValueError(f"bundle must have {m} coordinates")
+    low, high = x.min(), x.max()  # a NaN makes both NaN, and every comparison with NaN is False
+    if not (-np.inf < low and high < np.inf):
+        raise ValueError("bundle must be finite")
+    if low < 0.0:
+        raise ValueError("bundle must be nonnegative")
+    return x
+
+
 def eval_harp_utility(lm: HarpMultipliers, ts: TradeStatistics, bundle) -> float:
     """Homothetic utility ``min_s lam[s] * <P^s, x>``; degree-one homogeneous."""
-    x = np.asarray(bundle, dtype=float)
-    if x.shape != (ts.num_goods,):
-        raise ValueError(f"bundle must have {ts.num_goods} coordinates")
-    if np.any(x < 0.0):
-        raise ValueError("bundle must be nonnegative")
+    x = _utility_bundle(bundle, ts.num_goods)
     return float(np.min(lm.lam * (ts.prices @ x)))
 
 
@@ -202,11 +211,7 @@ def eval_garp_utility(sol: AfriatSolution, ts: TradeStatistics, bundle) -> float
     A genuine rationalizer only for solutions at omega one; for omega above
     one it is exposed as a diagnostic with the same formula.
     """
-    x = np.asarray(bundle, dtype=float)
-    if x.shape != (ts.num_goods,):
-        raise ValueError(f"bundle must have {ts.num_goods} coordinates")
-    if np.any(x < 0.0):
-        raise ValueError("bundle must be nonnegative")
+    x = _utility_bundle(bundle, ts.num_goods)
     spend = ts.prices @ x
     own = ts.expenditures()
     return float(np.min(sol.utilities + sol.lam * (spend - own)))

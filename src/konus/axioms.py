@@ -22,9 +22,6 @@ from .core import (
 )
 from .semiring import (
     FLOAT_SLACK,
-    OracleBudgetError,
-    _admissible_cycles,
-    _canonical_rotation,
     _relax,
     boolean_closure,
     maxtimes_closure,
@@ -230,59 +227,3 @@ def check_harp(ts: TradeStatistics, omega: float = 1.0, *, tol: float = 0.0) -> 
     additive slack on the omega-normalised cycle products.
     """
     return _harp_verdict(ts, omega, tol)[0]
-
-
-def brute_force_harp(
-    ts: TradeStatistics,
-    omega: float = 1.0,
-    max_len: int | None = None,
-    *,
-    tol: float = 0.0,
-    include_singletons: bool = False,
-    budget: int = 2_000_000,
-) -> AxiomVerdict:
-    """Oracle that checks every cycle inequality directly.
-
-    Enumerates all index cycles of length 2..max_len (1-cycles too when
-    ``include_singletons``) without cyclically adjacent repeats and verifies
-    ``prod(C) <= omega ** k`` for each.  Exponential; intended for small T as
-    an independent cross-check of :func:`check_harp`.
-    """
-    validate_level(omega, tol)
-    paasche = paasche_matrix(cross_value_matrix(ts))
-    n = paasche.shape[0]
-    if max_len is None:
-        max_len = n
-    if n < 2 and not include_singletons:
-        return AxiomVerdict(satisfied=True, omega=omega)
-    scaled = paasche / omega
-    bound = (1.0 + tol) * (1.0 + FLOAT_SLACK)
-    lengths = ([1] if include_singletons else []) + list(range(2, max_len + 1))
-    spent = 0
-    for k in lengths:
-        spent += n ** k
-        witness = _brute_force_length(paasche, scaled, k, bound, budget - (spent - n ** k))
-        if witness is not None:
-            cycle, product = witness
-            return AxiomVerdict(
-                satisfied=False,
-                omega=omega,
-                witness=HarpWitness(cycle=cycle, product=product, omega=omega),
-            )
-    return AxiomVerdict(satisfied=True, omega=omega)
-
-
-def _brute_force_length(paasche, scaled, k, bound, budget):
-    """Smallest violating cycle of exactly k links, or None."""
-    n = paasche.shape[0]
-    if n ** k > budget:
-        raise OracleBudgetError(f"oracle too large: {n ** k} tuples of length {k} exceed budget {budget}")
-    tuples, normalised = _admissible_cycles(scaled, k)
-    rows = tuples[normalised > bound]
-    if not rows.size:
-        return None
-    cycle = min(_canonical_rotation(tuple(int(i) for i in row)) for row in rows)
-    product = 1.0
-    for a, b in zip(cycle, cycle[1:] + cycle[:1]):
-        product *= paasche[a, b]
-    return cycle, float(product)

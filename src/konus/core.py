@@ -302,10 +302,6 @@ def paasche_matrix(px) -> FloatArray:
     return paasche
 
 
-def paasche_from_statistics(ts: TradeStatistics) -> FloatArray:
-    return paasche_matrix(cross_value_matrix(ts))
-
-
 def restrict_to_group(ts: TradeStatistics, group: GroupSelection) -> TradeStatistics:
     """Statistics on the selected goods only; period count unchanged.
 

@@ -311,30 +311,30 @@ def random_group_probability(
     )
 
 
-def cobb_douglas_statistics(T: int, m: int, seed: int, *,
-                            price_volatility: float = 0.3,
-                            expenditure_drift: float = 0.05) -> TradeStatistics:
+def cobb_douglas_statistics(T: int, m: int, seed: int) -> TradeStatistics:
     """Synthetic panel from a fixed-share consumer: homothetic by construction.
 
-    Prices follow independent lognormal walks and each period's demand spends
-    a constant share of total expenditure on every good, so the panel passes
-    the homotheticity test (and hence the acyclicity test) by construction.
+    Log prices follow independent Gaussian walks with step deviation 0.3,
+    log expenditure follows one with mean step 0.05 and deviation 0.1, and
+    each period's demand spends a constant share of total expenditure on
+    every good, so the panel passes the homotheticity test (and hence the
+    acyclicity test) by construction.
     Useful as a rationalizable stand-in for the real panels the experiments
     were designed around.
     """
     rng = np.random.default_rng(seed)
     shares = rng.dirichlet(np.ones(m)) + 1e-3
     shares = shares / shares.sum()
-    steps = rng.normal(0.0, price_volatility, size=(T, m))
+    steps = rng.normal(0.0, 0.3, size=(T, m))
     prices = np.exp(np.cumsum(steps, axis=0))
-    spend = np.exp(np.cumsum(rng.normal(expenditure_drift, 0.1, size=T)))
+    spend = np.exp(np.cumsum(rng.normal(0.05, 0.1, size=T)))
     quantities = shares[np.newaxis, :] * spend[:, np.newaxis] / prices
     return trade_statistics(prices, quantities)
 
 
-def random_statistics(T: int, m: int, seed: int, *, volatility: float = 0.5) -> TradeStatistics:
-    """Unstructured panel: independent lognormal prices and quantities."""
+def random_statistics(T: int, m: int, seed: int) -> TradeStatistics:
+    """Unstructured panel: independent lognormal prices and quantities, log standard deviation 0.5."""
     rng = np.random.default_rng(seed)
-    prices = np.exp(rng.normal(0.0, volatility, size=(T, m)))
-    quantities = np.exp(rng.normal(0.0, volatility, size=(T, m)))
+    prices = np.exp(rng.normal(0.0, 0.5, size=(T, m)))
+    quantities = np.exp(rng.normal(0.0, 0.5, size=(T, m)))
     return trade_statistics(prices, quantities)

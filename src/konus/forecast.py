@@ -89,27 +89,16 @@ class PolytopeDescription:
     constraints: tuple[LinearConstraint, ...]
 
 
-def omega_closure(paasche: FloatArray, omega: float) -> FloatArray | None:
-    """Max-times closure of the omega-discounted Paasche matrix, diagonal included.
-
-    A walk with ``k`` intermediate indices contributes
-    ``omega ** -(k + 1)`` times its Paasche product, so the closure collects
-    the discounted path maxima needed by the cone coefficients.  ``None``
-    where the closure diverges.
-    """
-    validate_level(omega)
-    if omega < 1.0:
-        raise ValueError("omega must be at least 1")
-    return maxtimes_closure(paasche / omega)
-
-
 def gamma_coefficients(ts: TradeStatistics, omega: float, price_new) -> ForecastCone:
     """Cone coefficients ``gamma[s] = min_t omega^2 / closure[t, s] * <price_new, X^t> / px[t, t]``.
 
-    ``closure`` is :func:`omega_closure`, read off the closure that decided
-    the homotheticity verdict: that one leaves out the self-loops, whose
-    weight ``1 / omega <= 1`` can raise only the diagonal, so restoring the
-    diagonal to at least ``1 / omega`` gives it bit for bit.
+    ``closure`` is the max-times closure of the omega-discounted Paasche
+    matrix, diagonal included: a walk with ``k`` intermediate indices
+    contributes ``omega ** -(k + 1)`` times its Paasche product.  It is read
+    off the closure that decided the homotheticity verdict: that one leaves
+    out the self-loops, whose weight ``1 / omega <= 1`` can raise only the
+    diagonal, so restoring the diagonal to at least ``1 / omega`` gives it
+    bit for bit.
     """
     price_new = _admissible_price(price_new, ts.num_goods)
     verdict, closure = _harp_verdict(ts, omega, 0.0)
@@ -356,15 +345,6 @@ def forecast_size_paired(ts: TradeStatistics, trials: int, seed: int) -> tuple[S
         SizeReport(axiom="garp", trials=trials, hits=garp_hits, seed=seed),
         SizeReport(axiom="harp", trials=trials, hits=harp_hits, seed=seed),
     )
-
-
-def forecast_size(ts: TradeStatistics, axiom: str, trials: int, seed: int) -> SizeReport:
-    """Single-axiom size measure; shares price draws with the paired variant."""
-    key = axiom.lower()
-    if key not in ("garp", "harp"):
-        raise ValueError(f"unknown axiom {axiom!r}; expected 'garp' or 'harp'")
-    garp_report, harp_report = forecast_size_paired(ts, trials, seed)
-    return garp_report if key == "garp" else harp_report
 
 
 # ---------------------------------------------------------------------------

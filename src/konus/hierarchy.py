@@ -207,33 +207,24 @@ def _process_node(ts, node: TreeNode, omega: float, depth: int) -> tuple[NodeRep
     child_results = [_process_node(ts, child, omega, depth + 1) for child in node.children]
     child_outcomes = [report for report, _ in child_results]
     descendant_reports = [r for _, subtree in child_results for r in subtree]
-    if node.is_leaf:
-        panel = restrict_to_group(ts, GroupSelection.from_ids(ts, node.goods))
-        status, omega_h, lm, series = _analyse_panel(panel, omega)
-        report = NodeReport(
-            name=node.name, depth=depth, goods=node.goods, is_leaf=True,
-            status=status, omega=omega, omega_h=omega_h, multipliers=lm,
-            series=series, statistics=panel,
-            implies_flat_harp=status == "ok",
-        )
-        return report, [report]
     if any(child.status != "ok" for child in child_outcomes):
-        report = NodeReport(
-            name=node.name, depth=depth, goods=node.covered_goods(), is_leaf=False,
-            status="blocked", omega=omega, omega_h=None, multipliers=None,
-            series=None, statistics=None, implies_flat_harp=False,
-        )
-        return report, [report] + descendant_reports
-    children = [
-        (child.series, GroupSelection.from_ids(ts, child.goods))
-        for child in child_outcomes
-    ]
-    passthrough = GroupSelection.from_ids(ts, node.goods) if node.goods else None
-    panel = aggregate(ts, children, passthrough,
-                      child_ids=[child.name for child in child_outcomes])
-    status, omega_h, lm, series = _analyse_panel(panel, omega)
+        panel = None  # a failed child leaves no composite to aggregate
+    elif node.is_leaf:
+        panel = restrict_to_group(ts, GroupSelection.from_ids(ts, node.goods))
+    else:
+        children = [
+            (child.series, GroupSelection.from_ids(ts, child.goods))
+            for child in child_outcomes
+        ]
+        passthrough = GroupSelection.from_ids(ts, node.goods) if node.goods else None
+        panel = aggregate(ts, children, passthrough,
+                          child_ids=[child.name for child in child_outcomes])
+    if panel is None:
+        status, omega_h, lm, series = "blocked", None, None, None
+    else:
+        status, omega_h, lm, series = _analyse_panel(panel, omega)
     report = NodeReport(
-        name=node.name, depth=depth, goods=node.covered_goods(), is_leaf=False,
+        name=node.name, depth=depth, goods=node.covered_goods(), is_leaf=node.is_leaf,
         status=status, omega=omega, omega_h=omega_h, multipliers=lm,
         series=series, statistics=panel,
         implies_flat_harp=status == "ok" and all(c.implies_flat_harp for c in child_outcomes),

@@ -3,8 +3,8 @@
 The homothetic index is the maximal cycle geometric mean of the Paasche
 matrix, computed exactly.  The acyclicity index is the infimum of the levels
 at which the acyclicity test passes; since the feasible set can be open, the
-index is reported together with an attainment flag.  Both a breakpoint method
-(exact) and a bisection cross-check are provided.
+index is reported together with an attainment flag, both found exactly by a
+search over the breakpoints where the relation changes.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .axioms import GarpWitness, HarpWitness, _garp_satisfied, check_garp, check_harp
-from .core import FloatArray, TradeStatistics, cross_value_matrix, paasche_from_statistics, validate_level
+from .core import FloatArray, TradeStatistics, cross_value_matrix, paasche_matrix, validate_level
 from .semiring import max_cycle_geomean
 
 # Level reported for a single observation, where no admissible cycle exists
@@ -40,7 +40,7 @@ def harp_irrationality(ts: TradeStatistics) -> float:
     """
     if ts.num_periods < 2:
         return SINGLE_PERIOD_HARP_INDEX
-    return max_cycle_geomean(paasche_from_statistics(ts))
+    return max_cycle_geomean(paasche_matrix(cross_value_matrix(ts)))
 
 
 def _garp_breakpoints(px: FloatArray) -> np.ndarray:
@@ -76,27 +76,6 @@ def garp_irrationality(ts: TradeStatistics, *, tol: float = 0.0) -> tuple[float,
             lo = mid
     value = float(points[hi])
     return value, _garp_satisfied(px, value, tol)
-
-
-def garp_irrationality_bisection(ts: TradeStatistics, *, tol: float = 1e-9) -> float:
-    """Bisection estimate of the acyclicity index, kept as an independent cross-check."""
-    validate_level(tol=tol)
-    if ts.num_periods < 2:
-        return 0.0
-    px = cross_value_matrix(ts)
-    points = _garp_breakpoints(px)
-    lo, hi = float(points[0]), float(points[-1]) + 1.0
-    if _garp_satisfied(px, lo, 0.0):
-        return lo
-    while hi - lo > tol:
-        mid = (lo + hi) / 2.0
-        if mid in (lo, hi):  # adjacent floats: the bracket cannot narrow further
-            break
-        if _garp_satisfied(px, mid, 0.0):
-            hi = mid
-        else:
-            lo = mid
-    return hi
 
 
 def irrationality_report(ts: TradeStatistics) -> IrrationalityReport:

@@ -12,6 +12,8 @@ from __future__ import annotations
 import numpy as np
 from numpy.typing import NDArray
 
+from .core import validate_level
+
 FloatArray = NDArray[np.float64]
 BooleanRelation = NDArray[np.bool_]
 
@@ -20,19 +22,12 @@ BooleanRelation = NDArray[np.bool_]
 # which evaluate to 1 +/- a few ulp).  User-facing tolerances stack on top.
 FLOAT_SLACK = 1e-12
 
-# Raw tuple budget for the brute-force cycle enumerator.
-DEFAULT_CYCLE_BUDGET = 2_000_000
-
 # Bytes of float products one block of a max-times matrix product may hold.
 _PRODUCT_BLOCK_BYTES = 32 * 2 ** 20
 
 
 class NoAdmissibleCycleError(ValueError):
     """The matrix has no cycle satisfying the requested length constraints."""
-
-
-class OracleBudgetError(RuntimeError):
-    """Brute-force enumeration would exceed its tuple budget."""
 
 
 def _as_square(matrix, name: str = "matrix") -> tuple[FloatArray, float]:
@@ -102,6 +97,7 @@ def maxtimes_closure(matrix, *, tol: float = 0.0) -> FloatArray | None:
     O(T^3) multiply-compare steps otherwise, through :func:`_relax`, the
     pivot loop the stacked verdicts of ``axioms._verdicts`` run too.
     """
+    validate_level(tol=tol)
     values, low = _as_square(matrix)
     if low < 0.0:
         raise ValueError("max-times closure requires a nonnegative matrix")
@@ -176,75 +172,6 @@ def _canonical_rotation(cycle: tuple[int, ...]) -> tuple[int, ...]:
     return cycle[pivot:] + cycle[:pivot]
 
 
-def _admissible_cycles(matrix: FloatArray, k: int) -> tuple[np.ndarray, FloatArray]:
-    """Index k-tuples read as cycles, in lexicographic order, with their edge products.
-
-    For ``k >= 2`` tuples with cyclically adjacent repeats are left out; a
-    1-tuple is the self-loop at its index.  Each product multiplies the
-    edges in link order, closing edge last.  Both brute-force oracles
-    enumerate through this one routine.
-    """
-    tuples = np.indices((matrix.shape[0],) * k).reshape(k, -1).T
-    links = [(j, (j + 1) % k) for j in range(k)]
-    if k > 1:
-        tuples = tuples[np.all([tuples[:, a] != tuples[:, b] for a, b in links], axis=0)]
-    products = np.ones(tuples.shape[0])
-    for a, b in links:
-        products *= matrix[tuples[:, a], tuples[:, b]]
-    return tuples, products
-
-
-def brute_force_cycle_geomean(
-    matrix,
-    min_len: int = 2,
-    max_len: int | None = None,
-    *,
-    include_singletons: bool = False,
-    budget: int = DEFAULT_CYCLE_BUDGET,
-) -> tuple[float, tuple[int, ...]]:
-    """Exhaustive cycle search; returns the best geomean and an attaining cycle.
-
-    Enumerates every index tuple of each admissible length with no cyclically
-    adjacent repeats (rotations deduplicated via a canonical form), so it is an
-    independent oracle for :func:`max_cycle_geomean` at small sizes.
-    ``include_singletons`` additionally admits the one-element cycle ``(t,)``
-    with product ``matrix[t, t]``, the literal reading under which relaxed
-    homotheticity can never hold below the diagonal level.
-    """
-    arr, low = _as_square(matrix)
-    if low <= 0.0:
-        raise ValueError("cycle geomean requires a strictly positive matrix")
-    n = arr.shape[0]
-    if max_len is None:
-        max_len = n
-    lengths: list[int] = []
-    if include_singletons:
-        lengths.append(1)
-    lengths.extend(range(max(2, min_len), max_len + 1))
-    if not lengths or n < 1 or (not include_singletons and n < 2):
-        raise NoAdmissibleCycleError("no admissible cycle lengths to enumerate")
-    total = sum(n ** k for k in lengths)
-    if total > budget:
-        raise OracleBudgetError(
-            f"oracle too large: {total} tuples exceed budget {budget}"
-        )
-    best = -np.inf
-    best_cycle: tuple[int, ...] | None = None
-    for k in lengths:
-        tuples, products = _admissible_cycles(arr, k)
-        if not products.size:
-            continue
-        geomeans = products ** (1.0 / k)
-        top = float(geomeans.max())
-        if top > best:
-            best = top
-            attaining = tuples[geomeans == top]
-            best_cycle = min(_canonical_rotation(tuple(int(i) for i in row)) for row in attaining)
-    if best_cycle is None:
-        raise NoAdmissibleCycleError("no admissible cycle found")
-    return best, best_cycle
-
-
 def maxtimes_product(left: FloatArray, right: FloatArray) -> FloatArray:
     """Max-times matrix product ``out[i, j] = max_m left[i, m] * right[m, j]``.
 
@@ -265,7 +192,7 @@ def maxtimes_product(left: FloatArray, right: FloatArray) -> FloatArray:
     return out
 
 
-def shortest_cycle_above(matrix, bound: float, *, max_len: int | None = None) -> tuple[int, ...] | None:
+def shortest_cycle_above(matrix, bound: float) -> tuple[int, ...] | None:
     """Shortest closed walk (no adjacent repeats) whose edge product exceeds ``bound``.
 
     Uses exact-length max-product dynamic programming; any violating cycle
@@ -288,12 +215,10 @@ def shortest_cycle_above(matrix, bound: float, *, max_len: int | None = None) ->
     n = arr.shape[0]
     if n < 2:
         return None
-    if max_len is None:
-        max_len = n
     steps = arr  # already a private copy
     np.fill_diagonal(steps, 0.0)  # forbid self-steps; adjacency stays distinct
     power = steps
-    for k in range(2, max_len + 1):
+    for k in range(2, n + 1):
         power = maxtimes_product(power, steps)
         starts = (power.diagonal() > bound).nonzero()[0]
         if starts.size:

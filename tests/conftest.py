@@ -11,8 +11,23 @@ import numpy as np
 import pytest
 from hypothesis import settings
 
-from konus import econometrics, forecast, trade_statistics
+from konus import (
+    AxiomVerdict,
+    HarpWitness,
+    NoAdmissibleCycleError,
+    TradeStatistics,
+    cross_value_matrix,
+    econometrics,
+    forecast,
+    maxtimes_closure,
+    paasche_matrix,
+    trade_statistics,
+)
+from konus.axioms import _garp_satisfied
+from konus.core import FloatArray, validate_level
 from konus.forecast import CounterexampleFixture
+from konus.irrationality import _garp_breakpoints
+from konus.semiring import FLOAT_SLACK, _as_square, _canonical_rotation
 
 # Property tests draw the same examples on every run and have no per-example deadline.
 settings.register_profile("konus", derandomize=True, deadline=None, max_examples=100)
@@ -228,12 +243,184 @@ def count_closures(monkeypatch):
     return calls
 
 
+# Brute-force references: exhaustive cycle enumeration under a tuple budget, the bisection
+# estimate of the acyclicity index, and the closure with the diagonal kept that the cone
+# coefficients are read from.
+
+# Raw tuple budget for the brute-force cycle enumerator.
+DEFAULT_CYCLE_BUDGET = 2_000_000
+
+
+class OracleBudgetError(RuntimeError):
+    """Brute-force enumeration would exceed its tuple budget."""
+
+
+def _admissible_cycles(matrix: FloatArray, k: int) -> tuple[np.ndarray, FloatArray]:
+    """Index k-tuples read as cycles, in lexicographic order, with their edge products.
+
+    For ``k >= 2`` tuples with cyclically adjacent repeats are left out; a
+    1-tuple is the self-loop at its index.  Each product multiplies the
+    edges in link order, closing edge last.  Both brute-force oracles
+    enumerate through this one routine.
+    """
+    tuples = np.indices((matrix.shape[0],) * k).reshape(k, -1).T
+    links = [(j, (j + 1) % k) for j in range(k)]
+    if k > 1:
+        tuples = tuples[np.all([tuples[:, a] != tuples[:, b] for a, b in links], axis=0)]
+    products = np.ones(tuples.shape[0])
+    for a, b in links:
+        products *= matrix[tuples[:, a], tuples[:, b]]
+    return tuples, products
+
+
+def brute_force_cycle_geomean(
+    matrix,
+    min_len: int = 2,
+    max_len: int | None = None,
+    *,
+    include_singletons: bool = False,
+    budget: int = DEFAULT_CYCLE_BUDGET,
+) -> tuple[float, tuple[int, ...]]:
+    """Exhaustive cycle search; returns the best geomean and an attaining cycle.
+
+    Enumerates every index tuple of each admissible length with no cyclically
+    adjacent repeats (rotations deduplicated via a canonical form), so it is an
+    independent oracle for :func:`max_cycle_geomean` at small sizes.
+    ``include_singletons`` additionally admits the one-element cycle ``(t,)``
+    with product ``matrix[t, t]``, the literal reading under which relaxed
+    homotheticity can never hold below the diagonal level.
+    """
+    arr, low = _as_square(matrix)
+    if low <= 0.0:
+        raise ValueError("cycle geomean requires a strictly positive matrix")
+    n = arr.shape[0]
+    if max_len is None:
+        max_len = n
+    lengths: list[int] = []
+    if include_singletons:
+        lengths.append(1)
+    lengths.extend(range(max(2, min_len), max_len + 1))
+    if not lengths or n < 1 or (not include_singletons and n < 2):
+        raise NoAdmissibleCycleError("no admissible cycle lengths to enumerate")
+    total = sum(n ** k for k in lengths)
+    if total > budget:
+        raise OracleBudgetError(
+            f"oracle too large: {total} tuples exceed budget {budget}"
+        )
+    best = -np.inf
+    best_cycle: tuple[int, ...] | None = None
+    for k in lengths:
+        tuples, products = _admissible_cycles(arr, k)
+        if not products.size:
+            continue
+        geomeans = products ** (1.0 / k)
+        top = float(geomeans.max())
+        if top > best:
+            best = top
+            attaining = tuples[geomeans == top]
+            best_cycle = min(_canonical_rotation(tuple(int(i) for i in row)) for row in attaining)
+    if best_cycle is None:
+        raise NoAdmissibleCycleError("no admissible cycle found")
+    return best, best_cycle
+
+
+def brute_force_harp(
+    ts: TradeStatistics,
+    omega: float = 1.0,
+    max_len: int | None = None,
+    *,
+    tol: float = 0.0,
+    include_singletons: bool = False,
+    budget: int = 2_000_000,
+) -> AxiomVerdict:
+    """Oracle that checks every cycle inequality directly.
+
+    Enumerates all index cycles of length 2..max_len (1-cycles too when
+    ``include_singletons``) without cyclically adjacent repeats and verifies
+    ``prod(C) <= omega ** k`` for each.  Exponential; intended for small T as
+    an independent cross-check of :func:`check_harp`.
+    """
+    validate_level(omega, tol)
+    paasche = paasche_matrix(cross_value_matrix(ts))
+    n = paasche.shape[0]
+    if max_len is None:
+        max_len = n
+    if n < 2 and not include_singletons:
+        return AxiomVerdict(satisfied=True, omega=omega)
+    scaled = paasche / omega
+    bound = (1.0 + tol) * (1.0 + FLOAT_SLACK)
+    lengths = ([1] if include_singletons else []) + list(range(2, max_len + 1))
+    spent = 0
+    for k in lengths:
+        spent += n ** k
+        witness = _brute_force_length(paasche, scaled, k, bound, budget - (spent - n ** k))
+        if witness is not None:
+            cycle, product = witness
+            return AxiomVerdict(
+                satisfied=False,
+                omega=omega,
+                witness=HarpWitness(cycle=cycle, product=product, omega=omega),
+            )
+    return AxiomVerdict(satisfied=True, omega=omega)
+
+
+def _brute_force_length(paasche, scaled, k, bound, budget):
+    """Smallest violating cycle of exactly k links, or None."""
+    n = paasche.shape[0]
+    if n ** k > budget:
+        raise OracleBudgetError(f"oracle too large: {n ** k} tuples of length {k} exceed budget {budget}")
+    tuples, normalised = _admissible_cycles(scaled, k)
+    rows = tuples[normalised > bound]
+    if not rows.size:
+        return None
+    cycle = min(_canonical_rotation(tuple(int(i) for i in row)) for row in rows)
+    product = 1.0
+    for a, b in zip(cycle, cycle[1:] + cycle[:1]):
+        product *= paasche[a, b]
+    return cycle, float(product)
+
+
+def garp_irrationality_bisection(ts: TradeStatistics, *, tol: float = 1e-9) -> float:
+    """Bisection estimate of the acyclicity index, kept as an independent cross-check."""
+    validate_level(tol=tol)
+    if ts.num_periods < 2:
+        return 0.0
+    px = cross_value_matrix(ts)
+    points = _garp_breakpoints(px)
+    lo, hi = float(points[0]), float(points[-1]) + 1.0
+    if _garp_satisfied(px, lo, 0.0):
+        return lo
+    while hi - lo > tol:
+        mid = (lo + hi) / 2.0
+        if mid in (lo, hi):  # adjacent floats: the bracket cannot narrow further
+            break
+        if _garp_satisfied(px, mid, 0.0):
+            hi = mid
+        else:
+            lo = mid
+    return hi
+
+
+def omega_closure(paasche: FloatArray, omega: float) -> FloatArray | None:
+    """Max-times closure of the omega-discounted Paasche matrix, diagonal included.
+
+    A walk with ``k`` intermediate indices contributes
+    ``omega ** -(k + 1)`` times its Paasche product, so the closure collects
+    the discounted path maxima needed by the cone coefficients.  ``None``
+    where the closure diverges.
+    """
+    validate_level(omega)
+    if omega < 1.0:
+        raise ValueError("omega must be at least 1")
+    return maxtimes_closure(paasche / omega)
+
+
 def gamma_by_omega_closure(ts, omega, price_new):
     """Cone coefficient oracle: the homotheticity test, then a second closure with the diagonal kept."""
-    from konus import check_harp, omega_closure, paasche_from_statistics
+    from konus import check_harp
 
     assert check_harp(ts, omega).satisfied
-    closure = omega_closure(paasche_from_statistics(ts), omega)
+    closure = omega_closure(paasche_matrix(cross_value_matrix(ts)), omega)
     numerators = omega * omega * (ts.quantities @ np.asarray(price_new, dtype=float)) / ts.expenditures()
     return (numerators[:, np.newaxis] / closure).min(axis=0)
 

@@ -12,7 +12,6 @@ import pytest
 
 from konus import (
     boolean_closure,
-    brute_force_harp,
     check_garp,
     check_harp,
     cobb_douglas_statistics,
@@ -22,14 +21,12 @@ from konus import (
     forecast_size_paired,
     gamma_coefficients,
     garp_irrationality,
-    garp_irrationality_bisection,
     harp_irrationality,
     kg_membership,
     kh_membership,
     kh_polytope,
     maxtimes_closure,
-    omega_closure,
-    paasche_from_statistics,
+    paasche_matrix,
     power_estimate,
     rescale_quantities,
     solve_afriat_numbers,
@@ -41,7 +38,16 @@ from konus import (
 from konus.forecast import CounterexampleFixture, intersection_demands
 from konus.hierarchy import TreeNode, build_hierarchy
 
-from conftest import BATCH_SIZES, batches_of, closure_by_paths, near_homothetic_panel, random_panel
+from conftest import (
+    BATCH_SIZES,
+    batches_of,
+    brute_force_harp,
+    closure_by_paths,
+    garp_irrationality_bisection,
+    near_homothetic_panel,
+    omega_closure,
+    random_panel,
+)
 
 UNIT_PRICE = np.array([1.0, 1.0, 1.0])
 
@@ -139,7 +145,7 @@ def test_criterion_02_closure_oracle_equivalence():
             np.testing.assert_allclose(closure, oracle_values, rtol=1e-12)
         # discounted closure against the same oracle on the scaled matrix
         ts = random_panel(rng, T=max(T, 2), m=3)
-        paasche = paasche_from_statistics(ts)
+        paasche = paasche_matrix(cross_value_matrix(ts))
         omega = float(rng.uniform(1.0, 1.8))
         scaled = paasche / omega
         discounted = omega_closure(paasche, omega)

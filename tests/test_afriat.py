@@ -149,6 +149,23 @@ def test_garp_utility_zero_bundle(appendix_panel):
     assert eval_garp_utility(sol, appendix_panel, np.zeros(3)) == pytest.approx(expected)
 
 
+@pytest.mark.parametrize("bundle, message", [
+    ([1.0, 1.0], "bundle must have 3 coordinates"),
+    ([np.nan, 1.0, 1.0], "bundle must be finite"),
+    ([np.inf, 1.0, 1.0], "bundle must be finite"),
+    ([1.0, -np.inf, 1.0], "bundle must be finite"),
+    ([-1.0, 1.0, 1.0], "bundle must be nonnegative"),
+])
+def test_utility_evaluators_reject_invalid_bundles(appendix_panel, bundle, message):
+    lm = solve_harp_multipliers(appendix_panel, 1.0)
+    sol = solve_afriat_numbers(appendix_panel, 1.0)
+    for evaluate in (lambda x: eval_harp_utility(lm, appendix_panel, x),
+                     lambda x: eval_garp_utility(sol, appendix_panel, x)):
+        with pytest.raises(ValueError) as caught:
+            evaluate(bundle)
+        assert str(caught.value) == message
+
+
 def test_garp_utility_monotone(appendix_panel):
     rng = np.random.default_rng(113)
     sol = solve_afriat_numbers(appendix_panel, 1.0)

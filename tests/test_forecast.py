@@ -6,8 +6,8 @@ import pytest
 from konus import (
     InfeasibleAxiomError,
     check_harp,
+    cross_value_matrix,
     enumerate_vertices,
-    forecast_size,
     forecast_size_paired,
     gamma_coefficients,
     kg_membership,
@@ -16,8 +16,7 @@ from konus import (
     law_of_demand_estimate,
     law_of_demand_outer,
     maxtimes_closure,
-    omega_closure,
-    paasche_from_statistics,
+    paasche_matrix,
     sample_positive_sphere,
     trade_statistics,
 )
@@ -25,7 +24,14 @@ from konus.axioms import HarpWitness
 from konus.forecast import CounterexampleFixture
 from konus.semiring import FLOAT_SLACK
 
-from conftest import BATCH_SIZES, batches_of, count_closures, random_panel, shortest_cycle_by_cube
+from conftest import (
+    BATCH_SIZES,
+    batches_of,
+    count_closures,
+    omega_closure,
+    random_panel,
+    shortest_cycle_by_cube,
+)
 
 UNIT_PRICE = np.array([1.0, 1.0, 1.0])
 
@@ -39,14 +45,14 @@ def harp_panel(rng, T, m):
 
 
 def test_omega_closure_matches_plain_closure_at_level_one(appendix_panel):
-    paasche = paasche_from_statistics(appendix_panel)
+    paasche = paasche_matrix(cross_value_matrix(appendix_panel))
     closure = omega_closure(paasche, 1.0)
     np.testing.assert_allclose(closure, maxtimes_closure(paasche))
     np.testing.assert_allclose(closure, [[1, 1, 0.5], [1, 1, 0.5], [1, 1, 1]])
 
 
 def test_omega_closure_vanishes_for_large_level(appendix_panel):
-    paasche = paasche_from_statistics(appendix_panel)
+    paasche = paasche_matrix(cross_value_matrix(appendix_panel))
     assert np.all(omega_closure(paasche, 1e6) < 1e-5)
 
 
@@ -199,7 +205,7 @@ def test_extended_axiom_check_builds_one_closure_and_the_cube_witness(monkeypatc
             outcomes[verdict.satisfied] += 1
             if verdict.satisfied:
                 continue
-            paasche = paasche_from_statistics(extended)
+            paasche = paasche_matrix(cross_value_matrix(extended))
             steps = paasche.copy()
             np.fill_diagonal(steps, 0.0)
             cycle = shortest_cycle_by_cube(steps, 1.0 + FLOAT_SLACK)
@@ -247,7 +253,7 @@ def test_demand_law_step_matrix_appendix(appendix_panel):
     # step terms add nothing here (every strict comparison is at the boundary,
     # and the step function is zero at zero), so D equals the Paasche matrix
     np.testing.assert_array_equal(estimate.step_matrix,
-                                  paasche_from_statistics(appendix_panel))
+                                  paasche_matrix(cross_value_matrix(appendix_panel)))
     np.testing.assert_allclose(estimate.path_matrix, [[1, 1, 0.5], [1, 1, 0.5], [1, 1, 1]])
 
 
@@ -348,14 +354,6 @@ def test_size_dominance_and_determinism():
     for garp_report, harp_report in reports:
         assert harp_report.hits <= garp_report.hits
     assert reports[0] == reports[1] == reports[2]
-
-
-def test_size_single_axiom_matches_paired(appendix_panel):
-    garp_report, harp_report = forecast_size_paired(appendix_panel, 400, seed=5)
-    assert forecast_size(appendix_panel, "garp", 400, seed=5) == garp_report
-    assert forecast_size(appendix_panel, "harp", 400, seed=5) == harp_report
-    with pytest.raises(ValueError, match="unknown axiom"):
-        forecast_size(appendix_panel, "warp", 10, seed=0)
 
 
 def test_size_trial_fast_path_matches_naive_reconstruction():

@@ -8,13 +8,12 @@ from konus import (
     check_garp,
     check_harp,
     garp_irrationality,
-    garp_irrationality_bisection,
     harp_irrationality,
     irrationality_report,
     trade_statistics,
 )
 
-from conftest import random_panel
+from conftest import garp_irrationality_bisection, random_panel
 from test_witnesses import panels
 
 

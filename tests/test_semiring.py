@@ -5,15 +5,13 @@ import pytest
 
 from konus import (
     NoAdmissibleCycleError,
-    OracleBudgetError,
     boolean_closure,
-    brute_force_cycle_geomean,
     max_cycle_geomean,
     maxtimes_closure,
 )
 from konus.semiring import shortest_cycle_above
 
-from conftest import closure_by_paths
+from conftest import OracleBudgetError, brute_force_cycle_geomean, closure_by_paths
 
 
 def test_closure_appendix_matrix():

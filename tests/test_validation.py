@@ -6,25 +6,25 @@ import math
 import pytest
 
 from konus import (
-    brute_force_harp,
     check_garp,
     check_harp,
     cross_value_matrix,
     enumerate_vertices,
     gamma_coefficients,
     garp_irrationality,
-    garp_irrationality_bisection,
     kg_membership,
     kh_membership,
     kh_polytope,
     law_of_demand_estimate,
     law_of_demand_outer,
-    omega_closure,
+    maxtimes_closure,
     paasche_matrix,
     solve_afriat_numbers,
     solve_harp_multipliers,
 )
 from konus.core import validate_level
+
+from conftest import brute_force_harp, garp_irrationality_bisection, omega_closure
 
 NAN, INF = math.nan, math.inf
 BAD_OMEGAS = [NAN, INF, -INF, 0.0, -1.0]
@@ -51,6 +51,7 @@ LEVEL_ONLY = [
 SLACK_ONLY = [
     lambda ts, tol: garp_irrationality(ts, tol=tol),
     lambda ts, tol: garp_irrationality_bisection(ts, tol=tol),
+    lambda ts, tol: maxtimes_closure(paasche_matrix(cross_value_matrix(ts)), tol=tol),
     lambda ts, tol: kh_membership(gamma_coefficients(ts, WIDE, PRICE), ts, BUNDLE, tol=tol),
     lambda ts, tol: enumerate_vertices(kh_polytope(gamma_coefficients(ts, WIDE, PRICE), 1.0), tol=tol),
 ]

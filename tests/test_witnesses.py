@@ -120,13 +120,12 @@ def test_harp_witness_matches_cube_oracle(case):
 @given(nonnegative_matrices(), st.data())
 def test_shortest_cycle_matches_cube_oracle(matrix, data):
     T = matrix.shape[0]
-    max_len = data.draw(st.none() | st.integers(2, T), label="max_len")
     bound = data.draw(st.sampled_from([0.5, 1.0, 2.0]), label="bound")
-    expected = shortest_cycle_by_cube(matrix, bound, max_len)
-    assert shortest_cycle_above(matrix, bound, max_len=max_len) == expected
+    expected = shortest_cycle_by_cube(matrix, bound)
+    assert shortest_cycle_above(matrix, bound) == expected
     width = data.draw(st.integers(1, T), label="block width")
     with small_blocks(T, T, width):
-        assert shortest_cycle_above(matrix, bound, max_len=max_len) == expected
+        assert shortest_cycle_above(matrix, bound) == expected
 
 
 @given(st.integers(1, 8), st.integers(1, 8), st.integers(1, 8), st.data())
