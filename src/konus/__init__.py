@@ -94,4 +94,21 @@ from .semiring import (
     maxtimes_closure,
 )
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+__all__ = [
+    "ARModel", "AfriatSolution", "AxiomVerdict", "BooleanRelation", "CertificateError",
+    "ForecastCone", "GarpWitness", "GroupProbabilityCurve", "GroupSelection", "HarpMultipliers",
+    "HarpWitness", "HierarchyReport", "IndexSeries", "InfeasibleAxiomError", "IrrationalityReport",
+    "LawOfDemandEstimate", "LinearConstraint", "NoAdmissibleCycleError", "NodeReport",
+    "PolytopeDescription", "PowerReport", "SizeReport", "TradeDataError", "TradeStatistics",
+    "TreeNode", "aggregate", "boolean_closure", "build_hierarchy", "check_garp", "check_harp",
+    "cobb_douglas_statistics", "cross_value_matrix", "enumerate_vertices", "eval_garp_utility",
+    "eval_harp_utility", "fit_ar", "fit_price_models", "forecast_size_paired",
+    "gamma_coefficients", "garp_irrationality", "harp_irrationality", "irrationality_report",
+    "kg_membership", "kh_membership", "kh_polytope", "konus_divisia_series",
+    "law_of_demand_estimate", "law_of_demand_outer", "load_trade_statistics", "log_relatives",
+    "max_cycle_geomean", "maxtimes_closure", "paasche_matrix", "parse_partition_tree",
+    "power_estimate", "random_group_probability", "random_statistics", "render_tree",
+    "rescale_quantities", "restrict_to_group", "sample_positive_sphere", "simulate_price_paths",
+    "solve_afriat_numbers", "solve_harp_multipliers", "trade_statistics", "validate_tree",
+    "verify_afriat_solution", "verify_harp_multipliers",
+]

@@ -84,6 +84,11 @@ class RunManifest:
     @classmethod
     def load(cls, path) -> "RunManifest":
         data = json.loads(Path(path).read_text(encoding="utf-8"))
+        if not (isinstance(data, dict) and isinstance(data.get("command"), str)
+                and isinstance(data.get("params"), dict) and isinstance(data.get("out_dir", ""), str)
+                and isinstance(data["params"].get("positional", []), list)):
+            raise TradeDataError(f"{path} is not a run manifest: it needs a command string and a params "
+                                 "object, and any out_dir must be a string and any positional a list")
         params = dict(data["params"])
         params.pop("workers", None)  # older runs stored a chunk count that no output ever depended on
         return cls(command=data["command"], params=params,

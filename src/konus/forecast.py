@@ -100,6 +100,9 @@ def gamma_coefficients(ts: TradeStatistics, omega: float, price_new) -> Forecast
     diagonal, so restoring the diagonal to at least ``1 / omega`` gives it
     bit for bit.
     """
+    validate_level(omega)
+    if omega < 1.0:
+        raise ValueError("omega must be at least 1")
     price_new = _admissible_price(price_new, ts.num_goods)
     verdict, closure = _harp_verdict(ts, omega, 0.0)
     if not verdict.satisfied:
@@ -107,8 +110,6 @@ def gamma_coefficients(ts: TradeStatistics, omega: float, price_new) -> Forecast
             f"homotheticity fails at omega={omega}; the forecasting cone is undefined",
             verdict.witness,
         )
-    if omega < 1.0:
-        raise ValueError("omega must be at least 1")
     paths = closure.copy()
     np.fill_diagonal(paths, np.maximum(paths.diagonal(), 1.0 / omega))
     new_values = ts.quantities @ price_new           # <price_new, X^t>

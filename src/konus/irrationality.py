@@ -3,8 +3,9 @@
 The homothetic index is the maximal cycle geometric mean of the Paasche
 matrix, computed exactly.  The acyclicity index is the infimum of the levels
 at which the acyclicity test passes; since the feasible set can be open, the
-index is reported together with an attainment flag, both found exactly by a
-search over the breakpoints where the relation changes.
+index is reported together with an attainment flag.  The infimum is read
+exactly off one (max, min) closure of the level ratios, and attainment off
+one verdict at it.
 """
 
 from __future__ import annotations
@@ -14,8 +15,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .axioms import GarpWitness, HarpWitness, _garp_satisfied, check_garp, check_harp
-from .core import FloatArray, TradeStatistics, cross_value_matrix, paasche_matrix, validate_level
-from .semiring import max_cycle_geomean
+from .core import TradeStatistics, cross_value_matrix, paasche_matrix
+from .semiring import _maxmin_closure, max_cycle_geomean
 
 # Level reported for a single observation, where no admissible cycle exists
 # and every positive level is consistent with homotheticity.
@@ -43,39 +44,23 @@ def harp_irrationality(ts: TradeStatistics) -> float:
     return max_cycle_geomean(paasche_matrix(cross_value_matrix(ts)))
 
 
-def _garp_breakpoints(px: FloatArray) -> np.ndarray:
-    """Off-diagonal ratios ``px[t, t] / px[t, s]``: the only levels where the relation changes."""
-    ratios = px.diagonal()[:, np.newaxis] / px
-    mask = ~np.eye(px.shape[0], dtype=bool)
-    return np.unique(ratios[mask])
-
-
-def garp_irrationality(ts: TradeStatistics, *, tol: float = 0.0) -> tuple[float, bool]:
+def garp_irrationality(ts: TradeStatistics) -> tuple[float, bool]:
     """Infimum of the levels at which the acyclicity test passes, with attainment.
 
-    Verdicts are constant between consecutive breakpoints and monotone in the
-    level, so a bisection over the breakpoints for the least interval whose
-    midpoint passes, then one probe of the breakpoint that opens it, decides
-    the infimum and its attainment exactly.  Past the last breakpoint the
-    relation is empty, so that interval (probed halfway to ``b + 1``) passes.  A
-    single observation passes vacuously at every positive level, reported
-    as infimum zero, not attained.  Probes are verdict-only.
+    At level omega, ``t`` reaches ``s`` iff omega is at most ``B[t, s]``, the
+    (max, min) closure of the ratios ``r[t, s] = px[t, t] / px[t, s]``, and
+    the closing comparison fails iff omega is below ``r[s, t]``: the infimum
+    is the largest ``min(B[t, s], r[s, t])``, and one verdict at it decides
+    attainment.  A single observation passes at every positive level,
+    reported as infimum zero, not attained.
     """
-    validate_level(tol=tol)
     if ts.num_periods < 2:
         return 0.0, False
     px = cross_value_matrix(ts)
-    points = _garp_breakpoints(px)
-    midpoints = (points + np.append(points[1:], points[-1] + 1.0)) / 2.0
-    lo, hi = -1, len(points) - 1  # midpoints[hi] passes; midpoints[lo] fails where lo >= 0
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        if _garp_satisfied(px, float(midpoints[mid]), tol):
-            hi = mid
-        else:
-            lo = mid
-    value = float(points[hi])
-    return value, _garp_satisfied(px, value, tol)
+    ratios = px.diagonal()[:, np.newaxis] / px
+    np.fill_diagonal(ratios, 0.0)  # no self-edges; it also zeroes the diagonal of the minimum below
+    value = float(np.minimum(_maxmin_closure(ratios.copy()), ratios.T).max())
+    return value, _garp_satisfied(px, value, 0.0)
 
 
 def irrationality_report(ts: TradeStatistics) -> IrrationalityReport:

@@ -1,4 +1,4 @@
-"""Idempotent (max, *) matrix closures and cycle searches on positive matrices.
+"""Idempotent (max, *) and (max, min) matrix closures and cycle searches on positive matrices.
 
 The closure of a nonnegative matrix in the semiring with ``a + b := max(a, b)``
 and ``a * b := ab`` collects, for every ordered pair ``(t, s)``, the maximal
@@ -107,6 +107,18 @@ def maxtimes_closure(matrix, *, tol: float = 0.0) -> FloatArray | None:
     return values
 
 
+def _maxmin_closure(out: np.ndarray) -> np.ndarray:
+    """Warshall closure in place in the (max, min) semiring, of one matrix or a stack ``[..., T, T]``.
+
+    Entry ``[t, s]`` becomes the largest least edge of any walk from ``t`` to
+    ``s`` with at least one edge: reachability on booleans.  Max and min only
+    select entries, so no value is rounded.
+    """
+    for k in range(out.shape[-1]):
+        np.maximum(out, np.minimum(out[..., :, k, np.newaxis], out[..., np.newaxis, k, :]), out=out)
+    return out
+
+
 def boolean_closure(rel) -> BooleanRelation:
     """Warshall transitive closure of a boolean relation (reflexivity not forced).
 
@@ -115,9 +127,7 @@ def boolean_closure(rel) -> BooleanRelation:
     out = np.array(rel, dtype=bool)
     if out.ndim < 2 or out.shape[-1] != out.shape[-2]:
         raise ValueError(f"relation must be square, got shape {out.shape}")
-    for k in range(out.shape[-1]):
-        out |= out[..., :, k, np.newaxis] & out[..., np.newaxis, k, :]
-    return out
+    return _maxmin_closure(out)
 
 
 def _karp_max_mean(log_weights: FloatArray) -> float:

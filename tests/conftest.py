@@ -26,7 +26,6 @@ from konus import (
 from konus.axioms import _garp_satisfied
 from konus.core import FloatArray, validate_level
 from konus.forecast import CounterexampleFixture
-from konus.irrationality import _garp_breakpoints
 from konus.semiring import FLOAT_SLACK, _as_square, _canonical_rotation
 
 # Property tests draw the same examples on every run and have no per-example deadline.
@@ -378,6 +377,41 @@ def _brute_force_length(paasche, scaled, k, bound, budget):
     for a, b in zip(cycle, cycle[1:] + cycle[:1]):
         product *= paasche[a, b]
     return cycle, float(product)
+
+
+def _garp_breakpoints(px: FloatArray) -> np.ndarray:
+    """Off-diagonal ratios ``px[t, t] / px[t, s]``: the only levels where the relation changes."""
+    ratios = px.diagonal()[:, np.newaxis] / px
+    mask = ~np.eye(px.shape[0], dtype=bool)
+    return np.unique(ratios[mask])
+
+
+def garp_irrationality_breakpoints(ts: TradeStatistics) -> tuple[float, bool]:
+    """Acyclicity index oracle: a bisection over the breakpoints, one verdict per probe.
+
+    Verdicts are constant between consecutive breakpoints and monotone in the
+    level, so a bisection over the breakpoints for the least interval whose
+    midpoint passes, then one probe of the breakpoint that opens it, decides
+    the infimum and its attainment exactly.  Past the last breakpoint the
+    relation is empty, so that interval (probed halfway to ``b + 1``) passes.
+    The body is the library's before the closure replaced it, ``tol`` aside.
+    Where two breakpoints are adjacent floats, their midpoint rounds onto one
+    of them, and the answer can be one breakpoint low.
+    """
+    if ts.num_periods < 2:
+        return 0.0, False
+    px = cross_value_matrix(ts)
+    points = _garp_breakpoints(px)
+    midpoints = (points + np.append(points[1:], points[-1] + 1.0)) / 2.0
+    lo, hi = -1, len(points) - 1  # midpoints[hi] passes; midpoints[lo] fails where lo >= 0
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if _garp_satisfied(px, float(midpoints[mid]), 0.0):
+            hi = mid
+        else:
+            lo = mid
+    value = float(points[hi])
+    return value, _garp_satisfied(px, value, 0.0)
 
 
 def garp_irrationality_bisection(ts: TradeStatistics, *, tol: float = 1e-9) -> float:

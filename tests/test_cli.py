@@ -6,7 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from konus import cobb_douglas_statistics
+from konus import cobb_douglas_statistics, random_statistics
 from konus.cli import RunManifest, _panel_files, _write_files, main
 from konus.forecast import CounterexampleFixture, intersection_demands
 
@@ -307,6 +307,12 @@ def write_tree(tmp_path: Path, text: str) -> str:
     return str(path)
 
 
+def write_random_panel(tmp_path: Path):
+    """A panel that fails homotheticity at level 0.5."""
+    _write_files(tmp_path, _panel_files(random_statistics(8, 3, seed=2)))
+    return str(tmp_path / "prices.csv"), str(tmp_path / "quantities.csv")
+
+
 def fixture_panel(tmp_path: Path):
     out = emit_fixture(tmp_path)
     return str(out / "prices.csv"), str(out / "quantities.csv")
@@ -372,6 +378,8 @@ FAILING_RUNS = {
         lambda d: ["hierarchy", *write_power_panel(d), "--tree", str(d / "missing.json")], 2),
     "groups-no-valid-group": (
         lambda d: ["groups", *fixture_panel(d), "--sizes", "2", "--samples", "40", "--seed", "1"], 2),
+    "forecast-omega-below-one": (
+        lambda d: ["forecast", *write_random_panel(d), "--omega", "0.5", "--new-price", "1,1,1"], 2),
 }
 
 
@@ -387,3 +395,22 @@ def test_failed_command_leaves_no_output_directory(tmp_path, case, capsys):
     assert captured.out == ""
     assert captured.err != ""
     assert not out.exists()
+
+
+@pytest.mark.parametrize("manifest", [
+    "{}",
+    "[1, 2]",
+    '{"command": "power"}',
+    '{"command": "power", "params": [1]}',
+    '{"command": "power", "params": {"positional": 5}}',
+    '{"command": "power", "params": {}, "out_dir": 5}',
+])
+def test_replay_of_a_malformed_manifest_is_an_input_error(tmp_path, monkeypatch, manifest, capsys):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "manifest.json").write_text(manifest)
+    code = main(["replay", "manifest.json"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert "input error: manifest.json is not a run manifest" in captured.err
+    assert [path.name for path in tmp_path.iterdir()] == ["manifest.json"]

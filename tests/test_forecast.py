@@ -17,6 +17,7 @@ from konus import (
     law_of_demand_outer,
     maxtimes_closure,
     paasche_matrix,
+    random_statistics,
     sample_positive_sphere,
     trade_statistics,
 )
@@ -92,6 +93,15 @@ def test_gamma_scales_with_new_price(appendix_panel):
 def test_gamma_requires_consistency(two_period_panel):
     with pytest.raises(InfeasibleAxiomError):
         gamma_coefficients(two_period_panel, 1.0, np.array([1.0, 1.0]))
+
+
+def test_gamma_rejects_omega_below_one_before_any_closure(monkeypatch):
+    ts = random_statistics(8, 3, seed=2)
+    assert not check_harp(ts, 0.5).satisfied
+    calls = count_closures(monkeypatch)
+    with pytest.raises(ValueError, match="omega must be at least 1"):
+        gamma_coefficients(ts, 0.5, np.array([1.0, 1.0, 1.0]))
+    assert calls == []
 
 
 def test_gamma_positive():

@@ -11,7 +11,6 @@ from konus import (
     cross_value_matrix,
     enumerate_vertices,
     gamma_coefficients,
-    garp_irrationality,
     kg_membership,
     kh_membership,
     kh_polytope,
@@ -49,7 +48,6 @@ LEVEL_ONLY = [
     lambda ts, omega: law_of_demand_estimate(ts, omega),
 ]
 SLACK_ONLY = [
-    lambda ts, tol: garp_irrationality(ts, tol=tol),
     lambda ts, tol: garp_irrationality_bisection(ts, tol=tol),
     lambda ts, tol: maxtimes_closure(paasche_matrix(cross_value_matrix(ts)), tol=tol),
     lambda ts, tol: kh_membership(gamma_coefficients(ts, WIDE, PRICE), ts, BUNDLE, tol=tol),
