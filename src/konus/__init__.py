@@ -80,12 +80,7 @@ from .hierarchy import (
     render_tree,
     validate_tree,
 )
-from .irrationality import (
-    IrrationalityReport,
-    garp_irrationality,
-    harp_irrationality,
-    irrationality_report,
-)
+from .irrationality import garp_irrationality, harp_irrationality
 from .semiring import (
     BooleanRelation,
     NoAdmissibleCycleError,
@@ -97,14 +92,13 @@ from .semiring import (
 __all__ = [
     "ARModel", "AfriatSolution", "AxiomVerdict", "BooleanRelation", "CertificateError",
     "ForecastCone", "GarpWitness", "GroupProbabilityCurve", "GroupSelection", "HarpMultipliers",
-    "HarpWitness", "HierarchyReport", "IndexSeries", "InfeasibleAxiomError", "IrrationalityReport",
-    "LawOfDemandEstimate", "LinearConstraint", "NoAdmissibleCycleError", "NodeReport",
-    "PolytopeDescription", "PowerReport", "SizeReport", "TradeDataError", "TradeStatistics",
-    "TreeNode", "aggregate", "boolean_closure", "build_hierarchy", "check_garp", "check_harp",
-    "cobb_douglas_statistics", "cross_value_matrix", "enumerate_vertices", "eval_garp_utility",
-    "eval_harp_utility", "fit_ar", "fit_price_models", "forecast_size_paired",
-    "gamma_coefficients", "garp_irrationality", "harp_irrationality", "irrationality_report",
-    "kg_membership", "kh_membership", "kh_polytope", "konus_divisia_series",
+    "HarpWitness", "HierarchyReport", "IndexSeries", "InfeasibleAxiomError", "LawOfDemandEstimate",
+    "LinearConstraint", "NoAdmissibleCycleError", "NodeReport", "PolytopeDescription",
+    "PowerReport", "SizeReport", "TradeDataError", "TradeStatistics", "TreeNode", "aggregate",
+    "boolean_closure", "build_hierarchy", "check_garp", "check_harp", "cobb_douglas_statistics",
+    "cross_value_matrix", "enumerate_vertices", "eval_garp_utility", "eval_harp_utility", "fit_ar",
+    "fit_price_models", "forecast_size_paired", "gamma_coefficients", "garp_irrationality",
+    "harp_irrationality", "kg_membership", "kh_membership", "kh_polytope", "konus_divisia_series",
     "law_of_demand_estimate", "law_of_demand_outer", "load_trade_statistics", "log_relatives",
     "max_cycle_geomean", "maxtimes_closure", "paasche_matrix", "parse_partition_tree",
     "power_estimate", "random_group_probability", "random_statistics", "render_tree",

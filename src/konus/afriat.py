@@ -4,7 +4,10 @@ Passing the homotheticity test yields positive multipliers ``lam`` with
 ``omega * lam[t] * px[t, s] >= lam[s] * px[s, s]`` for all ``t != s``; passing
 the acyclicity test yields utility levels and multipliers ``(U, lam)`` with
 ``U[t] <= U[s] + lam[s] * (omega * px[s, t] - px[s, s])``.  Both constructions
-are verified against their inequality systems before being returned.
+are verified against their inequality systems before being returned.  Each
+is read off the one O(T^3) closure that decided its verdict; the witness
+search of a failing test runs only to give :class:`InfeasibleAxiomError`
+its witness.
 """
 
 from __future__ import annotations
@@ -13,9 +16,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .axioms import GarpWitness, HarpWitness, _harp_verdict, _relation, check_garp
-from .core import FloatArray, TradeStatistics, cross_value_matrix
-from .semiring import boolean_closure
+from .axioms import GarpWitness, HarpWitness, _garp_violations, _garp_witness, _harp_verdict
+from .core import FloatArray, TradeStatistics, cross_value_matrix, validate_level
 
 CERTIFICATE_RTOL = 1e-9
 
@@ -128,21 +130,21 @@ def solve_afriat_numbers(ts: TradeStatistics, omega: float = 1.0, *,
     relation restricted to the unprocessed periods, read off one transitive
     closure of the whole relation in O(T^3), assigning the class its
     utility by a min formula over processed periods and its multiplier by the
-    dual max formula.  Tie-breaking is lowest index first; the contract is
-    feasibility of the output, not specific values.
+    dual max formula.  That closure also decides the acyclicity verdict; the
+    witness search runs only when it fails.  Tie-breaking is lowest index
+    first; the contract is feasibility of the output, not specific values.
     """
-    verdict = check_garp(ts, omega, tol=tol)
-    if not verdict.satisfied:
-        raise InfeasibleAxiomError(
-            f"acyclicity fails at omega={omega}; no utility numbers exist", verdict.witness
-        )
+    validate_level(omega, tol)
     px = cross_value_matrix(ts)
+    rel, reach, bad = _garp_violations(px, omega, tol)
+    if bad.any():
+        raise InfeasibleAxiomError(f"acyclicity fails at omega={omega}; no utility numbers exist",
+                                   _garp_witness(rel, bad, omega))
     T = px.shape[0]
     utilities = np.zeros(T)
     lam = np.zeros(T)
     remaining: list[int] = list(range(T))
     processed: list[int] = []
-    reach = boolean_closure(_relation(px, omega, tol))
     while remaining:
         # A peeled class is maximal, so no walk between two remaining periods
         # passes through it: restricting the closure closes the restriction.

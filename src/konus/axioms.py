@@ -83,19 +83,19 @@ def _relation(px: FloatArray, omega: float, tol: float) -> np.ndarray:
 
 
 def _garp_violations(px: FloatArray, omega: float, tol: float):
+    """``(rel, closure, bad)``: the level-omega relation, its transitive closure and the violating pairs."""
     rel = _relation(px, omega, tol)
     closure = boolean_closure(rel)
     # bad[t, s]: t reaches s but the closing comparison px[s, s] <= omega * px[s, t] fails
     closing_fails = px.diagonal(0, -2, -1)[..., np.newaxis, :] > _level_bound(px.swapaxes(-1, -2), omega, tol)
     bad = closure & closing_fails
     _zero_diagonal(bad)
-    return rel, bad
+    return rel, closure, bad
 
 
 def _garp_satisfied(px: FloatArray, omega: float, tol: float) -> bool:
     """Verdict of the acyclicity test at one level, without a witness."""
-    _, bad = _garp_violations(px, omega, tol)
-    return not bool(bad.any())
+    return not bool(_garp_violations(px, omega, tol)[2].any())
 
 
 def _nearest_source(rel: np.ndarray, bad: np.ndarray) -> int:
@@ -154,13 +154,17 @@ def check_garp(ts: TradeStatistics, omega: float = 1.0, *, tol: float = 0.0) -> 
     """
     validate_level(omega, tol)
     px = cross_value_matrix(ts)
-    rel, bad = _garp_violations(px, omega, tol)
+    rel, _, bad = _garp_violations(px, omega, tol)
     if not bad.any():
         return AxiomVerdict(satisfied=True, omega=omega)
+    return AxiomVerdict(satisfied=False, omega=omega, witness=_garp_witness(rel, bad, omega))
+
+
+def _garp_witness(rel: np.ndarray, bad: np.ndarray, omega: float) -> GarpWitness:
+    """The witness of :func:`check_garp`, from the relation and violating pairs it decided on."""
     source = _nearest_source(rel, bad)
     chain = _first_chain(rel, source, bad[source])
-    witness = GarpWitness(chain=chain, comparison=(chain[-1], chain[0]), omega=omega)
-    return AxiomVerdict(satisfied=False, omega=omega, witness=witness)
+    return GarpWitness(chain=chain, comparison=(chain[-1], chain[0]), omega=omega)
 
 
 def _scaled_paasche(px: FloatArray, omega: float) -> FloatArray:
@@ -188,7 +192,7 @@ def _verdicts(px: FloatArray, omega: float = 1.0, tol: float = 0.0) -> tuple[np.
     left to the caller, because the Monte Carlo experiments enforce it in
     different directions.
     """
-    garp_ok = ~_garp_violations(px, omega, tol)[1].any(axis=(1, 2))
+    garp_ok = ~_garp_violations(px, omega, tol)[2].any(axis=(1, 2))
     return garp_ok, ~_relax(_scaled_paasche(px, omega), (1.0 + tol) * (1.0 + FLOAT_SLACK))
 
 

@@ -37,7 +37,7 @@ from .forecast import (
     kh_polytope,
 )
 from .hierarchy import build_hierarchy, parse_partition_tree, render_tree
-from .irrationality import irrationality_report
+from .irrationality import garp_irrationality, harp_irrationality
 from .econometrics import power_estimate, random_group_probability
 
 EXIT_OK = 0
@@ -225,13 +225,13 @@ def _cmd_indices(args, out: Path) -> tuple[int, Files]:
 
 def _cmd_irrationality(args, out: Path) -> tuple[int, Files]:
     ts = _load_panel(args)
-    report = irrationality_report(ts)
-    attained = "attained" if report.attained_g else "not attained"
-    print(f"acyclicity index omega_G = {report.omega_g!r} ({attained})")
-    print(f"homotheticity index omega_H = {report.omega_h!r}")
+    omega_h = harp_irrationality(ts)
+    omega_g, attained_g = garp_irrationality(ts)
+    attained = "attained" if attained_g else "not attained"
+    print(f"acyclicity index omega_G = {omega_g!r} ({attained})")
+    print(f"homotheticity index omega_H = {omega_h!r}")
     return EXIT_OK, {"irrationality.csv": (
-        ["omega_g", "attained_g", "omega_h"],
-        [[repr(report.omega_g), report.attained_g, repr(report.omega_h)]])}
+        ["omega_g", "attained_g", "omega_h"], [[repr(omega_g), attained_g, repr(omega_h)]])}
 
 
 def _cmd_forecast(args, out: Path) -> tuple[int, Files]:

@@ -3,13 +3,14 @@
 Given a panel passing the homotheticity test at level omega and a new price
 vector, the admissible demand vectors form a polyhedral cone cut out by one
 linear inequality per observed period.  The cone coefficients come from the
-omega-discounted closure of the Paasche matrix.  The size of the acyclicity-
-and homotheticity-based forecasting sets is measured by the fraction of
-random unit price vectors that keep the panel consistent; the trials run in
-batches, each on its own ``(seed, trial)`` substream, so the counts are
-bit-identical for any batch size.  The appendix-2 counterexample fixture,
-whose homothetic forecasting set sits strictly inside the acyclic support
-set, lives here with its inclusion check.
+omega-discounted closure of the Paasche matrix, the one that decided the
+homotheticity verdict.  The size of the acyclicity- and homotheticity-based
+forecasting sets is measured by the fraction of random unit price vectors
+that keep the panel consistent; the trials run in batches, each on its own
+``(seed, trial)`` substream, so the counts are bit-identical for any batch
+size.  The appendix-2 counterexample fixture, whose homothetic forecasting
+set sits strictly inside the acyclic support set, lives here with its
+inclusion check.
 """
 
 from __future__ import annotations

@@ -17,13 +17,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .afriat import (
-    HarpMultipliers,
-    IndexSeries,
-    InfeasibleAxiomError,
-    konus_divisia_series,
-    solve_harp_multipliers,
-)
+from .afriat import IndexSeries, InfeasibleAxiomError, konus_divisia_series, solve_harp_multipliers
 from .core import GroupSelection, TradeDataError, TradeStatistics, restrict_to_group, trade_statistics
 from .irrationality import harp_irrationality
 
@@ -95,7 +89,7 @@ def validate_tree(ts: TradeStatistics, tree: TreeNode) -> None:
 
 @dataclass(frozen=True, eq=False)
 class NodeReport:
-    """Per-node outcome: verdict, irrationality level, certificate, and indices.
+    """Per-node outcome: verdict, irrationality level, and index series.
 
     ``status`` is ``ok`` (passes at the recorded level), ``violated`` (its own
     panel fails), or ``blocked`` (some child failed, so the node's aggregated
@@ -111,7 +105,6 @@ class NodeReport:
     status: str
     omega: float
     omega_h: float | None
-    multipliers: HarpMultipliers | None
     series: IndexSeries | None
     statistics: TradeStatistics | None
     implies_flat_harp: bool
@@ -198,9 +191,8 @@ def _analyse_panel(panel: TradeStatistics, omega: float):
     try:
         lm = solve_harp_multipliers(panel, omega)
     except InfeasibleAxiomError:
-        return "violated", omega_h, None, None
-    series = konus_divisia_series(panel, lm)
-    return "ok", omega_h, lm, series
+        return "violated", omega_h, None
+    return "ok", omega_h, konus_divisia_series(panel, lm)
 
 
 def _process_node(ts, node: TreeNode, omega: float, depth: int) -> tuple[NodeReport, list[NodeReport]]:
@@ -219,14 +211,10 @@ def _process_node(ts, node: TreeNode, omega: float, depth: int) -> tuple[NodeRep
         passthrough = GroupSelection.from_ids(ts, node.goods) if node.goods else None
         panel = aggregate(ts, children, passthrough,
                           child_ids=[child.name for child in child_outcomes])
-    if panel is None:
-        status, omega_h, lm, series = "blocked", None, None, None
-    else:
-        status, omega_h, lm, series = _analyse_panel(panel, omega)
+    status, omega_h, series = ("blocked", None, None) if panel is None else _analyse_panel(panel, omega)
     report = NodeReport(
         name=node.name, depth=depth, goods=node.covered_goods(), is_leaf=node.is_leaf,
-        status=status, omega=omega, omega_h=omega_h, multipliers=lm,
-        series=series, statistics=panel,
+        status=status, omega=omega, omega_h=omega_h, series=series, statistics=panel,
         implies_flat_harp=status == "ok" and all(c.implies_flat_harp for c in child_outcomes),
     )
     return report, [report] + descendant_reports

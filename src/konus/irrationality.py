@@ -5,31 +5,22 @@ matrix, computed exactly.  The acyclicity index is the infimum of the levels
 at which the acyclicity test passes; since the feasible set can be open, the
 index is reported together with an attainment flag.  The infimum is read
 exactly off one (max, min) closure of the level ratios, and attainment off
-one verdict at it.
+one verdict at it.  Neither index builds a witness: a caller who wants a
+cycle or chain at the critical level asks :func:`~konus.check_harp` or
+:func:`~konus.check_garp` just below it.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from .axioms import GarpWitness, HarpWitness, _garp_satisfied, check_garp, check_harp
+from .axioms import _garp_satisfied
 from .core import TradeStatistics, cross_value_matrix, paasche_matrix
 from .semiring import _maxmin_closure, max_cycle_geomean
 
 # Level reported for a single observation, where no admissible cycle exists
 # and every positive level is consistent with homotheticity.
 SINGLE_PERIOD_HARP_INDEX = 1.0
-
-
-@dataclass(frozen=True)
-class IrrationalityReport:
-    omega_g: float
-    attained_g: bool
-    omega_h: float
-    garp_witness: GarpWitness | None
-    harp_witness: HarpWitness | None
 
 
 def harp_irrationality(ts: TradeStatistics) -> float:
@@ -61,27 +52,3 @@ def garp_irrationality(ts: TradeStatistics) -> tuple[float, bool]:
     np.fill_diagonal(ratios, 0.0)  # no self-edges; it also zeroes the diagonal of the minimum below
     value = float(np.minimum(_maxmin_closure(ratios.copy()), ratios.T).max())
     return value, _garp_satisfied(px, value, 0.0)
-
-
-def irrationality_report(ts: TradeStatistics) -> IrrationalityReport:
-    """Both indices plus violation witnesses probed just below the critical levels."""
-    omega_h = harp_irrationality(ts)
-    omega_g, attained = garp_irrationality(ts)
-    harp_witness: HarpWitness | None = None
-    garp_witness: GarpWitness | None = None
-    if ts.num_periods >= 2:
-        probe = check_harp(ts, omega_h * (1.0 - 1e-9))
-        if not probe.satisfied:
-            harp_witness = probe.witness  # a cycle attaining (up to 1e-9) the critical level
-        level = omega_g if not attained else omega_g * (1.0 - 1e-9)
-        if level > 0.0:
-            probe_g = check_garp(ts, level)
-            if not probe_g.satisfied:
-                garp_witness = probe_g.witness
-    return IrrationalityReport(
-        omega_g=omega_g,
-        attained_g=attained,
-        omega_h=omega_h,
-        garp_witness=garp_witness,
-        harp_witness=harp_witness,
-    )

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import contextlib
+import sys
 from collections import deque
 from itertools import combinations
 from unittest import mock
@@ -226,20 +227,42 @@ def vertices_by_subsets(poly, tol=1e-9):
     return np.array(unique, dtype=float).reshape(len(unique), m)
 
 
-def count_closures(monkeypatch):
-    """Record the order of every max-times closure konus builds; returns the live list."""
-    import konus
+def replace_everywhere(monkeypatch, original, replacement):
+    """Rebind every name a konus module (or the package) looks ``original`` up by to ``replacement``."""
+    for key, module in list(sys.modules.items()):
+        if key == "konus" or key.startswith("konus."):
+            for name, value in list(vars(module).items()):
+                if value is original:
+                    monkeypatch.setattr(module, name, replacement)
+
+
+def count_closures(monkeypatch, name="maxtimes_closure"):
+    """Record the order of every closure ``semiring.<name>`` konus builds; returns the live list."""
+    from konus import semiring
 
     calls = []
-    original = konus.semiring.maxtimes_closure
+    original = getattr(semiring, name)
 
     def counted(matrix, *args, **kwargs):
         calls.append(np.shape(matrix)[0])
         return original(matrix, *args, **kwargs)
 
-    for module in (konus.semiring, konus.axioms, konus.forecast):
-        monkeypatch.setattr(module, "maxtimes_closure", counted)
+    replace_everywhere(monkeypatch, original, counted)
     return calls
+
+
+def planted_cycle_panel(T):
+    """Own-good panel whose only violations run through all T periods.
+
+    ``quantities = I``, ``prices[t, t] = prices[t, t + 1] = 1``,
+    ``prices[T - 1, 0] = 0.8`` and every other price is 5: the only HARP
+    cycle above one is the full T-cycle, and the GARP chain has T - 1 links.
+    """
+    prices = np.full((T, T), 5.0)
+    prices[np.arange(T), np.arange(T)] = 1.0
+    prices[np.arange(T - 1), np.arange(1, T)] = 1.0
+    prices[T - 1, 0] = 0.8
+    return trade_statistics(prices, np.eye(T))
 
 
 # Brute-force references: exhaustive cycle enumeration under a tuple budget, the bisection

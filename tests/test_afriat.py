@@ -10,6 +10,7 @@ from konus import (
     InfeasibleAxiomError,
     check_garp,
     check_harp,
+    cobb_douglas_statistics,
     cross_value_matrix,
     eval_garp_utility,
     eval_harp_utility,
@@ -17,6 +18,7 @@ from konus import (
     harp_irrationality,
     konus_divisia_series,
     paasche_matrix,
+    random_statistics,
     solve_afriat_numbers,
     solve_harp_multipliers,
     trade_statistics,
@@ -281,6 +283,20 @@ def test_multipliers_build_one_closure(monkeypatch):
         with pytest.raises(InfeasibleAxiomError):
             solve_harp_multipliers(ts, omega * 0.9)
     assert calls == [6] * 8
+
+
+def test_afriat_numbers_build_one_boolean_closure(monkeypatch):
+    calls = count_closures(monkeypatch, "boolean_closure")
+    ts = cobb_douglas_statistics(40, 5, seed=4)
+    solve_afriat_numbers(ts)
+    assert calls == [40]
+    calls.clear()
+    failing = random_statistics(40, 5, seed=1)
+    with pytest.raises(InfeasibleAxiomError) as raised:
+        solve_afriat_numbers(failing)
+    assert calls == [40]
+    assert str(raised.value) == "acyclicity fails at omega=1.0; no utility numbers exist"
+    assert raised.value.witness == check_garp(failing).witness
 
 
 @given(witness_panels(max_periods=12), st.sampled_from([1.0, 1.0 + 1e-9]) | st.floats(1.0, 1.5),

@@ -6,9 +6,18 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from konus import cobb_douglas_statistics, random_statistics
+from konus import (
+    axioms,
+    cobb_douglas_statistics,
+    garp_irrationality,
+    harp_irrationality,
+    random_statistics,
+    semiring,
+)
 from konus.cli import RunManifest, _panel_files, _write_files, main
 from konus.forecast import CounterexampleFixture, intersection_demands
+
+from conftest import planted_cycle_panel, replace_everywhere
 
 TWO_PERIOD_PRICES = "period,g1,g2\nt1,1,2\nt2,2,1\n"
 TWO_PERIOD_QUANTITIES = "period,g1,g2\nt1,1,1\nt2,2,1\n"
@@ -103,6 +112,25 @@ def test_irrationality_command(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "1.118033" in out
     assert "0.75" in out and "not attained" in out
+
+
+def test_irrationality_command_searches_no_witness(tmp_path, capsys, monkeypatch):
+    # the planted panel's critical cycle runs through all 200 periods, the worst case of a witness search
+    ts = planted_cycle_panel(200)
+    omega_g, attained_g = garp_irrationality(ts)
+    _write_files(tmp_path, _panel_files(ts))
+
+    def no_witness_search(*args, **kwargs):
+        raise AssertionError("witness search")
+
+    for function in (semiring.shortest_cycle_above, axioms.check_harp, axioms.check_garp):
+        replace_everywhere(monkeypatch, function, no_witness_search)
+    code = main(["irrationality", str(tmp_path / "prices.csv"), str(tmp_path / "quantities.csv"),
+                 "--out", str(tmp_path / "irr")])
+    assert code == 0
+    lines = (tmp_path / "irr" / "irrationality.csv").read_text().splitlines()
+    assert lines == ["omega_g,attained_g,omega_h", f"{omega_g!r},{attained_g},{harp_irrationality(ts)!r}"]
+    capsys.readouterr()
 
 
 def test_indices_command(tmp_path, capsys):

@@ -12,7 +12,6 @@ from konus import (
     cross_value_matrix,
     garp_irrationality,
     harp_irrationality,
-    irrationality_report,
     random_statistics,
     trade_statistics,
 )
@@ -100,18 +99,15 @@ def test_breakpoint_and_bisection_agree():
 
 
 def test_report_two_period(two_period_panel):
-    report = irrationality_report(two_period_panel)
-    assert report.omega_h == pytest.approx(np.sqrt(1.25), abs=1e-9)
-    assert report.omega_g == pytest.approx(0.75, abs=1e-12)
-    assert not report.attained_g
-    assert report.harp_witness is not None and report.harp_witness.cycle == (0, 1)
-    assert report.garp_witness is not None
+    assert harp_irrationality(two_period_panel) == pytest.approx(np.sqrt(1.25), abs=1e-9)
+    omega_g, attained_g = garp_irrationality(two_period_panel)
+    assert omega_g == pytest.approx(0.75, abs=1e-12)
+    assert not attained_g
 
 
 def test_report_single_period():
-    report = irrationality_report(trade_statistics([[5.0]], [[2.0]]))
-    assert report.omega_h == 1.0 and report.omega_g == 0.0
-    assert report.harp_witness is None and report.garp_witness is None
+    ts = trade_statistics([[5.0]], [[2.0]])
+    assert harp_irrationality(ts) == 1.0 and garp_irrationality(ts)[0] == 0.0
 
 
 def test_bisection_with_zero_tolerance_stops_at_adjacent_floats():

@@ -95,7 +95,7 @@ def small_blocks(rows, cols, width):
 def test_garp_witness_matches_per_pair_oracle(case, tol):
     ts, omega = case
     verdict = check_garp(ts, omega, tol=tol)
-    rel, bad = _garp_violations(cross_value_matrix(ts), omega, tol)
+    rel, _, bad = _garp_violations(cross_value_matrix(ts), omega, tol)
     expected = garp_chain_by_pairs(rel, bad)
     if expected is None:
         assert verdict.satisfied
@@ -167,5 +167,5 @@ def test_garp_witness_prefers_fewer_links_over_a_smaller_source():
     ts = trade_statistics(px, np.eye(4))
     witness = check_garp(ts, 1.0).witness
     assert witness.chain == (2, 3)
-    rel, bad = _garp_violations(px, 1.0, 0.0)
+    rel, _, bad = _garp_violations(px, 1.0, 0.0)
     assert garp_chain_by_pairs(rel, bad) == (2, 3)
