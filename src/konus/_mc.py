@@ -16,9 +16,15 @@ def trial_rng(seed: int, *key: int) -> np.random.Generator:
     return np.random.default_rng(tuple(int(k) for k in (seed, *key)))
 
 
-def batch_size(periods: int, goods: int) -> int:
-    """Trials per batch for a T x T cross-value matrix plus T x m prices and noise per trial."""
-    return max(1, _BATCH_BYTES // (8 * periods * (periods + 2 * goods)))
+def batch_size(floats: int) -> int:
+    """Trials per batch when each trial holds ``floats`` float64 values.
+
+    A power or group trial holds its T x T cross-value matrix plus T x m
+    prices and noise.  A size trial is decided by inserting its new period
+    into the closures of the base panel, so it holds its T x T cross-value
+    and Paasche matrices, the new period's row and column, and its price.
+    """
+    return max(1, _BATCH_BYTES // (8 * floats))
 
 
 def count_trials(worker, trials: int, batch: int) -> tuple[int, int]:

@@ -15,6 +15,7 @@ import numpy as np
 
 from .core import (
     FloatArray,
+    TradeDataError,
     TradeStatistics,
     cross_value_matrix,
     paasche_matrix,
@@ -23,6 +24,7 @@ from .core import (
 from .semiring import (
     FLOAT_SLACK,
     _relax,
+    _relax_border,
     boolean_closure,
     maxtimes_closure,
     shortest_cycle_above,
@@ -194,6 +196,73 @@ def _verdicts(px: FloatArray, omega: float = 1.0, tol: float = 0.0) -> tuple[np.
     """
     garp_ok = ~_garp_violations(px, omega, tol)[2].any(axis=(1, 2))
     return garp_ok, ~_relax(_scaled_paasche(px, omega), (1.0 + tol) * (1.0 + FLOAT_SLACK))
+
+
+@dataclass(frozen=True, eq=False)
+class _Insertion:
+    """What every stack of :func:`_inserted_verdicts` shares: a cross-value matrix but its last row.
+
+    The first ``n = T - 1`` periods form the base.  ``into_new[a]``: base
+    period a reaches the new period, through the base relation and then
+    its own link ``px[a', a'] >= px[a', new]``, whose cross values no trial
+    changes.  ``dooms[b]``: a link from the new period to b closes a
+    violation, because the reflexive base closure leads from b to some
+    period whose closing comparison fails against the new period or
+    against a base period that reaches it.  ``harp_lines`` are the pivot
+    rows and columns of the base's homotheticity closure, or ``None`` if it
+    diverges or its Paasche matrix is invalid; in the latter case
+    ``paasche_matrix`` raises on every stack before they are needed.
+    """
+
+    px: FloatArray  # [T, T]; each trial replaces its last row
+    garp_fails: bool  # the base alone violates acyclicity
+    into_new: np.ndarray
+    dooms: np.ndarray
+    harp_lines: FloatArray | None
+
+
+def _insertion_base(px: FloatArray) -> _Insertion:
+    """The base closures of :func:`_inserted_verdicts`, computed once for any number of trials."""
+    n = len(px) - 1
+    base, column, diag = px[:n, :n], px[:n, n], px.diagonal()[:n]
+    _, closure, bad = _garp_violations(base, 1.0, 0.0)
+    reach = closure | np.eye(n, dtype=bool)
+    into_new = (reach & (diag >= column)).any(axis=1)
+    # [a, b]: the closing comparison px[b, b] <= px[b, a] fails, as in _garp_violations
+    closing_fails = diag[np.newaxis, :] > base.T
+    heads = (into_new[:, np.newaxis] & closing_fails).any(axis=0) | (diag > column)
+    lines = np.empty((n, 2, n))
+    try:
+        if _relax(_scaled_paasche(base, 1.0), 1.0 + FLOAT_SLACK, lines):
+            lines = None
+    except TradeDataError:
+        lines = None
+    return _Insertion(px=px, garp_fails=bool(bad.any()), into_new=into_new,
+                      dooms=(reach & heads).any(axis=1), harp_lines=lines)
+
+
+def _inserted_verdicts(base: _Insertion, px: FloatArray) -> tuple[np.ndarray, np.ndarray]:
+    """``_verdicts(px)`` at level one, for a stack ``px[B, T, T]`` differing from ``base.px`` in the last rows.
+
+    Each trial inserts its new period into the base closures, at O(T) work
+    for acyclicity and O(T^2) for homotheticity instead of closing a T x T
+    matrix at O(T^3), and gets the same verdicts bit for bit, and the same
+    errors.  Acyclicity: a base violation stays, and a new one runs
+    through the new period, so it is a link from it into ``dooms`` or a
+    closing comparison of a period in ``into_new`` against it; every
+    comparison reads the same cross values as the full test.
+    Homotheticity: a diverging base fails every trial, and otherwise
+    :func:`semiring._relax_border` runs the new row and column through the
+    base's pivots with the multiplications of the full closure.
+    """
+    paasche = paasche_matrix(px)  # the checks of _verdicts, on the same stack
+    row, new = px[:, -1, :-1], px[:, -1, -1:]
+    garp_fails = (base.garp_fails | ((new >= row) & base.dooms).any(axis=1)
+                  | ((new > row) & base.into_new).any(axis=1))
+    if base.harp_lines is None:
+        return ~garp_fails, np.zeros(len(px), dtype=bool)
+    border = np.stack([paasche[:, -1, :-1], paasche[:, :-1, -1]], axis=1)
+    return ~garp_fails, ~_relax_border(base.harp_lines, border, 1.0 + FLOAT_SLACK)
 
 
 def _harp_verdict(ts: TradeStatistics, omega: float,

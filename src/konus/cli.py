@@ -5,8 +5,10 @@ exit code and the files of its run; ``main`` then creates the output
 directory, writes the files in order and, last, a ``manifest.json`` that
 records every parsed option.  A command that fails writes nothing.
 ``konus replay manifest.json`` reruns a run and reproduces its outputs byte
-for byte.  Randomized commands require an explicit ``--seed``.  Exit codes:
-0 success, 1 axiom violated, 2 input error, 3 internal error.
+for byte, from any working directory: the manifest stores relative input
+paths from its own directory.  Randomized commands require an explicit
+``--seed``.  Exit codes: 0 success, 1 axiom violated, 2 input error,
+3 internal error.
 """
 
 from __future__ import annotations
@@ -51,6 +53,8 @@ OUTPUT_DIR_ENV = "KONUS_OUT"
 Files = dict[str, tuple[list[str], list[list]] | str]
 # Parsed arguments the manifest lists under ``positional``, in command-line order.
 _POSITIONAL = ("name", "prices", "quantities")
+# Parsed arguments that name input files; the manifest stores a relative one from its own directory.
+_INPUT_PATHS = ("prices", "quantities", "tree")
 
 
 # ---------------------------------------------------------------------------
@@ -73,10 +77,18 @@ class RunManifest:
         path.write_text(json.dumps(data, indent=2, sort_keys=True) + "\n", encoding="utf-8")
 
     @classmethod
-    def from_args(cls, args: argparse.Namespace) -> "RunManifest":
-        """Every parsed option but the dispatch fields and ``--out``, ``None`` values dropped."""
+    def from_args(cls, args: argparse.Namespace, out_dir: Path) -> "RunManifest":
+        """Every parsed option but the dispatch fields and ``--out``, ``None`` values dropped.
+
+        A relative input path is rewritten relative to ``out_dir``, where the
+        manifest goes, between resolved paths so that a symlinked directory
+        cannot misdirect the ``..`` steps; an absolute one is kept as given.
+        """
         options = {key: value for key, value in vars(args).items()
                    if key not in ("command", "handler", "out") and value is not None}
+        for key in _INPUT_PATHS:
+            if key in options and not os.path.isabs(options[key]):
+                options[key] = os.path.relpath(os.path.realpath(options[key]), os.path.realpath(out_dir))
         params = {key: value for key, value in options.items() if key not in _POSITIONAL}
         params["positional"] = [options[key] for key in _POSITIONAL if key in options]
         return cls(args.command, params)
@@ -85,10 +97,12 @@ class RunManifest:
     def load(cls, path) -> "RunManifest":
         data = json.loads(Path(path).read_text(encoding="utf-8"))
         if not (isinstance(data, dict) and isinstance(data.get("command"), str)
+                and data["command"] != "replay"
                 and isinstance(data.get("params"), dict) and isinstance(data.get("out_dir", ""), str)
                 and isinstance(data["params"].get("positional", []), list)):
-            raise TradeDataError(f"{path} is not a run manifest: it needs a command string and a params "
-                                 "object, and any out_dir must be a string and any positional a list")
+            raise TradeDataError(f"{path} is not a run manifest: it needs a command string other than "
+                                 "replay and a params object, and any out_dir must be a string and any "
+                                 "positional a list")
         params = dict(data["params"])
         params.pop("workers", None)  # older runs stored a chunk count that no output ever depended on
         return cls(command=data["command"], params=params,
@@ -415,7 +429,11 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         if args.command == "replay":
-            return main(RunManifest.load(args.manifest).to_argv(out_dir=args.out))
+            manifest = Path(args.manifest)
+            args = parser.parse_args(RunManifest.load(manifest).to_argv(out_dir=args.out))
+            for key in _INPUT_PATHS:  # relative to the manifest's directory; an absolute path stays
+                if getattr(args, key, None) is not None:
+                    setattr(args, key, os.path.join(manifest.parent, getattr(args, key)))
         validate_level(getattr(args, "omega", 1.0), getattr(args, "tolerance", 0.0))
         out = Path(args.out or os.environ.get(OUTPUT_DIR_ENV) or "konus-out")
         blocking = next((p for p in (out, *out.parents) if p.exists() and not p.is_dir()), None)
@@ -423,7 +441,7 @@ def main(argv=None) -> int:
             raise TradeDataError(f"cannot make output directory {out}: {blocking} is not a directory")
         code, files = args.handler(args, out)
         _write_files(out, files)
-        RunManifest.from_args(args).write(out)
+        RunManifest.from_args(args, out).write(out)
         return code
     except (TradeDataError, FileNotFoundError, json.JSONDecodeError) as exc:
         print(f"input error: {exc}", file=sys.stderr)

@@ -215,7 +215,7 @@ def power_estimate(ts: TradeStatistics, trials: int, seed: int) -> PowerReport:
     models = fit_price_models(ts)
     garp_rejections, harp_rejections = count_trials(
         lambda batch: _power_batch(ts, models, seed, batch), trials,
-        batch_size(ts.num_periods, ts.num_goods))
+        batch_size(ts.num_periods * (ts.num_periods + 2 * ts.num_goods)))
     return PowerReport(trials=trials, garp_rejections=garp_rejections,
                        harp_rejections=harp_rejections, seed=seed)
 
@@ -295,7 +295,7 @@ def random_group_probability(
         total = len(chosen)
         garp_hits, harp_hits = count_trials(
             lambda batch: _group_batch(ts, [chosen[j] for j in batch]), total,
-            batch_size(ts.num_periods, size))
+            batch_size(ts.num_periods * (ts.num_periods + 2 * size)))
         out_sizes.append(size)
         out_samples.append(total)
         out_garp.append(garp_hits / total)

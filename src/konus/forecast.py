@@ -6,9 +6,13 @@ linear inequality per observed period.  The cone coefficients come from the
 omega-discounted closure of the Paasche matrix, the one that decided the
 homotheticity verdict.  The size of the acyclicity- and homotheticity-based
 forecasting sets is measured by the fraction of random unit price vectors
-that keep the panel consistent; the trials run in batches, each on its own
-``(seed, trial)`` substream, so the counts are bit-identical for any batch
-size.  The appendix-2 counterexample fixture, whose homothetic forecasting
+that keep the panel consistent.  A trial redraws only the last period's
+price, so it is decided by inserting that period into the closures of the
+others, computed once per run, with the comparisons and multiplications of
+the full closures: the verdicts are those of testing each trial's panel,
+with no threshold band to re-decide.  The trials run in batches, each on
+its own ``(seed, trial)`` substream, so the counts are bit-identical for any
+batch size.  The appendix-2 counterexample fixture, whose homothetic forecasting
 set sits strictly inside the acyclic support set, lives here with its
 inclusion check.
 """
@@ -22,7 +26,14 @@ from itertools import combinations, islice
 import numpy as np
 
 from ._mc import batch_size, count_trials, trial_rng
-from .axioms import _garp_satisfied, _harp_verdict, _verdicts, check_harp
+from .axioms import (
+    _Insertion,
+    _garp_satisfied,
+    _harp_verdict,
+    _inserted_verdicts,
+    _insertion_base,
+    check_harp,
+)
 from .afriat import InfeasibleAxiomError
 from .core import FloatArray, TradeStatistics, cross_value_matrix, trade_statistics, validate_level
 from .semiring import maxtimes_closure
@@ -312,16 +323,20 @@ def sample_positive_sphere(m: int, rng: np.random.Generator) -> FloatArray:
             return draw / norm
 
 
-def _size_batch(ts: TradeStatistics, base_px: FloatArray, seed: int, trials: range) -> np.ndarray:
+def _size_batch(ts: TradeStatistics, base: _Insertion, seed: int, trials: range) -> np.ndarray:
     """``(garp_ok, harp_ok)`` rows of the size trials in ``trials``.
 
     Each trial redraws the last period's price and tests both axioms at
-    level one.
+    level one, by inserting its last period into the closures of the
+    first T - 1, which ``base`` holds.  The verdicts are those of testing
+    the whole panel, bit for bit: the insertion makes the comparisons and
+    multiplications that the full closures make, in the same order (see
+    ``axioms._inserted_verdicts``), so no verdict needs a rounding bound.
     """
     prices = [sample_positive_sphere(ts.num_goods, trial_rng(seed, b)) for b in trials]
-    px = np.repeat(base_px[np.newaxis], len(prices), axis=0)
+    px = np.repeat(base.px[np.newaxis], len(prices), axis=0)
     px[:, -1, :] = [ts.quantities @ price for price in prices]
-    garp_ok, harp_ok = _verdicts(px)
+    garp_ok, harp_ok = _inserted_verdicts(base, px)
     # homotheticity implies acyclicity; enforce the implication against
     # rounding at the cycle-product boundary so paired dominance is exact
     return np.column_stack([garp_ok | harp_ok, harp_ok])
@@ -339,10 +354,12 @@ def forecast_size_paired(ts: TradeStatistics, trials: int, seed: int) -> tuple[S
         raise ValueError("trial count must be positive")
     if seed < 0:
         raise ValueError("seed must be nonnegative")
-    base_px = cross_value_matrix(ts)
+    base = _insertion_base(cross_value_matrix(ts))
+    T = ts.num_periods
+    # per trial: its cross-value and Paasche matrices, its border and price
     garp_hits, harp_hits = count_trials(
-        lambda batch: _size_batch(ts, base_px, seed, batch), trials,
-        batch_size(ts.num_periods, ts.num_goods))
+        lambda batch: _size_batch(ts, base, seed, batch), trials,
+        batch_size(T * (2 * T + 5) + ts.num_goods))
     return (
         SizeReport(axiom="garp", trials=trials, hits=garp_hits, seed=seed),
         SizeReport(axiom="harp", trials=trials, hits=harp_hits, seed=seed),

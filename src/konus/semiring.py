@@ -45,7 +45,7 @@ def _as_square(matrix, name: str = "matrix") -> tuple[FloatArray, float]:
     return arr, low
 
 
-def _relax(values: FloatArray, threshold: float):
+def _relax(values: FloatArray, threshold: float, lines: FloatArray | None = None):
     """Max-times Floyd-Warshall in place over one matrix ``[T, T]`` or a stack ``[B, T, T]``.
 
     Returns whether the matrix diverged, or for a stack a mask of the trials
@@ -60,7 +60,9 @@ def _relax(values: FloatArray, threshold: float):
     for a single matrix and for every trial of a stack, so a trial's verdict
     does not depend on the stack it runs in.  The input must be finite and
     nonnegative: :func:`maxtimes_closure` checks that, and ``axioms._verdicts``
-    builds its stacks that way.
+    builds its stacks that way.  Given ``lines[T, 2, T]``, a single matrix
+    also records row k and column k as pivot k reads them, for
+    :func:`_relax_border`.
     """
     stacked = values.ndim == 3
     live = np.arange(len(values)) if stacked else None
@@ -82,9 +84,43 @@ def _relax(values: FloatArray, threshold: float):
             work, through = through[:live.size], work[:live.size]
             diagonal = work.diagonal(0, -2, -1)
         if k < values.shape[-1]:
+            if lines is not None:
+                lines[k, 0], lines[k, 1] = work[k], work[:, k]
             np.multiply(work[..., :, k, np.newaxis], work[..., np.newaxis, k, :], out=through)
             np.maximum(work, through, out=work)
     return diverged
+
+
+def _relax_border(lines: FloatArray, border: FloatArray, threshold: float) -> np.ndarray:
+    """Divergence of a matrix bordered by one new last vertex, for a stack of borders.
+
+    ``lines`` holds the pivot rows and columns that :func:`_relax` recorded
+    on a matrix ``M[n, n]`` it did not find diverged; ``border[B, 2, n]``
+    holds each trial's row and column of the new vertex, whose own diagonal
+    entry is zero like every other.  Returns the mask of the trials whose
+    bordered matrix ``_relax`` would find diverged, at O(n^2) per trial
+    instead of O(n^3).
+
+    Nothing here is an estimate.  Pivots 0..n-1 change the ``M`` block of
+    a bordered matrix exactly as they changed ``M`` alone, since they read
+    only that block; they change the new row and column by the products
+    computed below, the same multiplications of the same operands.  Before
+    the last pivot, a diagonal entry can pass the threshold only at the
+    new vertex, whose entry only grows.  The last pivot, at the new vertex,
+    takes ``M``'s diagonal entry a to at least ``row[a] * column[a]`` and
+    the new one to at least its square, which passes a threshold of at
+    least one whenever the entry itself did.  The new row and column never
+    read the new diagonal entry, so they stay bounded when it diverges.
+    Updates ``border`` in place.
+    """
+    corner = np.zeros(len(border))  # the new vertex's diagonal entry
+    through = np.empty_like(border)
+    for k in range(border.shape[-1]):
+        np.maximum(corner, border[:, 0, k] * border[:, 1, k], out=corner)
+        np.multiply(border[:, :, k, np.newaxis], lines[k], out=through)
+        np.maximum(border, through, out=border)
+    cycles = (border[:, 0] * border[:, 1]).max(axis=1, initial=0.0)
+    return (corner * corner > threshold) | (cycles > threshold)
 
 
 def maxtimes_closure(matrix, *, tol: float = 0.0) -> FloatArray | None:

@@ -63,7 +63,7 @@ def batches_of(size):
     with contextlib.ExitStack() as stack:
         if size is not None:
             for module in (econometrics, forecast):
-                stack.enter_context(mock.patch.object(module, "batch_size", lambda periods, goods: size))
+                stack.enter_context(mock.patch.object(module, "batch_size", lambda floats: size))
         yield
 
 

@@ -220,6 +220,29 @@ def test_manifest_replay_reproduces_outputs(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_replay_from_another_directory_finds_the_inputs(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    assert main(["fixture", "appendix2", "--out", "fx"]) == 0
+    Path("tree.json").write_text('{"name": "root", "children": [{"name": "all", "goods": ["g1", "g2", "g3"]}]}')
+    assert main(["test", "fx/prices.csv", "fx/quantities.csv", "--out", "t1"]) == 0
+    assert main(["hierarchy", "fx/prices.csv", "fx/quantities.csv", "--tree", "tree.json", "--out", "h1"]) == 0
+    params = json.loads(Path("h1/manifest.json").read_text())["params"]
+    assert params["positional"] == ["../fx/prices.csv", "../fx/quantities.csv"]
+    assert params["tree"] == "../tree.json"
+    (tmp_path / "sub").mkdir()
+    monkeypatch.chdir(tmp_path / "sub")
+    for run in ("t1", "h1"):
+        assert main(["replay", f"../{run}/manifest.json"]) == 0  # into sub/<run>, the recorded out_dir
+        names = sorted(path.name for path in (tmp_path / run).iterdir())
+        assert names == sorted(path.name for path in Path(run).iterdir())
+        for name in names:
+            if name != "manifest.json":
+                assert Path(run, name).read_bytes() == (tmp_path / run / name).read_bytes(), name
+    # the replayed manifests name the same inputs, now from sub/<run>
+    assert json.loads(Path("h1/manifest.json").read_text())["params"]["tree"] == "../../tree.json"
+    capsys.readouterr()
+
+
 def test_manifest_roundtrip(tmp_path):
     manifest = RunManifest("test", {"axiom": "harp", "omega": 1.0, "tolerance": 0.0,
                                     "positional": ["p.csv", "q.csv"]})
@@ -432,6 +455,7 @@ def test_failed_command_leaves_no_output_directory(tmp_path, case, capsys):
     '{"command": "power", "params": [1]}',
     '{"command": "power", "params": {"positional": 5}}',
     '{"command": "power", "params": {}, "out_dir": 5}',
+    '{"command": "replay", "params": {"positional": ["manifest.json"]}}',  # a replay reruns a run, not a replay
 ])
 def test_replay_of_a_malformed_manifest_is_an_input_error(tmp_path, monkeypatch, manifest, capsys):
     monkeypatch.chdir(tmp_path)

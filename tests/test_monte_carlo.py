@@ -19,21 +19,25 @@ from hypothesis.extra.numpy import arrays
 from konus import (
     ARModel,
     TradeDataError,
+    check_garp,
     check_harp,
     cobb_douglas_statistics,
     cross_value_matrix,
     fit_price_models,
     forecast_size_paired,
+    paasche_matrix,
     power_estimate,
     random_group_probability,
     random_statistics,
+    rescale_quantities,
+    sample_positive_sphere,
     simulate_price_paths,
     trade_statistics,
 )
 from konus import econometrics, forecast
 from konus.semiring import FLOAT_SLACK, _relax, boolean_closure, maxtimes_closure
 from konus._mc import trial_rng
-from konus.axioms import _verdicts
+from konus.axioms import _inserted_verdicts, _insertion_base, _verdicts
 from konus.econometrics import _group_batch, _power_batch, _sampled_group, _simulate_stack
 from konus.forecast import _size_batch
 
@@ -139,6 +143,33 @@ def test_stacked_closures_match_per_matrix_oracles(trials, order, data):
     assert [maxtimes_closure(matrix) is not None for matrix in matrices] == expected
 
 
+@st.composite
+def bordered_stacks(draw):
+    """Stacks of 1..6 cross-value matrices of order 1..7 that differ only in their last rows.
+
+    Entries come mostly from a few values, so comparisons tie and cycle
+    products come out exactly one far more often than on panels.
+    """
+    T = draw(st.integers(1, 7))
+    elements = st.sampled_from([0.5, 1.0, 2.0]) | st.floats(0.25, 4.0)
+    base = draw(arrays(float, (T, T), elements=elements, fill=st.nothing()))
+    stack = np.repeat(base[np.newaxis], draw(st.integers(1, 6)), axis=0)
+    stack[:, -1] = draw(arrays(float, stack.shape[:2], elements=elements, fill=st.nothing()))
+    return stack
+
+
+@given(bordered_stacks())
+# in the first trial the only violating pair is (0, 1), joined through the last period by
+# two tied links; the second trial's last period links to no period and passes acyclicity
+@example(np.array([[[1.0, 2.0, 1.0], [1.0, 2.0, 2.0], [2.0, 1.0, 1.0]],
+                   [[1.0, 2.0, 1.0], [1.0, 2.0, 2.0], [3.0, 3.0, 1.0]]]))
+# a 2-cycle of product 1 + 7e-13, below the threshold, whose square at the last pivot is above it
+@example(np.array([[[1.0, 1.0], [1.0, 1.0 + 7e-13]]]))
+def test_inserted_verdicts_match_the_stacked_kernel(stack):
+    base = _insertion_base(stack[0])
+    assert rows(zip(*_inserted_verdicts(base, stack))) == rows(zip(*_verdicts(stack)))
+
+
 def test_stack_where_every_trial_diverges_at_pivot_zero():
     px = np.array([[3.0, 3.0], [4.0, 5.0]])  # the two-period panel: cycle product 1.25
     garp_ok, harp_ok = _verdicts(np.array([px, px * 2.0, px]))
@@ -187,16 +218,75 @@ def test_fitted_models_mix_orders_on_the_benchmark_panel_shape():
         assert stack[b].tobytes() == simulate_price_paths_by_loop(ts, models, trial_rng(3, b)).tobytes()
 
 
+def _duplicating_last(ts, source):
+    """``ts`` with the last period's bundle replaced by period ``source``'s."""
+    quantities = np.array(ts.quantities)
+    quantities[-1] = quantities[source]
+    return trade_statistics(ts.prices, quantities)
+
+
+# Panels on which inserting the redrawn last period into the base closures meets a boundary.
+SIZE_PANELS = {
+    # the first two periods violate both axioms: every trial fails both
+    "garp_failing_base": trade_statistics([[2.0, 1.0], [1.0, 2.0], [1.0, 1.0]],
+                                          [[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]]),
+    # the first two periods pass acyclicity, but their 2-cycle has Paasche product 1.5
+    "harp_failing_base": trade_statistics([[3.0, 1.0], [2.0, 1.0], [1.0, 1.0]],
+                                          [[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]]),
+    # period 0's bundle costs exactly the last one's at period 0's prices, so the link from
+    # period 0 into the last period is a tie, and only the closing comparison at the last
+    # period fails, on the trials whose price makes good 1 the dearer
+    "tie_into_last": trade_statistics([[1.0, 1.0], [1.0, 1.0]], [[1.0, 1.0], [2.0, 0.0]]),
+    # whatever the price, the 2-cycle through periods 2 and 5 has product exactly one
+    "duplicated_last": _duplicating_last(cobb_douglas_statistics(6, 3, 4), 2),
+    "rescaled": rescale_quantities(cobb_douglas_statistics(6, 3, 5), [0.5, 2.0, 1.0, 3.0, 0.25, 4.0]),
+}
+
+
 @given(mc_panels(), BATCHES, st.integers(1, 13), st.integers(0, 100))
 @example(cobb_douglas_statistics(3, 1, 0), 2, 7, 0)
 @example(random_statistics(4, 3, 2), 3, 10, 5)
+@example(trade_statistics([[2.0, 1.0]], [[1.0, 3.0]]), None, 5, 1)  # T = 1: nothing to insert into
+@example(cobb_douglas_statistics(2, 3, 1), 2, 9, 2)
+@example(SIZE_PANELS["garp_failing_base"], 3, 8, 0)
+@example(SIZE_PANELS["harp_failing_base"], 1, 8, 0)
+@example(SIZE_PANELS["tie_into_last"], 2, 13, 1)
+@example(SIZE_PANELS["duplicated_last"], None, 13, 3)
+@example(SIZE_PANELS["rescaled"], 5, 13, 3)
 def test_size_trials_match_per_trial_oracle(ts, batch, trials, seed):
     base_px = cross_value_matrix(ts)
     expected = [size_trial(ts, base_px, seed, b) for b in range(trials)]
-    assert rows(_size_batch(ts, base_px, seed, range(trials))) == expected
+    assert rows(_size_batch(ts, _insertion_base(base_px), seed, range(trials))) == expected
     with batches_of(batch):
         garp, harp = forecast_size_paired(ts, trials, seed)
     assert (garp.hits, harp.hits) == tuple(sum(column) for column in zip(*expected))
+
+
+def test_size_panels_meet_the_boundaries_they_name():
+    def base_verdicts(ts):
+        base = trade_statistics(ts.prices[:-1], ts.quantities[:-1])
+        return check_garp(base).satisfied, check_harp(base).satisfied
+
+    assert base_verdicts(SIZE_PANELS["garp_failing_base"]) == (False, False)
+    assert base_verdicts(SIZE_PANELS["harp_failing_base"]) == (True, False)
+    for name in ("garp_failing_base", "harp_failing_base"):
+        ts = SIZE_PANELS[name]
+        assert forecast_size_paired(ts, 50, 0)[1].hits == 0
+    # the tie: each trial's 2-cycle through the copied period has product one up to an ulp,
+    # on both sides of one; some trials pass homotheticity with it, others fail on other cycles
+    ts = SIZE_PANELS["duplicated_last"]
+    base_px = cross_value_matrix(ts)
+    products = []
+    for b in range(40):
+        px = base_px.copy()
+        px[-1] = ts.quantities @ sample_positive_sphere(ts.num_goods, trial_rng(3, b))
+        paasche = paasche_matrix(px)
+        products.append(paasche[-1, 2] * paasche[2, -1])
+    assert max(abs(p - 1.0) for p in products) <= 2.5e-16
+    assert min(products) < 1.0 < max(products)
+    expected = [size_trial(ts, base_px, 3, b) for b in range(40)]
+    assert rows(_size_batch(ts, _insertion_base(base_px), 3, range(40))) == expected
+    assert 0 < sum(harp for _, harp in expected) < 40
 
 
 @given(mc_panels(min_periods=3), BATCHES, st.integers(1, 13), st.integers(0, 100))
@@ -235,9 +325,10 @@ def test_each_experiment_enforces_its_own_implication():
         return np.zeros(len(px), dtype=bool), np.ones(len(px), dtype=bool)
 
     ts = cobb_douglas_statistics(5, 3, seed=2)
-    with mock.patch.object(econometrics, "_verdicts", split), mock.patch.object(forecast, "_verdicts", split):
+    with mock.patch.object(econometrics, "_verdicts", split), \
+            mock.patch.object(forecast, "_inserted_verdicts", lambda base, px: split(px)):
         assert rows(_power_batch(ts, fit_price_models(ts), 1, range(3))) == [(True, True)] * 3
-        assert rows(_size_batch(ts, cross_value_matrix(ts), 1, range(3))) == [(True, True)] * 3
+        assert rows(_size_batch(ts, _insertion_base(cross_value_matrix(ts)), 1, range(3))) == [(True, True)] * 3
         assert rows(_group_batch(ts, [np.array([0, 1])])) == [(True, True)]
     px = np.array([[1.0, 1.0], [1.0, 1.0 + 1e-13]])  # a GARP violation whose cycle product is 1 + 1e-13
     assert rows(zip(*_verdicts(px[np.newaxis]))) == [verdicts_by_trial(px)] == [(False, True)]
