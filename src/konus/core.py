@@ -223,24 +223,38 @@ def _read_table(source, what: str) -> tuple[list[str], list[str], FloatArray]:
     else:
         text = source.read()
         rows = list(csv.reader(io.StringIO(text)))
-    rows = [r for r in rows if r and any(cell.strip() for cell in r)]
+    # blank records are skipped, but still counted in the row numbers of errors
+    rows = [(r, row) for r, row in enumerate(rows, start=1) if row and any(cell.strip() for cell in row)]
     if not rows:
         raise TradeDataError(f"{what} table is empty")
-    header = rows[0]
+    header_row, header = rows[0]
     if len(header) < 2:
-        raise TradeDataError(f"{what} table has no good columns", row=1)
+        raise TradeDataError(f"{what} table has no good columns", row=header_row)
     good_ids = [h.strip() for h in header[1:]]
+    seen_goods: set[str] = set()
+    for c, gid in enumerate(good_ids, start=2):
+        if not gid or gid in seen_goods:
+            problem = f"duplicate good id {gid!r}" if gid else "empty good id"
+            raise TradeDataError(f"{problem} in {what} table header", row=header_row, column=c)
+        seen_goods.add(gid)
     period_ids: list[str] = []
+    seen_periods: set[str] = set()
     values: list[list[float]] = []
-    for r, row in enumerate(rows[1:], start=2):
+    for r, row in rows[1:]:
         if len(row) != len(header):
             raise TradeDataError(
                 f"{what} table row has {len(row) - 1} value cells, expected {len(good_ids)}", row=r
             )
-        period_ids.append(row[0].strip())
+        period = row[0].strip()
+        if period in seen_periods:
+            raise TradeDataError(f"duplicate period id {period!r} in {what} table", row=r)
+        seen_periods.add(period)
+        period_ids.append(period)
         parsed = []
         for gid, cell in zip(good_ids, row[1:]):
             try:
+                if "_" in cell:  # float() reads "1_0" as 10
+                    raise ValueError(cell)
                 parsed.append(float(cell))
             except ValueError:
                 raise TradeDataError(f"unparseable cell {cell!r} in {what} table",
@@ -252,11 +266,12 @@ def _read_table(source, what: str) -> tuple[list[str], list[str], FloatArray]:
 def load_trade_statistics(prices_source, quantities_source) -> TradeStatistics:
     """Load a statistics from two CSV tables sharing headers and period labels.
 
-    Each table has a header row of good ids, a first column of period ids, and
-    decimal-point numbers.  Row order defines period order.  Raises
+    Each table has a header row of distinct, non-empty good ids, a first
+    column of distinct period ids, and decimal-point numbers (no ``_``
+    digit separators).  Row order defines period order.  Raises
     :class:`TradeDataError` with the offending location on any mismatch,
-    non-positive price, negative quantity, all-zero demand row, or
-    unparseable cell.
+    empty or duplicate id, non-positive price, negative quantity, all-zero
+    demand row, or unparseable cell.
     """
     p_goods, p_periods, prices = _read_table(prices_source, "price")
     q_goods, q_periods, quantities = _read_table(quantities_source, "quantity")

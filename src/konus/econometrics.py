@@ -4,9 +4,12 @@ and random-group probability curves.
 Price counterfactuals keep the observed demands and redraw prices from
 per-good autoregressions of log price relatives, so the power estimates
 capture how often consistency would be rejected when prices carry no
-information about demand.  All Monte Carlo routines derive per-trial RNG
-substreams from ``(seed, trial)`` and run in batches, so they are
-reproducible bit for bit for any batch size.
+information about demand.  Trial b of a power estimate draws from
+``np.random.default_rng((seed, b))`` and group draw j of size k from
+``default_rng((seed, k, j))``, bit for bit.  ``_mc.trial_streams`` derives
+these a batch at a time and yields one reused generator, so each trial's
+draws are made before the next trial's; the results are reproducible bit
+for bit for any batch size.
 """
 
 from __future__ import annotations
@@ -14,11 +17,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
-from ._mc import batch_size, count_trials, trial_rng
+from ._mc import batch_size, count_trials, trial_streams
 from .axioms import _verdicts
 from .core import FloatArray, TradeStatistics, trade_statistics
 
@@ -127,27 +130,29 @@ def fit_price_models(ts: TradeStatistics, max_order: int = 2) -> list[ARModel]:
 
 
 def _simulate_stack(ts: TradeStatistics, models: Sequence[ARModel],
-                    rngs: Sequence[np.random.Generator]) -> FloatArray:
-    """Simulated price panels ``[B, T, m]``, panel b drawn from ``rngs[b]``.
+                    rngs: Iterable[np.random.Generator], panels: int) -> FloatArray:
+    """Simulated price panels ``[B, T, m]``, panel b drawn from the b-th of ``panels`` generators.
 
-    Each panel takes its noise for every good in one ``standard_normal``
-    call, in panel order of the goods, which gives the same numbers as one
-    call per good.  The recursion then runs one period at a time on
-    ``[B, goods]`` arrays for each group of goods that share an AR order,
-    and the exponentials and running products run over the whole stack.
-    Every element goes through the same operations in the same order as in
-    a per-good, per-period loop, so each panel is bit-identical to one
-    simulated on its own.
+    The generators are consumed in order, each done with before the next
+    is taken, so they may be the one reused generator of
+    ``_mc.trial_streams``.  Each panel takes its noise for every good in
+    one ``standard_normal`` call, in panel order of the goods, which gives
+    the same numbers as one call per good.  The recursion then runs one
+    period at a time on ``[B, goods]`` arrays for each group of goods that
+    share an AR order, and the exponentials and running products run over
+    the whole stack.  Every element goes through the same operations in the
+    same order as in a per-good, per-period loop, so each panel is
+    bit-identical to one simulated on its own.
     """
     T, m = ts.num_periods, ts.num_goods
     orders = np.array([model.order for model in models], dtype=int)
     drawn = np.arange(T - 1) >= orders[:, np.newaxis]  # [good, period]: relatives that take noise
     scales = np.repeat([math.sqrt(model.sigma2) for model in models], drawn.sum(axis=1))
-    noise = np.empty((len(rngs), scales.size))
-    for rng, row in zip(rngs, noise):
+    noise = np.empty((panels, scales.size))
+    for row, rng in zip(noise, rngs):
         rng.standard_normal(out=row)
     noise *= scales
-    relatives = np.empty((len(rngs), m, T - 1))  # [b, good, period]
+    relatives = np.empty((panels, m, T - 1))  # [b, good, period]
     relatives[:, drawn] = noise  # the row-major order of the drawn entries is the draw order
     del noise
     relatives[:, ~drawn] = log_relatives(ts).T[~drawn]
@@ -164,7 +169,7 @@ def _simulate_stack(ts: TradeStatistics, models: Sequence[ARModel],
                 mean = mean + beta[lag] * group[:, :, j - lag]
             group[:, :, j] = mean + group[:, :, j]
         relatives[:, goods] = group
-    paths = np.empty((len(rngs), m, T))
+    paths = np.empty((panels, m, T))
     paths[:, :, 0] = ts.prices[0]
     paths[:, :, 1:] = np.exp(relatives, out=relatives)
     del relatives
@@ -184,12 +189,12 @@ def simulate_price_paths(ts: TradeStatistics, models: Sequence[ARModel],
     """
     if len(models) != ts.num_goods:
         raise ValueError(f"expected {ts.num_goods} models, got {len(models)}")
-    return _simulate_stack(ts, models, [rng])[0]
+    return _simulate_stack(ts, models, [rng], 1)[0]
 
 
 def _power_batch(ts: TradeStatistics, models: Sequence[ARModel], seed: int, trials: range) -> np.ndarray:
     """``(garp_rejected, harp_rejected)`` rows of the power trials in ``trials``."""
-    prices = _simulate_stack(ts, models, [trial_rng(seed, b) for b in trials])
+    prices = _simulate_stack(ts, models, trial_streams((seed,), trials), len(trials))
     px = np.empty((len(trials), ts.num_periods, ts.num_periods))
     for row, panel in zip(px, prices):
         row[...] = panel @ ts.quantities.T
@@ -230,10 +235,9 @@ def _group_valid(ts: TradeStatistics, idx: np.ndarray) -> bool:
     return bool(np.all(ts.quantities[:, idx].max(axis=1) > 0.0))
 
 
-def _sampled_group(ts: TradeStatistics, size: int, seed: int, draw: int,
+def _sampled_group(ts: TradeStatistics, size: int, rng: np.random.Generator,
                    resample_cap: int) -> tuple[np.ndarray | None, int]:
-    """One random group of the requested size, resampling past invalid draws."""
-    rng = trial_rng(seed, size, draw)
+    """One random group of the requested size from ``rng``, resampling past invalid draws."""
     rejected = 0
     for _ in range(resample_cap):
         idx = np.sort(rng.choice(ts.num_goods, size=size, replace=False))
@@ -284,7 +288,8 @@ def random_group_probability(
             if not chosen:
                 raise ValueError(f"no valid groups of size {size}")
         else:
-            draws = [_sampled_group(ts, size, seed, j, resample_cap) for j in range(samples_per_size)]
+            streams = trial_streams((seed, size), range(samples_per_size))
+            draws = [_sampled_group(ts, size, rng, resample_cap) for rng in streams]
             skipped = sum(r for _, r in draws)
             chosen = [idx for idx, _ in draws if idx is not None]
             if len(chosen) < samples_per_size:

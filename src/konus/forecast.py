@@ -10,11 +10,13 @@ that keep the panel consistent.  A trial redraws only the last period's
 price, so it is decided by inserting that period into the closures of the
 others, computed once per run, with the comparisons and multiplications of
 the full closures: the verdicts are those of testing each trial's panel,
-with no threshold band to re-decide.  The trials run in batches, each on
-its own ``(seed, trial)`` substream, so the counts are bit-identical for any
-batch size.  The appendix-2 counterexample fixture, whose homothetic forecasting
-set sits strictly inside the acyclic support set, lives here with its
-inclusion check.
+with no threshold band to re-decide.  Trial b draws its price from
+``np.random.default_rng((seed, b))``, bit for bit; ``_mc.trial_streams``
+derives these a batch at a time and yields one reused generator, so each
+trial's price is drawn before the next trial's state is set.  The counts
+are bit-identical for any batch size.  The appendix-2 counterexample
+fixture, whose homothetic forecasting set sits strictly inside the acyclic
+support set, lives here with its inclusion check.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ from itertools import combinations, islice
 
 import numpy as np
 
-from ._mc import batch_size, count_trials, trial_rng
+from ._mc import batch_size, count_trials, trial_streams
 from .axioms import (
     _Insertion,
     _garp_satisfied,
@@ -333,7 +335,7 @@ def _size_batch(ts: TradeStatistics, base: _Insertion, seed: int, trials: range)
     multiplications that the full closures make, in the same order (see
     ``axioms._inserted_verdicts``), so no verdict needs a rounding bound.
     """
-    prices = [sample_positive_sphere(ts.num_goods, trial_rng(seed, b)) for b in trials]
+    prices = [sample_positive_sphere(ts.num_goods, rng) for rng in trial_streams((seed,), trials)]
     px = np.repeat(base.px[np.newaxis], len(prices), axis=0)
     px[:, -1, :] = [ts.quantities @ price for price in prices]
     garp_ok, harp_ok = _inserted_verdicts(base, px)

@@ -70,17 +70,19 @@ def _relax(values: FloatArray, threshold: float, lines: FloatArray | None = None
     work, through = values, np.empty_like(values)  # through: walks via pivot k, rewritten each step
     diagonal = work.diagonal(0, -2, -1)  # a view: it follows the in-place relaxation
     for k in range(values.shape[-1] + 1):
-        above = diagonal > threshold  # after pivot k - 1; at k = 0, before any pivot
-        if above.any():
-            if not stacked:
+        # after pivot k - 1; at k = 0, before any pivot.  fmax skips a NaN, as a comparison does
+        above = np.fmax.reduce(diagonal, axis=-1, initial=-np.inf) > threshold
+        if not stacked:
+            if above:
                 return True
-            keep = ~above.any(axis=1)
-            diverged[live[~keep]] = True
+        elif above.any():
+            diverged[live[above]] = True
+            keep = np.flatnonzero(~above)
             live = live[keep]
             if not live.size:
                 break
             # mode="clip" writes straight into out; the default mode would buffer the copy
-            np.take(work, np.flatnonzero(keep), axis=0, out=through[:live.size], mode="clip")
+            np.take(work, keep, axis=0, out=through[:live.size], mode="clip")
             work, through = through[:live.size], work[:live.size]
             diagonal = work.diagonal(0, -2, -1)
         if k < values.shape[-1]:

@@ -572,9 +572,8 @@ def verdicts_by_trial(px, omega=1.0, tol=0.0):
 def size_trial(ts, base_px, seed, trial):
     """Size trial oracle: redraw the last period price, test both axioms at level one."""
     from konus import sample_positive_sphere
-    from konus._mc import trial_rng
 
-    price = sample_positive_sphere(ts.num_goods, trial_rng(seed, trial))
+    price = sample_positive_sphere(ts.num_goods, np.random.default_rng((seed, trial)))
     px = base_px.copy()
     px[-1, :] = ts.quantities @ price
     garp_ok, harp_ok = verdicts_by_trial(px)
@@ -583,9 +582,7 @@ def size_trial(ts, base_px, seed, trial):
 
 def power_trial(ts, models, seed, trial):
     """Power trial oracle: one simulated panel, rejections with GARP failures forcing HARP ones."""
-    from konus._mc import trial_rng
-
-    prices = simulate_price_paths_by_loop(ts, models, trial_rng(seed, trial))
+    prices = simulate_price_paths_by_loop(ts, models, np.random.default_rng((seed, trial)))
     garp_ok, harp_ok = verdicts_by_trial(prices @ ts.quantities.T)
     return not garp_ok, not (harp_ok and garp_ok)
 

@@ -271,6 +271,26 @@ def test_invalid_level_fails_before_any_output(tmp_path, capsys):
         assert not out.exists()
 
 
+@pytest.mark.parametrize("prices, message", [
+    # float() reads 1_0 as 10
+    ("period,g1,g2\nt1,1_0,2\nt2,2,1\n", "unparseable cell '1_0' in price table (row 't1', column 'g1')"),
+    ("period,g1,\nt1,1,2\nt2,2,1\n", "empty good id in price table header (row 1, column 3)"),
+    ("period,g1,g1\nt1,1,2\nt2,2,1\n", "duplicate good id 'g1' in price table header (row 1, column 3)"),
+    # a blank line is skipped but counted, so the row is the line of the file
+    ("period,g1,g2\nt1,1,2\n\nt1,2,1\n", "duplicate period id 't1' in price table (row 4)"),
+], ids=["underscore_numeral", "empty_good_id", "duplicate_good_id", "duplicate_period_id"])
+def test_ambiguous_table_fails_before_any_output(tmp_path, capsys, prices, message):
+    _, quantities = write_two_period(tmp_path)
+    (tmp_path / "prices.csv").write_text(prices)
+    out = tmp_path / "refused"
+    code = main(["test", str(tmp_path / "prices.csv"), quantities, "--out", str(out)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert message in captured.err
+    assert not out.exists()
+
+
 def test_workers_option_is_refused_before_any_output(tmp_path, capsys):
     prices, quantities = write_power_panel(tmp_path)
     runs = [["forecast", prices, quantities, "--size-trials", "10", "--seed", "1"],

@@ -36,8 +36,8 @@ from konus import (
 )
 from konus import econometrics, forecast
 from konus.semiring import FLOAT_SLACK, _relax, boolean_closure, maxtimes_closure
-from konus._mc import trial_rng
 from konus.axioms import _inserted_verdicts, _insertion_base, _verdicts
+from konus._mc import trial_streams
 from konus.econometrics import _group_batch, _power_batch, _sampled_group, _simulate_stack
 from konus.forecast import _size_batch
 
@@ -198,10 +198,11 @@ def ar_panels(draw):
           [ARModel(r, np.linspace(0.1, 0.3, r + 1), 0.01, np.zeros(r + 1)) for r in (0, 1, 2, 2, 1, 0)]), 4, 7)
 def test_simulated_stack_matches_scalar_recursion_bitwise(panel, trials, seed):
     ts, models = panel
-    stack = _simulate_stack(ts, models, [trial_rng(seed, b) for b in range(trials)])
+    stack = _simulate_stack(ts, models, [np.random.default_rng((seed, b)) for b in range(trials)], trials)
     assert stack.flags.c_contiguous
     for b in range(trials):
-        assert stack[b].tobytes() == simulate_price_paths_by_loop(ts, models, trial_rng(seed, b)).tobytes()
+        oracle = simulate_price_paths_by_loop(ts, models, np.random.default_rng((seed, b)))
+        assert stack[b].tobytes() == oracle.tobytes()
     # the public stack of one draws the same numbers and leaves the generator in the same state
     rng, oracle_rng = np.random.default_rng(seed), np.random.default_rng(seed)
     assert simulate_price_paths(ts, models, rng).tobytes() == \
@@ -213,9 +214,47 @@ def test_fitted_models_mix_orders_on_the_benchmark_panel_shape():
     ts = cobb_douglas_statistics(27, 106, seed=5)
     models = fit_price_models(ts)
     assert {model.order for model in models} == {0, 1, 2}
-    stack = _simulate_stack(ts, models, [trial_rng(3, b) for b in range(5)])
+    stack = _simulate_stack(ts, models, [np.random.default_rng((3, b)) for b in range(5)], 5)
     for b in range(5):
-        assert stack[b].tobytes() == simulate_price_paths_by_loop(ts, models, trial_rng(3, b)).tobytes()
+        oracle = simulate_price_paths_by_loop(ts, models, np.random.default_rng((3, b)))
+        assert stack[b].tobytes() == oracle.tobytes()
+
+
+# Key ints of one to three uint32 words, with the word boundaries themselves.
+KEY_INTS = (st.sampled_from([0, 1, 2 ** 32 - 1, 2 ** 32, 2 ** 64 - 1, 2 ** 64, 2 ** 70 + 5])
+            | st.integers(0, 2 ** 80))
+
+
+@given(KEY_INTS, st.lists(KEY_INTS, max_size=1), KEY_INTS, st.sampled_from([1, 2, 3, 17, 300]),
+       st.integers(1, 12), st.data())
+@example(0, [], 0, 1, 5, None)
+@example(7, [], 0, 500, 10, None)
+@example(2 ** 32 - 1, [5], 2 ** 32 - 150, 300, 3, None)  # the trial numbers cross 2^32: one word to two
+@example(2 ** 64, [2 ** 64], 2 ** 64 - 1, 2, 4, None)  # six words: past the pool of four
+def test_trial_streams_match_default_rng(seed, key, first, count, m, data):
+    prefix = (seed, *key)
+    trials = range(first, first + count)
+    size = data.draw(st.integers(1, m)) if data is not None else m
+    for b, rng in zip(trials, trial_streams(prefix, trials), strict=True):
+        oracle = np.random.default_rng((*prefix, b))
+        assert rng.bit_generator.state == oracle.bit_generator.state
+        assert rng.standard_normal(m).tobytes() == oracle.standard_normal(m).tobytes()
+        assert rng.choice(m, size, replace=False).tolist() == oracle.choice(m, size, replace=False).tolist()
+
+
+def test_counts_do_not_depend_on_the_batches():
+    ts = cobb_douglas_statistics(7, 5, seed=3)
+
+    def counts():
+        garp, harp = forecast_size_paired(ts, 60, 9)
+        report = power_estimate(ts, 60, 9)
+        curve = random_group_probability(ts, [2, 3], 12, 9)  # sampled: C(5, 2) = C(5, 3) = 10 < 12 draws
+        return (garp.hits, harp.hits), (report.garp_rejections, report.harp_rejections), curve
+
+    expected = counts()
+    for batch in (1, 7, 59):
+        with batches_of(batch):
+            assert counts() == expected
 
 
 def _duplicating_last(ts, source):
@@ -279,7 +318,7 @@ def test_size_panels_meet_the_boundaries_they_name():
     products = []
     for b in range(40):
         px = base_px.copy()
-        px[-1] = ts.quantities @ sample_positive_sphere(ts.num_goods, trial_rng(3, b))
+        px[-1] = ts.quantities @ sample_positive_sphere(ts.num_goods, np.random.default_rng((3, b)))
         paasche = paasche_matrix(px)
         products.append(paasche[-1, 2] * paasche[2, -1])
     assert max(abs(p - 1.0) for p in products) <= 2.5e-16
@@ -311,10 +350,43 @@ def test_group_trials_match_per_trial_oracle(ts, batch, seed):
         if math.comb(ts.num_goods, size) <= samples:
             groups = [np.array(c) for c in combinations(range(ts.num_goods), size)]
         else:
-            groups = [_sampled_group(ts, size, seed, j, 1000)[0] for j in range(samples)]
+            groups = [_sampled_group(ts, size, np.random.default_rng((seed, size, j)), 1000)[0]
+                      for j in range(samples)]
         expected = [group_verdicts(ts, g) for g in groups]
         assert rows(_group_batch(ts, groups)) == expected
         assert (p_garp, p_harp) == tuple(sum(column) / len(expected) for column in zip(*expected))
+
+
+def test_sampled_groups_and_skips_match_a_plain_loop():
+    # period t buys only goods 2t and 2t + 1, so a group is valid only if it meets
+    # every pair: 8 of the C(6, 3) = 20 groups of three, 12 of the 15 groups of four
+    quantities = np.kron(np.eye(3), np.ones(2))
+    ts = trade_statistics(random_statistics(3, 6, 0).prices, quantities)
+    sizes, samples, seed = [3, 4], 12, 5
+    chosen = []
+
+    def recording(ts, groups):
+        chosen.extend(groups)
+        return _group_batch(ts, groups)
+
+    with mock.patch.object(econometrics, "_group_batch", recording):
+        curve = random_group_probability(ts, sizes, samples, seed)
+    expected_groups, expected_skips = [], []
+    for size in sizes:
+        assert math.comb(ts.num_goods, size) > samples
+        skipped = 0
+        for j in range(samples):
+            rng = np.random.default_rng((seed, size, j))
+            while True:
+                idx = np.sort(rng.choice(ts.num_goods, size=size, replace=False))
+                if np.all(ts.quantities[:, idx].max(axis=1) > 0.0):
+                    expected_groups.append(idx.tolist())
+                    break
+                skipped += 1
+        expected_skips.append(skipped)
+    assert [g.tolist() for g in chosen] == expected_groups
+    assert curve.skipped == tuple(expected_skips)
+    assert all(expected_skips)
 
 
 def test_each_experiment_enforces_its_own_implication():
