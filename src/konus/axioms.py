@@ -23,6 +23,7 @@ from .core import (
 )
 from .semiring import (
     FLOAT_SLACK,
+    _lift,
     _relax,
     _relax_border,
     boolean_closure,
@@ -100,16 +101,31 @@ def _garp_satisfied(px: FloatArray, omega: float, tol: float) -> bool:
     return not bool(_garp_violations(px, omega, tol)[2].any())
 
 
+def _compose(left: np.ndarray, right: np.ndarray) -> np.ndarray:
+    """Boolean product of two relations, as a float32 matrix product: 0/1 sums are exact up to 2**24 periods."""
+    return (left.astype(np.float32) @ right.astype(np.float32)) > 0.0
+
+
 def _nearest_source(rel: np.ndarray, bad: np.ndarray) -> int:
     """Smallest source among the violating pairs joined by the fewest relation steps.
 
-    Grows reachability one step at a time as whole-matrix products, so it
-    holds O(T^2) memory.  ``bad`` must be nonempty and inside the closure.
+    Unless a single link joins one, the least number of links is found by
+    binary lifting over the boolean powers of ``rel | I``
+    (:func:`semiring._lift`), O(log T) float32 matrix products; booleans
+    make every power exact, so the length and the source are those of
+    growing the chains one link at a time.  Holds O(T^2) memory per matrix.
+    ``bad`` must be nonempty, inside the closure and off the diagonal.
     """
-    step = rel.astype(np.float32)  # 0/1 sums stay exact in float32 up to 2**24 periods
     reach = rel
-    while not (reach & bad).any():
-        reach = reach | ((reach.astype(np.float32) @ step) > 0.0)
+    if not (reach & bad).any():
+        walks = rel | np.eye(len(rel), dtype=bool)  # at most one link
+
+        def advance(left, right):
+            longer = _compose(left, right)
+            return bool((longer & bad).any()), longer
+
+        _, reach = _lift(walks, len(rel) - 1, advance)
+        reach = _compose(reach, walks)
     return int(np.flatnonzero((reach & bad).any(axis=1))[0])
 
 
@@ -150,8 +166,9 @@ def check_garp(ts: TradeStatistics, omega: float = 1.0, *, tol: float = 0.0) -> 
     On failure the witness chain is the smallest under ``(len(chain), chain)``
     among the shortest chains of all violating pairs: fewest links first,
     then the smallest source, then the lexicographically smallest chain from
-    that source.  Recovery keeps O(T^2) memory: reachability levels give the
-    least length, then a single breadth-first search from the smallest
+    that source.  Recovery keeps O(T^2) memory per matrix: reachability
+    powers give the least length (:func:`_nearest_source`, O(log T) products
+    for long chains), then a single breadth-first search from the smallest
     source that attains it gives the chain.
     """
     validate_level(omega, tol)

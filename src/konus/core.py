@@ -288,8 +288,16 @@ def load_trade_statistics(prices_source, quantities_source) -> TradeStatistics:
 
 
 def cross_value_matrix(ts: TradeStatistics) -> FloatArray:
-    """Exact dot products ``px[t, s] = <P^t, X^s>`` for all period pairs (currency units)."""
-    return ts.prices @ ts.quantities.T
+    """Exact dot products ``px[t, s] = <P^t, X^s>`` for all period pairs (currency units).
+
+    Raises :class:`TradeDataError` if a cross value overflows (after numpy's
+    own overflow warning).  Cross values of a valid panel are positive, so
+    the largest is the only one to scan.
+    """
+    px = ts.prices @ ts.quantities.T
+    if not px.max() < np.inf:
+        raise TradeDataError("cross-value matrix must be finite")
+    return px
 
 
 def paasche_matrix(px) -> FloatArray:

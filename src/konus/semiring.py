@@ -25,6 +25,14 @@ FLOAT_SLACK = 1e-12
 # Bytes of float products one block of a max-times matrix product may hold.
 _PRODUCT_BLOCK_BYTES = 32 * 2 ** 20
 
+# Bytes of one band of Karp's table candidates, small enough to stay in a
+# core's L2 cache.
+_KARP_BAND_BYTES = 2 ** 18
+
+# The HARP witness search tries lengths one at a time up to this one, then
+# lifts; panels of at most this many periods never lift.
+_LIFT_AFTER = 6
+
 
 class NoAdmissibleCycleError(ValueError):
     """The matrix has no cycle satisfying the requested length constraints."""
@@ -168,23 +176,43 @@ def boolean_closure(rel) -> BooleanRelation:
     return _maxmin_closure(out)
 
 
-def _karp_max_mean(log_weights: FloatArray) -> float:
-    """Karp's maximum mean cycle on a complete digraph given log edge weights.
+def _karp_table(log_weights: FloatArray) -> FloatArray:
+    """Karp's table: ``d[k, v]`` is the heaviest walk of exactly ``k`` edges from vertex 0 to ``v``.
 
-    ``d[k, v]`` is the heaviest walk of exactly ``k`` edges from vertex 0 to
-    ``v``; the answer is ``max_v min_k (d[n, v] - d[k, v]) / (n - k)`` over
-    the finite entries.  The final scan is one array expression over the
-    whole table: each ratio is the same subtraction and division as an
-    entry-by-entry loop, and min and max do not depend on the order they
-    are taken in, so the result is bit-identical to it.
+    Row ``k`` takes, for each target ``v``, the maximum over its incoming
+    edges of ``d[k - 1, u] + w[u, v]``.  The incoming edges are read as rows
+    of the transposed weights, a band of targets at a time that stays in a
+    core's cache; each entry is the same addition and the same maximum as
+    reducing a whole column of ``d[k - 1][:, None] + w``, so the table is
+    bit-identical to that.
     """
     n = log_weights.shape[0]
     d = np.full((n + 1, n), -np.inf)
     d[0, 0] = 0.0
-    candidates = np.empty_like(log_weights)
+    into = np.ascontiguousarray(log_weights.T)  # into[v, u]: the edge u -> v
+    band = max(1, _KARP_BAND_BYTES // (8 * n))
+    candidates = np.empty((min(band, n), n))
     for k in range(1, n + 1):
-        np.add(d[k - 1][:, np.newaxis], log_weights, out=candidates)
-        candidates.max(axis=0, out=d[k])
+        for lo in range(0, n, band):
+            rows = into[lo:lo + band]
+            part = candidates[:len(rows)]
+            np.add(rows, d[k - 1], out=part)
+            part.max(axis=1, out=d[k, lo:lo + band])
+    return d
+
+
+def _karp_max_mean(log_weights: FloatArray) -> float:
+    """Karp's maximum mean cycle on a complete digraph given log edge weights.
+
+    Over the finite entries of :func:`_karp_table`, the answer is
+    ``max_v min_k (d[n, v] - d[k, v]) / (n - k)``.  The final scan is one
+    array expression over the whole table: each ratio is the same
+    subtraction and division as an entry-by-entry loop, and min and max do
+    not depend on the order they are taken in, so the result is
+    bit-identical to it.
+    """
+    n = log_weights.shape[0]
+    d = _karp_table(log_weights)
     finite = np.isfinite(d[:n])
     with np.errstate(invalid="ignore"):  # -inf - -inf where d[n, v] is unreachable
         ratios = (d[n] - d[:n]) / np.arange(n, 0, -1)[:, np.newaxis]
@@ -240,6 +268,117 @@ def maxtimes_product(left: FloatArray, right: FloatArray) -> FloatArray:
     return out
 
 
+def _diagonal_product(left: FloatArray, right: FloatArray) -> FloatArray:
+    """The diagonal of ``maxtimes_product(left, right)``, bit for bit, at O(T^2)."""
+    return (left * right.T).max(axis=1)
+
+
+def _lift(base, last: int, advance):
+    """Least ``k <= last`` at which some walk of at most ``k`` steps violates, by binary lifting.
+
+    ``base`` holds the walks of at most one step, none of which may violate.
+    ``advance(x, y)`` composes the walks of ``x`` then ``y``: it returns
+    whether some composed walk violates, and the composed walks, which are
+    read only when none does (so it may skip them then).
+    Violation must be monotone in the number of steps, as it is for walks
+    padded with steps that stay put.  The walks of at most ``2**i`` steps are
+    squared until a square would violate; the least ``k`` is then found by
+    descending through the squares kept, so it takes O(log last) products
+    and holds at most ``log2(last) + 2`` of them.  Returns ``(k, walks of at
+    most k - 1 steps)``, or ``None`` if no walk of at most ``last`` steps
+    violates.
+    """
+    squares = [base]  # squares[i]: the walks of at most 2**i steps
+    while True:
+        violated, square = advance(squares[-1], squares[-1])
+        if violated:
+            break
+        if 2 ** len(squares) >= last:
+            return None
+        squares.append(square)
+    reach = squares.pop()
+    low = 2 ** len(squares)  # no walk of at most low steps violates
+    for i in reversed(range(len(squares))):
+        violated, longer = advance(reach, squares[i])
+        if not violated:
+            reach, low = longer, low + 2 ** i
+    return (low + 1, reach) if low < last else None
+
+
+def _start_rows(steps: FloatArray, start: int, k: int) -> list[FloatArray]:
+    """Row ``start`` of the first ``k - 1`` max-times powers of ``steps``, one vector-matrix step each.
+
+    Each row is bit-identical to the same row of the power built by
+    :func:`maxtimes_product`: the same multiplications, the same maximum.
+    """
+    rows = [steps[start]]
+    for _ in range(k - 2):
+        rows.append((rows[-1][:, np.newaxis] * steps).max(axis=0))
+    return rows
+
+
+def _search_by_length(steps: FloatArray, bound: float, last: int):
+    """Least ``k`` in ``2..last`` whose k-th max-times power of ``steps`` has a diagonal entry above ``bound``.
+
+    Returns ``k``, the smallest such entry's index and its :func:`_start_rows`,
+    or ``None``.  Each length costs one diagonal, at O(T^2); the power
+    itself is carried one step further only when the search goes on.
+    """
+    power = steps
+    for k in range(2, last + 1):
+        starts = np.flatnonzero(_diagonal_product(power, steps) > bound)
+        if starts.size:
+            start = int(starts[0])
+            return k, start, _start_rows(steps, start, k)
+        if k < last:
+            power = maxtimes_product(power, steps)
+    return None
+
+
+def _search_by_lifting(steps: FloatArray, bound: float):
+    """What ``_search_by_length(steps, bound, n)`` returns, through O(log n) products instead of n.
+
+    Powers of ``max(steps, I)`` hold the best walk of at most j steps, whose
+    products are multiplied in another order than the exact-length powers'.
+    Two orders of one product of at most n factors differ by a relative
+    ``2 n u`` at most (u = 2**-53), as long as no partial product under- or
+    overflows, so the lifting runs at ``bound * (1 - 4 n u)``: it finds a
+    length no greater than the exact search's, and every index that search
+    could start from among its candidates.  Candidates are confirmed in
+    increasing order by the exact recurrence from their start rows, so the
+    answer is the exact search's, bit for bit.  If none confirms (a cycle
+    within rounding of ``bound``), if the lifting finds no length at all, or
+    if the lowered threshold is not above one (a walk that stays put would
+    pass it), the exact search runs in full; so ``None`` is always the exact
+    search's answer, and a matrix with no cycle above ``bound`` costs that
+    search in full.  What the lifting cannot rule out: a cycle whose partial
+    products under- or overflow in one order but not in the other may be
+    missed below the lifted length, whose confirmed cycle is then longer
+    than the exact search's.
+    """
+    n = len(steps)
+    threshold = bound * (1.0 - n * 2.0 ** -51)
+    if not threshold > 1.0:
+        return _search_by_length(steps, bound, n)
+    lift = steps.copy()
+    np.fill_diagonal(lift, 1.0)
+
+    def advance(left, right):
+        if (_diagonal_product(left, right) > threshold).any():
+            return True, None
+        return False, maxtimes_product(left, right)
+
+    found = _lift(lift, n, advance)
+    if found is None:  # no cycle, or one lost to an under- or overflowing product
+        return _search_by_length(steps, bound, n)
+    k, reach = found
+    for start in np.flatnonzero(_diagonal_product(reach, lift) > threshold):
+        rows = _start_rows(steps, int(start), k)
+        if (rows[-1] * steps[:, start]).max() > bound:
+            return k, int(start), rows
+    return _search_by_length(steps, bound, n)
+
+
 def shortest_cycle_above(matrix, bound: float) -> tuple[int, ...] | None:
     """Shortest closed walk (no adjacent repeats) whose edge product exceeds ``bound``.
 
@@ -253,9 +392,16 @@ def shortest_cycle_above(matrix, bound: float) -> tuple[int, ...] | None:
     the first ``argmax`` of the start row of the shorter power times the step
     column, and the cycle is returned rotated to start at its smallest index.
 
-    Memory stays O(T^2): only the current power is kept, each step goes
-    through :func:`maxtimes_product`, and the start row of each shorter power
-    is rebuilt (one vector-matrix step each) once a violating length is found.
+    Cost: lengths up to ``_LIFT_AFTER`` are tried one at a time, each by the
+    diagonal of the next power alone, at O(T^2); the power is carried on
+    only when the search goes on, so ``k = 2`` takes no matrix product.
+    Longer cycles are found by binary lifting (:func:`_search_by_lifting`) in
+    O(log T) products, O(T^3 log T) in all, with the same answer as long as
+    no partial walk product under- or overflows (see there); a matrix above
+    the cutoff with no such cycle costs the step-by-step search, O(T^4).
+    The start rows of the shorter powers are then rebuilt, one
+    vector-matrix step each.  Memory stays O(T^2): at most
+    ``ceil(log2(T)) + 3`` matrices.
     """
     arr, low = _as_square(matrix)
     if low < 0.0:
@@ -265,21 +411,17 @@ def shortest_cycle_above(matrix, bound: float) -> tuple[int, ...] | None:
         return None
     steps = arr  # already a private copy
     np.fill_diagonal(steps, 0.0)  # forbid self-steps; adjacency stays distinct
-    power = steps
-    for k in range(2, n + 1):
-        power = maxtimes_product(power, steps)
-        starts = (power.diagonal() > bound).nonzero()[0]
-        if starts.size:
-            start = int(starts[0])
-            rows = [steps[start, :]]  # rows[j - 1]: start row of the j-th power
-            for _ in range(k - 2):
-                rows.append((rows[-1][:, np.newaxis] * steps).max(axis=0))
-            walk = [start]
-            target = start
-            for j in range(k - 1, 0, -1):
-                scores = rows[j - 1] * steps[:, target]
-                target = int(scores.argmax())
-                walk.append(target)
-            walk.reverse()  # a rotation of (start, v1, ..., v_{k-1})
-            return _canonical_rotation(tuple(walk))
-    return None
+    found = _search_by_length(steps, bound, min(n, _LIFT_AFTER))
+    if found is None and n > _LIFT_AFTER:
+        found = _search_by_lifting(steps, bound)
+    if found is None:
+        return None
+    k, start, rows = found  # rows[j - 1]: start row of the j-th power
+    walk = [start]
+    target = start
+    for j in range(k - 1, 0, -1):
+        scores = rows[j - 1] * steps[:, target]
+        target = int(scores.argmax())
+        walk.append(target)
+    walk.reverse()  # a rotation of (start, v1, ..., v_{k-1})
+    return _canonical_rotation(tuple(walk))

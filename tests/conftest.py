@@ -181,6 +181,18 @@ def closure_by_outer(matrix, tol=0.0, slack=1e-12):
     return values, False
 
 
+def karp_table_by_columns(log_weights):
+    """Karp table oracle: each length reduces the whole ``d[k - 1][:, None] + w`` over its columns."""
+    n = log_weights.shape[0]
+    d = np.full((n + 1, n), -np.inf)
+    d[0, 0] = 0.0
+    candidates = np.empty_like(log_weights)
+    for k in range(1, n + 1):
+        np.add(d[k - 1][:, np.newaxis], log_weights, out=candidates)
+        candidates.max(axis=0, out=d[k])
+    return d
+
+
 def karp_max_mean_by_loop(log_weights):
     """Karp oracle: the final ``max_v min_k`` scan as a loop over vertices and lengths."""
     n = log_weights.shape[0]

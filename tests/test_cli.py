@@ -105,6 +105,20 @@ def test_test_command_input_error(tmp_path, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.filterwarnings("ignore:overflow encountered in matmul:RuntimeWarning")
+def test_test_command_refuses_overflowing_cross_values(tmp_path, capsys):
+    prices, quantities = tmp_path / "prices.csv", tmp_path / "quantities.csv"
+    prices.write_text("period,g1,g2\nt1,1e300,1\nt2,1,1\n")
+    quantities.write_text("period,g1,g2\nt1,1e300,1\nt2,1,1\n")
+    out = tmp_path / "o"
+    code = main(["test", str(prices), str(quantities), "--axiom", "both", "--out", str(out)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert "cross-value matrix must be finite" in captured.err
+    assert not out.exists()
+
+
 def test_irrationality_command(tmp_path, capsys):
     prices, quantities = write_two_period(tmp_path)
     code = main(["irrationality", prices, quantities, "--out", str(tmp_path / "irr")])

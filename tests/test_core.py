@@ -233,8 +233,19 @@ def test_paasche_matrix_rejects_invalid_cross_values(px, message):
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_overflowing_cross_values_are_rejected_by_the_axiom_test():
     ts = trade_statistics([[1e300, 1.0], [1.0, 1.0]], [[1e10, 1.0], [1.0, 1.0]])
-    with pytest.raises(TradeDataError, match="Paasche matrix must be strictly positive"):
+    with pytest.raises(TradeDataError, match="cross-value matrix must be finite"):
         check_harp(ts)
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered in matmul:RuntimeWarning")
+@pytest.mark.parametrize("test", [check_garp, check_harp])
+def test_overflowing_cross_value_is_refused_where_px_is_built(test):
+    # px[0, 0] = 1e300 * 1e300 overflows; acyclicity used to pass such a panel
+    ts = trade_statistics([[1e300, 1.0], [1.0, 1.0]], [[1e300, 1.0], [1.0, 1.0]])
+    with pytest.raises(TradeDataError, match="cross-value matrix must be finite"):
+        cross_value_matrix(ts)
+    with pytest.raises(TradeDataError, match="cross-value matrix must be finite"):
+        test(ts)
 
 
 def test_cross_values_and_paasche_are_plain_arrays(appendix_panel):

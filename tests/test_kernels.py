@@ -20,9 +20,10 @@ from konus import (
 )
 from konus import forecast
 from konus.forecast import VERTEX_ENUMERATION_MAX_DIM, LinearConstraint, PolytopeDescription
-from konus.semiring import _karp_max_mean, maxtimes_closure
+from konus import semiring
+from konus.semiring import _karp_max_mean, _karp_table, maxtimes_closure
 
-from conftest import closure_by_outer, karp_max_mean_by_loop, vertices_by_subsets
+from conftest import closure_by_outer, karp_max_mean_by_loop, karp_table_by_columns, vertices_by_subsets
 from test_witnesses import panels
 
 
@@ -61,6 +62,23 @@ def closure_inputs(draw):
 def test_karp_scan_matches_loop_bitwise(weights):
     assert np.float64(_karp_max_mean(weights)).tobytes() == np.float64(
         karp_max_mean_by_loop(weights)).tobytes()
+
+
+@given(log_weight_tables(), st.data())
+def test_karp_table_matches_column_reduction_bitwise(weights, data):
+    expected = karp_table_by_columns(weights)
+    assert _karp_table(weights).tobytes() == expected.tobytes()
+    band = data.draw(st.integers(1, len(weights)), label="band rows")
+    with mock.patch.object(semiring, "_KARP_BAND_BYTES", 8 * len(weights) * band):
+        assert _karp_table(weights).tobytes() == expected.tobytes()
+
+
+def test_karp_table_matches_column_reduction_bitwise_over_many_bands():
+    rng = np.random.default_rng(3)
+    weights = rng.normal(0.0, 1.0, (300, 300))
+    weights[rng.random((300, 300)) < 0.3] = -np.inf
+    np.fill_diagonal(weights, -np.inf)
+    assert _karp_table(weights).tobytes() == karp_table_by_columns(weights).tobytes()
 
 
 @given(panels(max_periods=12))

@@ -427,12 +427,14 @@ def test_overflowing_paasche_entries_raise_the_oracle_error():
             for stack in ([bad], [finite_px, bad], [finite_px, bad, finite_px]):
                 assert _error(lambda: _verdicts(np.array(stack))) == expected
         assert _error(lambda: verdicts_by_trial(nan_px))[0] is TradeDataError
-        # through the experiments: the trial panels inherit the overflowing base period
+        # through the experiments: the trial panels inherit the overflowing base period; the size
+        # trials refuse it where they build the base cross values, before any trial runs
         ts = trade_statistics([[1e300, 1.0], [1.0, 1.0], [1.0, 1.0]], [[1e10, 1.0], [1.0, 1.0], [1.0, 1.0]])
-        base_px = cross_value_matrix(ts)
-        expected = _error(lambda: size_trial(ts, base_px, 1, 0))
-        assert expected == (TradeDataError, "Paasche matrix must be strictly positive")
-        assert _error(lambda: forecast_size_paired(ts, 5, 1)) == expected
+        base_px = ts.prices @ ts.quantities.T
+        assert _error(lambda: size_trial(ts, base_px, 1, 0)) == \
+            (TradeDataError, "Paasche matrix must be strictly positive")
+        assert _error(lambda: forecast_size_paired(ts, 5, 1)) == \
+            (TradeDataError, "cross-value matrix must be finite")
         assert _error(lambda: random_group_probability(ts, [2], 5, 1)) == \
             _error(lambda: group_verdicts(ts, np.array([0, 1])))
 

@@ -1,9 +1,11 @@
 """Witness recovery against the per-pair and full-cube oracles, and its memory bound."""
 
+import time
 import tracemalloc
 from unittest import mock
 
 import numpy as np
+import pytest
 from hypothesis import given, strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -21,7 +23,7 @@ from konus import semiring
 from konus.axioms import _garp_violations
 from konus.semiring import FLOAT_SLACK, maxtimes_product, shortest_cycle_above
 
-from conftest import garp_chain_by_pairs, shortest_cycle_by_cube
+from conftest import count_closures, garp_chain_by_pairs, planted_cycle_panel, shortest_cycle_by_cube
 from test_axioms import recheck_garp_witness, recheck_harp_witness
 
 # A coarse grid makes equal cross values, ties between chains and exact breakpoints common.
@@ -60,9 +62,30 @@ def panels(draw, max_periods=10):
 
 
 @st.composite
+def planted_panels(draw, max_periods=16):
+    """Own-good panels like ``conftest.planted_cycle_panel``, of 2..16 periods in a drawn order.
+
+    Every link of the planted cycle costs one and its closing link 0.8, and
+    every other price is above one, so the only violations are full-length:
+    a HARP cycle through all periods and a GARP chain of T - 1 links.  At a
+    price of 1.25 an off-cycle step closes cycles whose Paasche product is
+    exactly one.  Panels above the search cutoff find their witnesses by
+    lifting.
+    """
+    T = draw(st.integers(2, max_periods))
+    prices = draw(arrays(float, (T, T), elements=st.sampled_from([1.25, 2.0, 5.0])))
+    cycle = draw(st.permutations(range(T)))
+    for a, b in zip(cycle, cycle[1:] + cycle[:1]):
+        prices[a, b] = 1.0
+    prices[cycle[-1], cycle[0]] = 0.8
+    np.fill_diagonal(prices, 1.0)
+    return trade_statistics(prices, np.eye(T))
+
+
+@st.composite
 def panels_and_levels(draw):
-    """A panel and a level: a breakpoint of its relation, one just below an index, or any."""
-    ts = draw(panels())
+    """A panel (planted ones too) and a level: a breakpoint of its relation, one just below an index, or any."""
+    ts = draw(panels() | planted_panels())
     kind = draw(st.sampled_from(["breakpoint", "garp index", "harp index", "any"]))
     if kind == "breakpoint":
         px = cross_value_matrix(ts)
@@ -138,6 +161,57 @@ def test_maxtimes_product_is_bitwise_the_cube_maximum(rows, inner, cols, data):
     width = data.draw(st.integers(1, inner), label="block width")
     with small_blocks(rows, cols, width):
         assert np.array_equal(maxtimes_product(left, right), expected)
+
+
+@given(planted_panels())
+def test_planted_panels_get_full_length_witnesses(ts):
+    T = ts.num_periods
+    garp, harp = check_garp(ts), check_harp(ts)
+    assert len(garp.witness.chain) == T and len(harp.witness.cycle) == T
+    rel, _, bad = _garp_violations(cross_value_matrix(ts), 1.0, 0.0)
+    assert garp.witness.chain == garp_chain_by_pairs(rel, bad)
+    scaled = paasche_matrix(cross_value_matrix(ts))
+    np.fill_diagonal(scaled, 0.0)
+    assert harp.witness.cycle == shortest_cycle_by_cube(scaled, 1.0 + FLOAT_SLACK)
+
+
+def test_planted_t300_panel_gets_both_witnesses_within_10_s():
+    ts = planted_cycle_panel(300)
+    start = time.perf_counter()
+    garp = check_garp(ts)
+    harp = check_harp(ts)
+    elapsed = time.perf_counter() - start
+    assert garp.witness.chain == tuple(range(300))
+    assert harp.witness.cycle == tuple(range(300))
+    recheck_garp_witness(ts, garp.witness)
+    recheck_harp_witness(ts, harp.witness)
+    assert elapsed < 10.0
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_cycle_lost_to_underflow_by_lifting_is_found_step_by_step():
+    # The only cycle runs 0 -> 1 -> ... -> 7 -> 0 with product 2.  Multiplied left to right from
+    # period 0, no partial product leaves the normal range; but in every rotation the pairwise
+    # order of the squares multiplies 1e-30 * 1e-300 (periods 2 to 4) first, which underflows to
+    # zero, so lifting sees no cycle above the bound and the step-by-step search must run.  (A
+    # block of the cycle that underflows leaves a rest that overflows: from period 5 on, the
+    # left-to-right products reach inf, and inf times a missing edge is NaN; both only touch
+    # starts later than period 0.)
+    weights = [1e100, 1e100, 1e-30, 1e-300, 1e-30, 2e60, 1e50, 1e50]
+    matrix = np.zeros((8, 8))
+    for a, weight in enumerate(weights):
+        matrix[a, (a + 1) % 8] = weight
+    bound = 1.0 + FLOAT_SLACK
+    assert shortest_cycle_above(matrix, bound) == shortest_cycle_by_cube(matrix, bound) == tuple(range(8))
+
+
+def test_two_cycle_witness_takes_no_matrix_product(monkeypatch):
+    ts = random_statistics(100, 10, 1)
+    products = count_closures(monkeypatch, "maxtimes_product")
+    witness = check_harp(ts).witness
+    assert len(witness.cycle) == 2
+    assert products == []
+    recheck_harp_witness(ts, witness)
 
 
 def test_t1000_failing_panel_gets_both_witnesses_under_100_mb():
