@@ -56,7 +56,6 @@ from .econometrics import (
 )
 from .forecast import (
     ForecastCone,
-    LawOfDemandEstimate,
     LinearConstraint,
     PolytopeDescription,
     SizeReport,
@@ -66,8 +65,6 @@ from .forecast import (
     kg_membership,
     kh_membership,
     kh_polytope,
-    law_of_demand_estimate,
-    law_of_demand_outer,
     sample_positive_sphere,
 )
 from .hierarchy import (
@@ -92,14 +89,14 @@ from .semiring import (
 __all__ = [
     "ARModel", "AfriatSolution", "AxiomVerdict", "BooleanRelation", "CertificateError",
     "ForecastCone", "GarpWitness", "GroupProbabilityCurve", "GroupSelection", "HarpMultipliers",
-    "HarpWitness", "HierarchyReport", "IndexSeries", "InfeasibleAxiomError", "LawOfDemandEstimate",
+    "HarpWitness", "HierarchyReport", "IndexSeries", "InfeasibleAxiomError",
     "LinearConstraint", "NoAdmissibleCycleError", "NodeReport", "PolytopeDescription",
     "PowerReport", "SizeReport", "TradeDataError", "TradeStatistics", "TreeNode", "aggregate",
     "boolean_closure", "build_hierarchy", "check_garp", "check_harp", "cobb_douglas_statistics",
     "cross_value_matrix", "enumerate_vertices", "eval_garp_utility", "eval_harp_utility", "fit_ar",
     "fit_price_models", "forecast_size_paired", "gamma_coefficients", "garp_irrationality",
     "harp_irrationality", "kg_membership", "kh_membership", "kh_polytope", "konus_divisia_series",
-    "law_of_demand_estimate", "law_of_demand_outer", "load_trade_statistics", "log_relatives",
+    "load_trade_statistics", "log_relatives",
     "max_cycle_geomean", "maxtimes_closure", "paasche_matrix", "parse_partition_tree",
     "power_estimate", "random_group_probability", "random_statistics", "render_tree",
     "rescale_quantities", "restrict_to_group", "sample_positive_sphere", "simulate_price_paths",

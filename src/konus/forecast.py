@@ -34,11 +34,9 @@ from .axioms import (
     _harp_verdict,
     _inserted_verdicts,
     _insertion_base,
-    check_harp,
 )
 from .afriat import InfeasibleAxiomError
 from .core import FloatArray, TradeStatistics, cross_value_matrix, trade_statistics, validate_level
-from .semiring import maxtimes_closure
 
 VERTEX_ENUMERATION_MAX_DIM = 4
 # Square subsystems that vertex enumeration ranks, solves and tests together.
@@ -58,19 +56,6 @@ class ForecastCone:
     price_new: FloatArray
     gamma: FloatArray
     prices: FloatArray  # observed price rows backing the inequalities
-
-
-@dataclass(frozen=True, eq=False)
-class LawOfDemandEstimate:
-    """Step-function matrix ``D`` and its max-times path maxima ``Delta``.
-
-    ``path_matrix`` is ``None`` when a cycle of ``D`` has product above one;
-    the outer estimate is then empty.
-    """
-
-    omega: float
-    step_matrix: FloatArray
-    path_matrix: FloatArray | None
 
 
 @dataclass(frozen=True)
@@ -250,68 +235,6 @@ def enumerate_vertices(poly: PolytopeDescription, *, tol: float = 1e-9) -> Float
             unique.append(v)
     unique.sort(key=lambda v: tuple(np.round(v, 9)))
     return np.array(unique, dtype=float).reshape(len(unique), m)
-
-
-def _step(values: np.ndarray) -> np.ndarray:
-    """Unit step: one on strictly positive arguments, zero otherwise (zero at zero)."""
-    return (values > 0.0).astype(float)
-
-
-def law_of_demand_estimate(ts: TradeStatistics, omega: float) -> LawOfDemandEstimate:
-    """Step matrix ``D`` and its path maxima ``Delta`` for the demand-law outer set.
-
-    ``D[s, t] = max(px[t, t] / (omega px[s, t]), step(px[s, s] / px[s, t] - omega))``.
-    ``Delta`` collects max-times products of the walks of ``D`` with at
-    least one edge, the single-edge walk included.
-    """
-    validate_level(omega)
-    px = cross_value_matrix(ts)
-    diag = px.diagonal()
-    ratio = diag[np.newaxis, :].T / px  # px[s, s] / px[s, t]
-    step_matrix = np.maximum(diag[np.newaxis, :] / (omega * px), _step(ratio - omega))
-    return LawOfDemandEstimate(omega=omega, step_matrix=step_matrix,
-                               path_matrix=maxtimes_closure(step_matrix))
-
-
-def law_of_demand_outer(
-    ts: TradeStatistics,
-    omega: float,
-    price_new,
-    x,
-    expenditure: float | None = None,
-    *,
-    tol: float = 0.0,
-) -> bool:
-    """Necessary condition for the extension to respect the law of demand.
-
-    Evaluates, for every period pair ``(s, t)``, the product of the two
-    step-style brackets linking the new observation to periods ``s`` and ``t``
-    against ``1 / Delta`` of the return path ``t -> s``, which is exactly
-    cycle consistency of the extended step matrix.  True is necessary, not
-    sufficient, for demand-law-consistent extensions.
-    """
-    validate_level(omega, tol)
-    if omega < 1.0:
-        raise ValueError("omega must be at least 1")
-    price_new = _admissible_price(price_new, ts.num_goods)
-    arr = _admissible_bundle(x, ts.num_goods)
-    spend_new = float(price_new @ arr) if expenditure is None else _admissible_expenditure(expenditure)
-    verdict = check_harp(ts, omega)
-    if not verdict.satisfied:
-        raise InfeasibleAxiomError(
-            f"homotheticity fails at omega={omega}", verdict.witness
-        )
-    estimate = law_of_demand_estimate(ts, omega)
-    if estimate.path_matrix is None:
-        return False
-    px = cross_value_matrix(ts)
-    diag = px.diagonal()
-    obs_at_new = ts.prices @ arr          # <P^s, x>
-    new_at_obs = ts.quantities @ price_new  # <price_new, X^t>
-    into_new = np.maximum(spend_new / (omega * obs_at_new), _step(diag / obs_at_new - 1.0))
-    out_of_new = np.maximum(diag / (omega * new_at_obs), _step(spend_new / (omega * new_at_obs) - 1.0))
-    products = into_new[:, np.newaxis] * out_of_new[np.newaxis, :] * estimate.path_matrix.T
-    return bool(np.all(products <= 1.0 + tol + 1e-12))
 
 
 def sample_positive_sphere(m: int, rng: np.random.Generator) -> FloatArray:

@@ -18,7 +18,6 @@ PUBLIC_NAMES = [
     "HierarchyReport",
     "IndexSeries",
     "InfeasibleAxiomError",
-    "LawOfDemandEstimate",
     "LinearConstraint",
     "NoAdmissibleCycleError",
     "NodeReport",
@@ -48,8 +47,6 @@ PUBLIC_NAMES = [
     "kh_membership",
     "kh_polytope",
     "konus_divisia_series",
-    "law_of_demand_estimate",
-    "law_of_demand_outer",
     "load_trade_statistics",
     "log_relatives",
     "max_cycle_geomean",

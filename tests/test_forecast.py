@@ -1,4 +1,4 @@
-"""Forecasting cones, polytope slices, demand-law outer estimate, and size measures."""
+"""Forecasting cones, polytope slices, and size measures."""
 
 import numpy as np
 import pytest
@@ -6,6 +6,7 @@ import pytest
 from konus import (
     InfeasibleAxiomError,
     check_harp,
+    cobb_douglas_statistics,
     cross_value_matrix,
     enumerate_vertices,
     forecast_size_paired,
@@ -13,8 +14,6 @@ from konus import (
     kg_membership,
     kh_membership,
     kh_polytope,
-    law_of_demand_estimate,
-    law_of_demand_outer,
     maxtimes_closure,
     paasche_matrix,
     random_statistics,
@@ -251,83 +250,21 @@ def test_homothetic_set_inside_acyclic_set():
                 assert kg_membership(ts, 1.0, price, x, tol=1e-12)
 
 
-def test_step_function_is_zero_at_zero():
-    from konus.forecast import _step
-
-    np.testing.assert_array_equal(_step(np.array([-1.0, 0.0, 1e-300, 2.0])),
-                                  [0.0, 0.0, 1.0, 1.0])
-
-
-def test_demand_law_step_matrix_appendix(appendix_panel):
-    estimate = law_of_demand_estimate(appendix_panel, 1.0)
-    # step terms add nothing here (every strict comparison is at the boundary,
-    # and the step function is zero at zero), so D equals the Paasche matrix
-    np.testing.assert_array_equal(estimate.step_matrix,
-                                  paasche_matrix(cross_value_matrix(appendix_panel)))
-    np.testing.assert_allclose(estimate.path_matrix, [[1, 1, 0.5], [1, 1, 0.5], [1, 1, 1]])
-
-
-def test_demand_law_accepts_self_extension(appendix_panel):
-    assert law_of_demand_outer(appendix_panel, 1.0,
-                               appendix_panel.prices[-1], appendix_panel.quantities[-1])
-
-
-def test_demand_law_outer_contains_cycle_consistent_points(appendix_panel):
-    # every candidate in the homothetic set whose extension also keeps the
-    # extended step matrix cycle-free must be accepted by the outer estimate;
-    # at epsilon zero the homothetic slice is the segment with zero second good
-    cone = gamma_coefficients(appendix_panel, 1.0, UNIT_PRICE)
+@pytest.mark.parametrize("T, m", [(10, 3), (20, 4), (40, 4), (40, 20)])
+def test_held_out_observation_lies_in_both_forecasting_sets(T, m):
+    # a homothetic consumer's last choice is a consistent extension of the
+    # periods before it, so both sets must admit it, with no slack
     checked = 0
-    for x1 in np.linspace(0.001, 1.999, 500):
-        x = np.array([x1, 0.0, 2.0 - x1])
-        assert kh_membership(cone, appendix_panel, x)
-        extended = appendix_panel.extended(UNIT_PRICE, x)
-        if law_of_demand_estimate(extended, 1.0).path_matrix is None:
+    for seed in range(10):
+        ts = cobb_douglas_statistics(T, m, seed)
+        if not check_harp(ts, 1.0).satisfied:
             continue
         checked += 1
-        assert law_of_demand_outer(appendix_panel, 1.0, UNIT_PRICE, x)
-    assert checked > 400
-
-
-def test_demand_law_outer_containment_on_random_panels():
-    rng = np.random.default_rng(84)
-    checked = 0
-    for _ in range(40):
-        ts = harp_panel(rng, T=4, m=3)
-        if law_of_demand_estimate(ts, 1.0).path_matrix is None:
-            continue
-        price = np.exp(rng.normal(0, 0.3, size=3))
-        cone = gamma_coefficients(ts, 1.0, price)
-        for _ in range(200):
-            x = rng.dirichlet(np.ones(3)) * float(rng.uniform(0.2, 5.0))
-            if not kh_membership(cone, ts, x):
-                continue
-            if law_of_demand_estimate(ts.extended(price, x), 1.0).path_matrix is None:
-                continue
-            checked += 1
-            assert law_of_demand_outer(ts, 1.0, price, x)
-    assert checked > 30
-
-
-def test_demand_law_variants_differ_on_the_fixture(appendix_panel):
-    # the return-path pairing is the cycle-consistent one (see the containment
-    # test above) and accepts this vertex, which a forward-path pairing would reject
-    point = np.array([1.0, 0.0, 1.0])
-    assert law_of_demand_outer(appendix_panel, 1.0, UNIT_PRICE, point)
-
-
-def test_demand_law_diverged_estimate_rejects_everything():
-    # homothetic but with a step-matrix cycle above one: the outer set is empty
-    ts = trade_statistics([[4.0, 2.0], [3.0, 1.0]], [[1.0, 0.0], [0.0, 1.0]])
-    estimate = law_of_demand_estimate(ts, 1.0)
-    assert estimate.path_matrix is None
-    assert check_harp(ts, 1.0).satisfied
-    assert not law_of_demand_outer(ts, 1.0, np.array([1.0, 1.0]), np.array([0.5, 0.5]))
-
-
-def test_demand_law_requires_consistency(two_period_panel):
-    with pytest.raises(InfeasibleAxiomError):
-        law_of_demand_outer(two_period_panel, 1.0, np.array([1.0, 1.0]), np.array([1.0, 1.0]))
+        base = trade_statistics(ts.prices[:-1], ts.quantities[:-1])
+        price, x = ts.prices[-1], ts.quantities[-1]
+        assert kh_membership(gamma_coefficients(base, 1.0, price), base, x, tol=0.0)
+        assert kg_membership(base, 1.0, price, x, tol=0.0)
+    assert checked == 10
 
 
 def test_sphere_sample_properties():

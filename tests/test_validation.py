@@ -14,8 +14,6 @@ from konus import (
     kg_membership,
     kh_membership,
     kh_polytope,
-    law_of_demand_estimate,
-    law_of_demand_outer,
     maxtimes_closure,
     paasche_matrix,
     solve_afriat_numbers,
@@ -41,11 +39,9 @@ LEVEL_AND_SLACK = [
     lambda ts, omega, tol: solve_harp_multipliers(ts, omega, tol=tol),
     lambda ts, omega, tol: solve_afriat_numbers(ts, omega, tol=tol),
     lambda ts, omega, tol: kg_membership(ts, omega, PRICE, BUNDLE, tol=tol),
-    lambda ts, omega, tol: law_of_demand_outer(ts, omega, PRICE, BUNDLE, tol=tol),
 ]
 LEVEL_ONLY = [
     lambda ts, omega: gamma_coefficients(ts, omega, PRICE),
-    lambda ts, omega: law_of_demand_estimate(ts, omega),
 ]
 SLACK_ONLY = [
     lambda ts, tol: garp_irrationality_bisection(ts, tol=tol),
@@ -55,13 +51,11 @@ SLACK_ONLY = [
 ]
 NEW_PRICE_ENTRY_POINTS = [
     lambda ts, price: gamma_coefficients(ts, WIDE, price),
-    lambda ts, price: law_of_demand_outer(ts, WIDE, price, BUNDLE),
     lambda ts, price: kg_membership(ts, WIDE, price, BUNDLE),
 ]
 BUNDLE_ENTRY_POINTS = [
     lambda ts, x: kh_membership(gamma_coefficients(ts, WIDE, PRICE), ts, x),
     lambda ts, x: kg_membership(ts, WIDE, PRICE, x),
-    lambda ts, x: law_of_demand_outer(ts, WIDE, PRICE, x),
 ]
 
 
@@ -103,12 +97,6 @@ def test_kh_polytope_rejects_invalid_expenditure(appendix_panel, expenditure):
     cone = gamma_coefficients(appendix_panel, 1.0, [1.0, 1.0, 1.0])
     with pytest.raises(ValueError, match="expenditure must be finite and positive"):
         kh_polytope(cone, expenditure)
-
-
-@pytest.mark.parametrize("expenditure", BAD_EXPENDITURES)
-def test_law_of_demand_outer_rejects_invalid_expenditure(two_period_panel, expenditure):
-    with pytest.raises(ValueError, match="expenditure must be finite and positive"):
-        law_of_demand_outer(two_period_panel, WIDE, PRICE, BUNDLE, expenditure=expenditure)
 
 
 @pytest.mark.parametrize("vector", BAD_VECTORS)
