@@ -146,13 +146,7 @@ def trial_streams(prefix: tuple[int, ...], trials: range) -> Iterator[np.random.
 
 
 def batch_size(floats: int) -> int:
-    """Trials per batch when each trial holds ``floats`` float64 values.
-
-    A power or group trial holds its T x T cross-value matrix plus T x m
-    prices and noise.  A size trial is decided by inserting its new period
-    into the closures of the base panel, so it holds its T x T cross-value
-    and Paasche matrices, the new period's row and column, and its price.
-    """
+    """Trials per batch when each trial holds ``floats`` float64 values."""
     return max(1, _BATCH_BYTES // (8 * floats))
 
 

@@ -64,14 +64,13 @@ class IndexSeries:
     price: FloatArray        # Q
 
 
-def verify_harp_multipliers(lm: HarpMultipliers, ts: TradeStatistics,
-                            rtol: float = CERTIFICATE_RTOL) -> None:
-    """Check all T^2 off-diagonal inequalities of the homothetic system."""
+def verify_harp_multipliers(lm: HarpMultipliers, ts: TradeStatistics) -> None:
+    """Check all T^2 off-diagonal inequalities of the homothetic system, to ``CERTIFICATE_RTOL``."""
     px = cross_value_matrix(ts)
     lam = lm.lam
     lhs = lm.omega * lam[:, np.newaxis] * px
     rhs = (lam * px.diagonal())[np.newaxis, :]
-    ok = lhs >= rhs * (1.0 - rtol)
+    ok = lhs >= rhs * (1.0 - CERTIFICATE_RTOL)
     np.fill_diagonal(ok, True)
     if not np.all(ok):
         t, s = np.argwhere(~ok)[0]
@@ -80,15 +79,14 @@ def verify_harp_multipliers(lm: HarpMultipliers, ts: TradeStatistics,
         )
 
 
-def verify_afriat_solution(sol: AfriatSolution, ts: TradeStatistics,
-                           rtol: float = CERTIFICATE_RTOL) -> None:
-    """Check all T^2 off-diagonal inequalities of the acyclicity system."""
+def verify_afriat_solution(sol: AfriatSolution, ts: TradeStatistics) -> None:
+    """Check all T^2 off-diagonal inequalities of the acyclicity system, to ``CERTIFICATE_RTOL``."""
     px = cross_value_matrix(ts)
     u, lam = sol.utilities, sol.lam
     rhs = u[np.newaxis, :] + lam[np.newaxis, :] * (sol.omega * px.T - px.diagonal()[np.newaxis, :])
     # rhs[t, s] bounds u[t]; slack scales with the magnitudes involved
     scale = np.maximum(np.abs(u[:, np.newaxis]), np.abs(rhs)) + 1.0
-    ok = u[:, np.newaxis] <= rhs + rtol * scale
+    ok = u[:, np.newaxis] <= rhs + CERTIFICATE_RTOL * scale
     np.fill_diagonal(ok, True)
     if not np.all(ok):
         t, s = np.argwhere(~ok)[0]

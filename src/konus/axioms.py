@@ -201,8 +201,8 @@ def _scaled_paasche(px: FloatArray, omega: float) -> FloatArray:
     return scaled
 
 
-def _verdicts(px: FloatArray, omega: float = 1.0, tol: float = 0.0) -> tuple[np.ndarray, np.ndarray]:
-    """Verdict-only acyclicity and homotheticity tests of a stack ``px[B, T, T]`` of cross-value matrices.
+def _verdicts(px: FloatArray) -> tuple[np.ndarray, np.ndarray]:
+    """Acyclicity and homotheticity verdicts at level one of a stack ``px[B, T, T]`` of cross-value matrices.
 
     Returns ``(garp_ok[B], harp_ok[B])``.  Trial b's verdicts are those of
     :func:`check_garp` and :func:`check_harp` on ``px[b]``: the same
@@ -211,8 +211,8 @@ def _verdicts(px: FloatArray, omega: float = 1.0, tol: float = 0.0) -> tuple[np.
     left to the caller, because the Monte Carlo experiments enforce it in
     different directions.
     """
-    garp_ok = ~_garp_violations(px, omega, tol)[2].any(axis=(1, 2))
-    return garp_ok, ~_relax(_scaled_paasche(px, omega), (1.0 + tol) * (1.0 + FLOAT_SLACK))
+    garp_ok = ~_garp_violations(px, 1.0, 0.0)[2].any(axis=(1, 2))
+    return garp_ok, ~_relax(_scaled_paasche(px, 1.0), 1.0 + FLOAT_SLACK)
 
 
 @dataclass(frozen=True, eq=False)
@@ -259,7 +259,7 @@ def _insertion_base(px: FloatArray) -> _Insertion:
 
 
 def _inserted_verdicts(base: _Insertion, px: FloatArray) -> tuple[np.ndarray, np.ndarray]:
-    """``_verdicts(px)`` at level one, for a stack ``px[B, T, T]`` differing from ``base.px`` in the last rows.
+    """``_verdicts(px)`` for a stack ``px[B, T, T]`` that differs from ``base.px`` only in the last rows.
 
     Each trial inserts its new period into the base closures, at O(T) work
     for acyclicity and O(T^2) for homotheticity instead of closing a T x T

@@ -287,17 +287,24 @@ def load_trade_statistics(prices_source, quantities_source) -> TradeStatistics:
                            good_ids=tuple(p_goods), period_ids=tuple(p_periods))
 
 
+def _finite_cross_values(px: FloatArray) -> FloatArray:
+    """``px``, a cross-value matrix or a stack of them, unless a cross value overflowed.
+
+    Raises :class:`TradeDataError` otherwise.  Cross values of a valid panel
+    are positive, so the largest is the only one to scan.
+    """
+    if not px.max() < np.inf:
+        raise TradeDataError("cross-value matrix must be finite")
+    return px
+
+
 def cross_value_matrix(ts: TradeStatistics) -> FloatArray:
     """Exact dot products ``px[t, s] = <P^t, X^s>`` for all period pairs (currency units).
 
     Raises :class:`TradeDataError` if a cross value overflows (after numpy's
-    own overflow warning).  Cross values of a valid panel are positive, so
-    the largest is the only one to scan.
+    own overflow warning).
     """
-    px = ts.prices @ ts.quantities.T
-    if not px.max() < np.inf:
-        raise TradeDataError("cross-value matrix must be finite")
-    return px
+    return _finite_cross_values(ts.prices @ ts.quantities.T)
 
 
 def paasche_matrix(px) -> FloatArray:

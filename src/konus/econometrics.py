@@ -23,9 +23,13 @@ import numpy as np
 
 from ._mc import batch_size, count_trials, trial_streams
 from .axioms import _verdicts
-from .core import FloatArray, TradeStatistics, trade_statistics
+from .core import FloatArray, TradeStatistics, _finite_cross_values, trade_statistics
 
 VARIANCE_FLOOR = 1e-12
+# Largest autoregression order that fit_ar compares.
+MAX_AR_ORDER = 2
+# Draws a group of goods may take to find a valid one.
+RESAMPLE_CAP = 1000
 
 
 @dataclass(frozen=True, eq=False)
@@ -73,8 +77,8 @@ class GroupProbabilityCurve:
     seed: int
 
 
-def fit_ar(series: Sequence[float], max_order: int = 2, *, good_id: str = "") -> ARModel:
-    """OLS autoregressions of orders 0..max_order, compared by AIC on a common sample.
+def fit_ar(series: Sequence[float], *, good_id: str = "") -> ARModel:
+    """OLS autoregressions of orders 0..MAX_AR_ORDER, compared by AIC on a common sample.
 
     All candidate orders are fitted on the effective sample that the largest
     order allows, so their likelihoods are comparable; AIC uses the maximum
@@ -88,9 +92,7 @@ def fit_ar(series: Sequence[float], max_order: int = 2, *, good_id: str = "") ->
     n = z.shape[0]
     if n < 2:
         raise ValueError(f"series of length {n} is too short for any autoregression")
-    if max_order < 0:
-        raise ValueError("max_order must be nonnegative")
-    effective_max = min(max_order, n - 2)
+    effective_max = min(MAX_AR_ORDER, n - 2)
     y = z[effective_max:]
     n_eff = y.shape[0]
     best: tuple[float, int, np.ndarray, float, np.ndarray] | None = None
@@ -121,12 +123,12 @@ def log_relatives(ts: TradeStatistics) -> FloatArray:
     return np.log(ts.prices[1:] / ts.prices[:-1])
 
 
-def fit_price_models(ts: TradeStatistics, max_order: int = 2) -> list[ARModel]:
+def fit_price_models(ts: TradeStatistics) -> list[ARModel]:
     """One autoregression per good, fitted to its log price relatives."""
     if ts.num_periods < 3:
         raise ValueError("need at least three periods to fit price models")
     rel = log_relatives(ts)
-    return [fit_ar(rel[:, i], max_order, good_id=ts.good_ids[i]) for i in range(ts.num_goods)]
+    return [fit_ar(rel[:, i], good_id=ts.good_ids[i]) for i in range(ts.num_goods)]
 
 
 def _simulate_stack(ts: TradeStatistics, models: Sequence[ARModel],
@@ -198,7 +200,7 @@ def _power_batch(ts: TradeStatistics, models: Sequence[ARModel], seed: int, tria
     px = np.empty((len(trials), ts.num_periods, ts.num_periods))
     for row, panel in zip(px, prices):
         row[...] = panel @ ts.quantities.T
-    garp_ok, harp_ok = _verdicts(px)
+    garp_ok, harp_ok = _verdicts(_finite_cross_values(px))
     # an acyclicity failure is a homotheticity failure; enforce the
     # implication against rounding at the cycle-product boundary
     return np.column_stack([~garp_ok, ~(harp_ok & garp_ok)])
@@ -218,6 +220,7 @@ def power_estimate(ts: TradeStatistics, trials: int, seed: int) -> PowerReport:
     if seed < 0:
         raise ValueError("seed must be nonnegative")
     models = fit_price_models(ts)
+    # per trial: its cross-value matrix, its prices and its noise
     garp_rejections, harp_rejections = count_trials(
         lambda batch: _power_batch(ts, models, seed, batch), trials,
         batch_size(ts.num_periods * (ts.num_periods + 2 * ts.num_goods)))
@@ -227,7 +230,8 @@ def power_estimate(ts: TradeStatistics, trials: int, seed: int) -> PowerReport:
 
 def _group_batch(ts: TradeStatistics, groups: Sequence[np.ndarray]) -> np.ndarray:
     """``(garp_ok, harp_ok)`` rows of the panel restricted to each group of goods."""
-    garp_ok, harp_ok = _verdicts(np.stack([ts.prices[:, idx] @ ts.quantities[:, idx].T for idx in groups]))
+    px = np.stack([ts.prices[:, idx] @ ts.quantities[:, idx].T for idx in groups])
+    garp_ok, harp_ok = _verdicts(_finite_cross_values(px))
     return np.column_stack([garp_ok | harp_ok, harp_ok])  # homotheticity implies acyclicity
 
 
@@ -235,11 +239,10 @@ def _group_valid(ts: TradeStatistics, idx: np.ndarray) -> bool:
     return bool(np.all(ts.quantities[:, idx].max(axis=1) > 0.0))
 
 
-def _sampled_group(ts: TradeStatistics, size: int, rng: np.random.Generator,
-                   resample_cap: int) -> tuple[np.ndarray | None, int]:
+def _sampled_group(ts: TradeStatistics, size: int, rng: np.random.Generator) -> tuple[np.ndarray | None, int]:
     """One random group of the requested size from ``rng``, resampling past invalid draws."""
     rejected = 0
-    for _ in range(resample_cap):
+    for _ in range(RESAMPLE_CAP):
         idx = np.sort(rng.choice(ts.num_goods, size=size, replace=False))
         if _group_valid(ts, idx):
             return idx, rejected
@@ -252,8 +255,6 @@ def random_group_probability(
     sizes: Sequence[int],
     samples_per_size: int,
     seed: int,
-    *,
-    resample_cap: int = 1000,
 ) -> GroupProbabilityCurve:
     """Fractions of random good groups passing each axiom, per group size.
 
@@ -262,7 +263,7 @@ def random_group_probability(
     within each draw.  Draws whose restricted demand panel has an all-zero
     row are resampled and counted in the ``skipped`` tally.  Single-good
     groups are rejected because they satisfy both axioms trivially.  A size
-    with no valid group, or whose draws run past ``resample_cap``, raises
+    with no valid group, or whose draws run past ``RESAMPLE_CAP``, raises
     ``ValueError``: both are conditions of the input panel.
     """
     if samples_per_size < 1:
@@ -289,15 +290,16 @@ def random_group_probability(
                 raise ValueError(f"no valid groups of size {size}")
         else:
             streams = trial_streams((seed, size), range(samples_per_size))
-            draws = [_sampled_group(ts, size, rng, resample_cap) for rng in streams]
+            draws = [_sampled_group(ts, size, rng) for rng in streams]
             skipped = sum(r for _, r in draws)
             chosen = [idx for idx, _ in draws if idx is not None]
             if len(chosen) < samples_per_size:
                 raise ValueError(
                     f"could not draw enough valid groups of size {size} "
-                    f"within the resample cap {resample_cap}"
+                    f"within the resample cap {RESAMPLE_CAP}"
                 )
         total = len(chosen)
+        # per group: its cross-value matrix and its restricted prices and quantities
         garp_hits, harp_hits = count_trials(
             lambda batch: _group_batch(ts, [chosen[j] for j in batch]), total,
             batch_size(ts.num_periods * (ts.num_periods + 2 * size)))

@@ -8,9 +8,12 @@ homotheticity verdict.  The size of the acyclicity- and homotheticity-based
 forecasting sets is measured by the fraction of random unit price vectors
 that keep the panel consistent.  A trial redraws only the last period's
 price, so it is decided by inserting that period into the closures of the
-others, computed once per run, with the comparisons and multiplications of
-the full closures: the verdicts are those of testing each trial's panel,
-with no threshold band to re-decide.  Trial b draws its price from
+others, computed once per run.  The insertion repeats the comparisons and
+multiplications of the full closures on the cross values it builds, so
+there is no threshold band to re-decide.  Those are not quite the cross
+values of the trial's panel: the new row is a matrix-vector product, which
+may round a few ulp away from the row that ``cross_value_matrix`` computes
+inside a matrix product.  Trial b draws its price from
 ``np.random.default_rng((seed, b))``, bit for bit; ``_mc.trial_streams``
 derives these a batch at a time and yields one reused generator, so each
 trial's price is drawn before the next trial's state is set.  The counts
@@ -24,6 +27,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from itertools import combinations, islice
+from typing import ClassVar
 
 import numpy as np
 
@@ -39,6 +43,8 @@ from .afriat import InfeasibleAxiomError
 from .core import FloatArray, TradeStatistics, cross_value_matrix, trade_statistics, validate_level
 
 VERTEX_ENUMERATION_MAX_DIM = 4
+# Relative slack of the feasibility test in vertex enumeration; ten times it merges vertices.
+VERTEX_TOL = 1e-9
 # Square subsystems that vertex enumeration ranks, solves and tests together.
 _VERTEX_STACK = 1024
 
@@ -188,7 +194,7 @@ def kh_polytope(cone: ForecastCone, x_new: float) -> PolytopeDescription:
     return PolytopeDescription(variables=variables, constraints=tuple(rows))
 
 
-def enumerate_vertices(poly: PolytopeDescription, *, tol: float = 1e-9) -> FloatArray:
+def enumerate_vertices(poly: PolytopeDescription) -> FloatArray:
     """Brute-force vertex enumeration for low-dimensional constraint lists.
 
     Solves every square subsystem built from the equalities plus a choice of
@@ -199,7 +205,6 @@ def enumerate_vertices(poly: PolytopeDescription, *, tol: float = 1e-9) -> Float
     deduplication do not change, and memory stays one stack at any size.
     Only supported up to dimension four; larger polytopes stay symbolic.
     """
-    validate_level(tol=tol)
     m = len(poly.variables)
     if m > VERTEX_ENUMERATION_MAX_DIM:
         raise ValueError(
@@ -225,13 +230,13 @@ def enumerate_vertices(poly: PolytopeDescription, *, tol: float = 1e-9) -> Float
         lhs_in = (a_in @ points[:, :, np.newaxis])[:, :, 0]
         lhs_eq = (a_eq @ points[:, :, np.newaxis])[:, :, 0]
         scale = 1.0 + np.abs(b_in) + np.abs(lhs_in)
-        feasible = np.all(lhs_in >= b_in - tol * scale, axis=1) & np.all(
-            np.abs(lhs_eq - b_eq) <= tol * (1.0 + np.abs(b_eq)), axis=1
+        feasible = np.all(lhs_in >= b_in - VERTEX_TOL * scale, axis=1) & np.all(
+            np.abs(lhs_eq - b_eq) <= VERTEX_TOL * (1.0 + np.abs(b_eq)), axis=1
         )
         vertices.extend(points[feasible])
     unique: list[np.ndarray] = []
     for v in vertices:
-        if not any(np.allclose(v, u, atol=10 * tol, rtol=0.0) for u in unique):
+        if not any(np.allclose(v, u, atol=10 * VERTEX_TOL, rtol=0.0) for u in unique):
             unique.append(v)
     unique.sort(key=lambda v: tuple(np.round(v, 9)))
     return np.array(unique, dtype=float).reshape(len(unique), m)
@@ -253,10 +258,12 @@ def _size_batch(ts: TradeStatistics, base: _Insertion, seed: int, trials: range)
 
     Each trial redraws the last period's price and tests both axioms at
     level one, by inserting its last period into the closures of the
-    first T - 1, which ``base`` holds.  The verdicts are those of testing
-    the whole panel, bit for bit: the insertion makes the comparisons and
-    multiplications that the full closures make, in the same order (see
-    ``axioms._inserted_verdicts``), so no verdict needs a rounding bound.
+    first T - 1, which ``base`` holds.  On the cross values built here the
+    insertion makes the comparisons and multiplications that the full
+    closures make, in the same order (see ``axioms._inserted_verdicts``), so
+    no verdict needs a rounding bound.  The new row ``ts.quantities @ price``
+    may differ by a few ulp from the one ``cross_value_matrix`` gives for the
+    trial's panel.
     """
     prices = [sample_positive_sphere(ts.num_goods, rng) for rng in trial_streams((seed,), trials)]
     px = np.repeat(base.px[np.newaxis], len(prices), axis=0)
@@ -307,9 +314,9 @@ class CounterexampleFixture:
     """
 
     epsilon: float = 0.0
-    prices: tuple[tuple[float, ...], ...] = ((2.0, 1.0, 4.0), (2.0, 1.0, 2.0), (2.0, 2.0, 1.0))
-    price_new: tuple[float, ...] = (1.0, 1.0, 1.0)
-    expenditure_new: float = 2.0
+    prices: ClassVar[tuple[tuple[float, ...], ...]] = ((2.0, 1.0, 4.0), (2.0, 1.0, 2.0), (2.0, 2.0, 1.0))
+    price_new: ClassVar[tuple[float, ...]] = (1.0, 1.0, 1.0)
+    expenditure_new: ClassVar[float] = 2.0
 
     def __post_init__(self) -> None:
         if not 0.0 <= self.epsilon < 1.0:
@@ -338,12 +345,11 @@ def intersection_demands(fix: CounterexampleFixture) -> np.ndarray:
     """Expenditure levels at which each Engel curve meets the new budget plane.
 
     Solves ``<price_new, direction_t * level> = expenditure_new`` per period;
-    linear because the curves are rays.
+    linear because the curves are rays.  The new price is all ones and each
+    direction has a one on the diagonal, so every inner product is at least one.
     """
     price_new = np.asarray(fix.price_new, dtype=float)
     inner = fix.directions() @ price_new
-    if np.any(inner <= 0.0):
-        raise ValueError("degenerate demand direction: zero inner product with the new price")
     return fix.expenditure_new / inner
 
 

@@ -35,6 +35,7 @@ from konus import (
     verify_afriat_solution,
     verify_harp_multipliers,
 )
+from konus.afriat import CERTIFICATE_RTOL
 from konus.forecast import CounterexampleFixture, intersection_demands
 from konus.hierarchy import TreeNode, build_hierarchy
 
@@ -181,6 +182,7 @@ def test_criterion_03_axiom_oracle_equivalence():
 
 
 def test_criterion_04_certificate_soundness():
+    assert CERTIFICATE_RTOL == 1e-9
     rng = np.random.default_rng(404)
     harp_certificates = garp_certificates = 0
     for _ in range(500):
@@ -188,11 +190,11 @@ def test_criterion_04_certificate_soundness():
         for omega in (0.9, 1.0, 1.1):
             if check_harp(ts, omega).satisfied:
                 lm = solve_harp_multipliers(ts, omega)
-                verify_harp_multipliers(lm, ts, rtol=1e-9)
+                verify_harp_multipliers(lm, ts)
                 harp_certificates += 1
             if check_garp(ts, omega).satisfied:
                 sol = solve_afriat_numbers(ts, omega)
-                verify_afriat_solution(sol, ts, rtol=1e-9)
+                verify_afriat_solution(sol, ts)
                 garp_certificates += 1
     assert harp_certificates > 100 and garp_certificates > 200
     _passed(4, f"certificate soundness ({harp_certificates} homothetic, {garp_certificates} acyclic)")

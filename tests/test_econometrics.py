@@ -51,8 +51,8 @@ def test_fit_white_noise_prefers_order_zero():
 def test_fit_short_series():
     with pytest.raises(ValueError, match="too short"):
         fit_ar([0.1])
-    # max_order reduced to fit a three-point series
-    model = fit_ar([0.1, 0.2, 0.15], max_order=2)
+    # the largest order compared is reduced to fit a three-point series
+    model = fit_ar([0.1, 0.2, 0.15])
     assert model.order <= 1
 
 
@@ -84,7 +84,8 @@ def test_simulation_mean_matches_intercept():
     # order-zero model: simulated log relatives average to the intercept
     prices = np.exp(np.cumsum(np.full((40, 1), 0.05), axis=0))
     ts = trade_statistics(prices, np.ones_like(prices))
-    model = fit_price_models(ts, max_order=0)[0]
+    model = fit_price_models(ts)[0]
+    assert model.order == 0
     rng = np.random.default_rng(3)
     draws = []
     for _ in range(2000):
@@ -214,8 +215,8 @@ def test_groups_without_a_valid_group_raise_value_error(appendix_panel):
     # sampled branch: three periods each buy one good, so no pair covers them all
     ts = trade_statistics(np.ones((3, 5)), np.eye(3, 5))
     with pytest.raises(ValueError, match="could not draw enough valid groups of size 2 "
-                                         "within the resample cap 3"):
-        random_group_probability(ts, [2], 5, seed=1, resample_cap=3)
+                                         "within the resample cap 1000"):
+        random_group_probability(ts, [2], 5, seed=1)
 
 
 def test_group_curve_shape_on_noisy_consistent_panel():

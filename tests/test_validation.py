@@ -9,7 +9,6 @@ from konus import (
     check_garp,
     check_harp,
     cross_value_matrix,
-    enumerate_vertices,
     gamma_coefficients,
     kg_membership,
     kh_membership,
@@ -47,7 +46,6 @@ SLACK_ONLY = [
     lambda ts, tol: garp_irrationality_bisection(ts, tol=tol),
     lambda ts, tol: maxtimes_closure(paasche_matrix(cross_value_matrix(ts)), tol=tol),
     lambda ts, tol: kh_membership(gamma_coefficients(ts, WIDE, PRICE), ts, BUNDLE, tol=tol),
-    lambda ts, tol: enumerate_vertices(kh_polytope(gamma_coefficients(ts, WIDE, PRICE), 1.0), tol=tol),
 ]
 NEW_PRICE_ENTRY_POINTS = [
     lambda ts, price: gamma_coefficients(ts, WIDE, price),
