@@ -25,7 +25,6 @@ from .semiring import (
     FLOAT_SLACK,
     _lift,
     _relax,
-    _relax_border,
     boolean_closure,
     maxtimes_closure,
     shortest_cycle_above,
@@ -217,25 +216,25 @@ def _verdicts(px: FloatArray) -> tuple[np.ndarray, np.ndarray]:
 
 @dataclass(frozen=True, eq=False)
 class _Insertion:
-    """What every stack of :func:`_inserted_verdicts` shares: a cross-value matrix but its last row.
+    """What every batch of :func:`_inserted_verdicts` shares: a cross-value matrix but its last row.
 
-    The first ``n = T - 1`` periods form the base.  ``into_new[a]``: base
-    period a reaches the new period, through the base relation and then
-    its own link ``px[a', a'] >= px[a', new]``, whose cross values no trial
-    changes.  ``dooms[b]``: a link from the new period to b closes a
-    violation, because the reflexive base closure leads from b to some
-    period whose closing comparison fails against the new period or
-    against a base period that reaches it.  ``harp_lines`` are the pivot
-    rows and columns of the base's homotheticity closure, or ``None`` if it
-    diverges or its Paasche matrix is invalid; in the latter case
-    ``paasche_matrix`` raises on every stack before they are needed.
+    The first ``n = T - 1`` periods form the base; no trial changes their
+    rows, the column ``px[a, n]`` included.  ``into_new[a]``: base period a
+    reaches the new period, through the base relation and then its own link
+    ``px[a', a'] >= px[a', n]``.  ``dooms[b]``: a link from the new period
+    to b closes a violation, because the reflexive base closure leads from
+    b to some period whose closing comparison fails against the new period
+    or against a base period that reaches it.  ``weights[b] = px[b, b] *
+    max_a M̄[b, a] / px[a, n]``, with ``M̄ = max(M, I)`` and M the base's
+    homotheticity closure, or ``None`` if M diverges or the base's Paasche
+    matrix is invalid (then ``paasche_matrix`` raises on every batch first).
     """
 
     px: FloatArray  # [T, T]; each trial replaces its last row
     garp_fails: bool  # the base alone violates acyclicity
     into_new: np.ndarray
     dooms: np.ndarray
-    harp_lines: FloatArray | None
+    weights: FloatArray | None
 
 
 def _insertion_base(px: FloatArray) -> _Insertion:
@@ -248,38 +247,47 @@ def _insertion_base(px: FloatArray) -> _Insertion:
     # [a, b]: the closing comparison px[b, b] <= px[b, a] fails, as in _garp_violations
     closing_fails = diag[np.newaxis, :] > base.T
     heads = (into_new[:, np.newaxis] & closing_fails).any(axis=0) | (diag > column)
-    lines = np.empty((n, 2, n))
+    weights = None
     try:
-        if _relax(_scaled_paasche(base, 1.0), 1.0 + FLOAT_SLACK, lines):
-            lines = None
+        paths = _scaled_paasche(base, 1.0)
+        diverged = _relax(paths, 1.0 + FLOAT_SLACK)
     except TradeDataError:
-        lines = None
+        diverged = True
+    if not diverged:
+        np.fill_diagonal(paths, np.maximum(paths.diagonal(), 1.0))  # M̄ = max(M, I)
+        weights = diag * (paths / column).max(axis=1, initial=0.0)
     return _Insertion(px=px, garp_fails=bool(bad.any()), into_new=into_new,
-                      dooms=(reach & heads).any(axis=1), harp_lines=lines)
+                      dooms=(reach & heads).any(axis=1), weights=weights)
 
 
-def _inserted_verdicts(base: _Insertion, px: FloatArray) -> tuple[np.ndarray, np.ndarray]:
-    """``_verdicts(px)`` for a stack ``px[B, T, T]`` that differs from ``base.px`` only in the last rows.
+def _inserted_verdicts(base: _Insertion, rows: FloatArray) -> tuple[np.ndarray, np.ndarray]:
+    """``_verdicts`` of the panels that are ``base.px`` with its last row replaced by each of ``rows[B, T]``.
 
-    Each trial inserts its new period into the base closures, at O(T) work
-    for acyclicity and O(T^2) for homotheticity instead of closing a T x T
-    matrix at O(T^3), and gets the same verdicts bit for bit, and the same
-    errors.  Acyclicity: a base violation stays, and a new one runs
-    through the new period, so it is a link from it into ``dooms`` or a
-    closing comparison of a period in ``into_new`` against it; every
-    comparison reads the same cross values as the full test.
-    Homotheticity: a diverging base fails every trial, and otherwise
-    :func:`semiring._relax_border` runs the new row and column through the
-    base's pivots with the multiplications of the full closure.
+    O(T) work per trial instead of O(T^3), with the errors ``paasche_matrix``
+    raises on the stack of those panels.  Acyclicity, bit for bit: a new
+    violation runs through the new period n, so it is a link from it into
+    ``dooms`` or a closing comparison of a period in ``into_new`` against it.
+    Homotheticity by the price cone: for ``r[b] = p . q_b``, the best cycle
+    through n has product ``P = max_b r[n] * weights[b] / r[b]``, and
+    ``P <= 1`` is the paper's ``p . q_n <= kappa_b p . q_b`` for every b,
+    with ``kappa_b = 1 / weights[b]``.  A trial passes iff
+    ``P * P <= 1 + FLOAT_SLACK``, the tie rule of ``semiring._relax``, whose
+    last pivot squares the same P.  Computed from the same factors in
+    another order, at most T + 1 of them, the two can differ only when
+    ``P * P`` is within about ``4 (T + 1) u`` (u = 2**-53) of the threshold.
     """
-    paasche = paasche_matrix(px)  # the checks of _verdicts, on the same stack
-    row, new = px[:, -1, :-1], px[:, -1, -1:]
+    # the panels with the least and the largest new cross values hold each extreme Paasche
+    # entry of the batch (division is monotone), so paasche_matrix raises what the batch would
+    bounds = np.repeat(base.px[np.newaxis], 2, axis=0)
+    bounds[:, -1] = rows.min(axis=0), rows.max(axis=0)
+    paasche_matrix(bounds)
+    row, new = rows[:, :-1], rows[:, -1:]
     garp_fails = (base.garp_fails | ((new >= row) & base.dooms).any(axis=1)
                   | ((new > row) & base.into_new).any(axis=1))
-    if base.harp_lines is None:
-        return ~garp_fails, np.zeros(len(px), dtype=bool)
-    border = np.stack([paasche[:, -1, :-1], paasche[:, :-1, -1]], axis=1)
-    return ~garp_fails, ~_relax_border(base.harp_lines, border, 1.0 + FLOAT_SLACK)
+    if base.weights is None:
+        return ~garp_fails, np.zeros(len(rows), dtype=bool)
+    cone = (new * base.weights / row).max(axis=1, initial=0.0)
+    return ~garp_fails, cone * cone <= 1.0 + FLOAT_SLACK
 
 
 def _harp_verdict(ts: TradeStatistics, omega: float,

@@ -100,9 +100,10 @@ def _observation(values, m: int) -> FloatArray:
 class TradeStatistics:
     """Panel of ``T`` observations of prices and demands for ``m`` goods.
 
-    Invariants enforced at construction: every price is strictly positive,
-    every demand vector is nonnegative with at least one strictly positive
-    coordinate, so all cross values ``<P^t, X^s>`` are strictly positive.
+    Invariants enforced at construction: good ids are distinct, and so are
+    period ids; every price is strictly positive, every demand vector is
+    nonnegative with at least one strictly positive coordinate, so all
+    cross values ``<P^t, X^s>`` are strictly positive.
     Instances are immutable and safe to share between threads.
     """
 
@@ -129,6 +130,10 @@ class TradeStatistics:
             raise TradeDataError(f"expected {m} good ids, got {len(good_ids)}")
         if len(period_ids) != T:
             raise TradeDataError(f"expected {T} period ids, got {len(period_ids)}")
+        for kind, ids in (("good", good_ids), ("period", period_ids)):
+            if len(set(ids)) < len(ids):
+                repeat = next(i for n, i in enumerate(ids) if i in ids[:n])
+                raise TradeDataError(f"duplicate {kind} id {repeat!r}")
         _check_rows(prices, quantities, good_ids, period_ids)
         object.__setattr__(self, "prices", _frozen(prices))
         object.__setattr__(self, "quantities", _frozen(quantities))
@@ -151,8 +156,9 @@ class TradeStatistics:
         """Statistics with one extra observation, period ``"new"``, appended after the last period.
 
         Trusts the invariants this panel was validated for and checks only
-        the appended row: each :class:`TradeDataError` carries the message
-        and location that validating the whole extended table would give.
+        the appended row and its id: each :class:`TradeDataError` carries
+        the message and location that validating the whole extended table
+        would give, so a panel that already has a period ``"new"`` is refused.
         """
         T, m = self.prices.shape
         prices = np.empty((T + 1, m))
@@ -161,6 +167,8 @@ class TradeStatistics:
         quantities[:T] = self.quantities
         prices[T] = _observation(price_new, m)
         quantities[T] = _observation(quantity_new, m)
+        if "new" in self.period_ids:
+            raise TradeDataError("duplicate period id 'new'")
         period_ids = self.period_ids + ("new",)
         _check_rows(prices[T:], quantities[T:], self.good_ids, period_ids[T:])
         prices.flags.writeable = False

@@ -7,19 +7,22 @@ omega-discounted closure of the Paasche matrix, the one that decided the
 homotheticity verdict.  The size of the acyclicity- and homotheticity-based
 forecasting sets is measured by the fraction of random unit price vectors
 that keep the panel consistent.  A trial redraws only the last period's
-price, so it is decided by inserting that period into the closures of the
-others, computed once per run.  The insertion repeats the comparisons and
-multiplications of the full closures on the cross values it builds, so
-there is no threshold band to re-decide.  Those are not quite the cross
-values of the trial's panel: the new row is a matrix-vector product, which
-may round a few ulp away from the row that ``cross_value_matrix`` computes
-inside a matrix product.  Trial b draws its price from
-``np.random.default_rng((seed, b))``, bit for bit; ``_mc.trial_streams``
-derives these a batch at a time and yields one reused generator, so each
-trial's price is drawn before the next trial's state is set.  The counts
-are bit-identical for any batch size.  The appendix-2 counterexample
-fixture, whose homothetic forecasting set sits strictly inside the acyclic
-support set, lives here with its inclusion check.
+price p and is decided from its new row of cross values alone, against
+the closures of the other periods, computed once per run.  Acyclicity
+makes the comparisons of the full test.  Homotheticity is the dual of the
+cone above, the paper's linear inequalities with the last bundle q_n
+fixed: the trial passes iff ``P * P <= 1 + FLOAT_SLACK``, where
+``P = max_b p.q_n / (kappa_b p.q_b)``, squared as the full closure's last
+pivot squares it; the two may differ only within about ``4 (T + 1)`` ulp
+of that threshold.  The new row is a matrix-vector product, which may
+round a few ulp away from the row ``cross_value_matrix`` computes.  Trial
+b draws its price from ``np.random.default_rng((seed, b))``, bit for bit;
+``_mc.trial_streams`` derives these a batch at a time and yields one
+reused generator, so each trial's price is drawn before the next trial's
+state is set.  The counts are bit-identical for any batch size.  The
+appendix-2 counterexample fixture, whose homothetic forecasting set sits
+strictly inside the acyclic support set, lives here with its inclusion
+check.
 """
 
 from __future__ import annotations
@@ -256,19 +259,18 @@ def sample_positive_sphere(m: int, rng: np.random.Generator) -> FloatArray:
 def _size_batch(ts: TradeStatistics, base: _Insertion, seed: int, trials: range) -> np.ndarray:
     """``(garp_ok, harp_ok)`` rows of the size trials in ``trials``.
 
-    Each trial redraws the last period's price and tests both axioms at
-    level one, by inserting its last period into the closures of the
-    first T - 1, which ``base`` holds.  On the cross values built here the
-    insertion makes the comparisons and multiplications that the full
-    closures make, in the same order (see ``axioms._inserted_verdicts``), so
-    no verdict needs a rounding bound.  The new row ``ts.quantities @ price``
-    may differ by a few ulp from the one ``cross_value_matrix`` gives for the
-    trial's panel.
+    Each trial redraws the last period's price p and tests both axioms at
+    level one on its new row ``ts.quantities @ p`` alone, through the
+    closures of the first T - 1 periods that ``base`` holds
+    (``axioms._inserted_verdicts``): the comparisons of the full acyclicity
+    test, and the price cone's ``P * P <= 1 + FLOAT_SLACK`` for
+    homotheticity, which can differ from the full closure's verdict only
+    within about ``4 (T + 1)`` ulp of that threshold.
     """
-    prices = [sample_positive_sphere(ts.num_goods, rng) for rng in trial_streams((seed,), trials)]
-    px = np.repeat(base.px[np.newaxis], len(prices), axis=0)
-    px[:, -1, :] = [ts.quantities @ price for price in prices]
-    garp_ok, harp_ok = _inserted_verdicts(base, px)
+    rows = np.empty((len(trials), ts.num_periods))
+    for row, rng in zip(rows, trial_streams((seed,), trials)):
+        row[:] = ts.quantities @ sample_positive_sphere(ts.num_goods, rng)
+    garp_ok, harp_ok = _inserted_verdicts(base, rows)
     # homotheticity implies acyclicity; enforce the implication against
     # rounding at the cycle-product boundary so paired dominance is exact
     return np.column_stack([garp_ok | harp_ok, harp_ok])
@@ -287,11 +289,10 @@ def forecast_size_paired(ts: TradeStatistics, trials: int, seed: int) -> tuple[S
     if seed < 0:
         raise ValueError("seed must be nonnegative")
     base = _insertion_base(cross_value_matrix(ts))
-    T = ts.num_periods
-    # per trial: its cross-value and Paasche matrices, its border and price
+    # per trial: its price, its new row, and the cone's and the acyclicity test's temporaries
     garp_hits, harp_hits = count_trials(
         lambda batch: _size_batch(ts, base, seed, batch), trials,
-        batch_size(T * (2 * T + 5) + ts.num_goods))
+        batch_size(ts.num_goods + 4 * ts.num_periods))
     return (
         SizeReport(axiom="garp", trials=trials, hits=garp_hits, seed=seed),
         SizeReport(axiom="harp", trials=trials, hits=harp_hits, seed=seed),

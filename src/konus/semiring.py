@@ -9,6 +9,8 @@ routine detects that and reports divergence instead of garbage values.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 from numpy.typing import NDArray
 
@@ -53,7 +55,7 @@ def _as_square(matrix, name: str = "matrix") -> tuple[FloatArray, float]:
     return arr, low
 
 
-def _relax(values: FloatArray, threshold: float, lines: FloatArray | None = None):
+def _relax(values: FloatArray, threshold: float):
     """Max-times Floyd-Warshall in place over one matrix ``[T, T]`` or a stack ``[B, T, T]``.
 
     Returns whether the matrix diverged, or for a stack a mask of the trials
@@ -68,9 +70,11 @@ def _relax(values: FloatArray, threshold: float, lines: FloatArray | None = None
     for a single matrix and for every trial of a stack, so a trial's verdict
     does not depend on the stack it runs in.  The input must be finite and
     nonnegative: :func:`maxtimes_closure` checks that, and ``axioms._verdicts``
-    builds its stacks that way.  Given ``lines[T, 2, T]``, a single matrix
-    also records row k and column k as pivot k reads them, for
-    :func:`_relax_border`.
+    builds its stacks that way.  Pivot k squares its own diagonal entry,
+    the best cycle through k over the vertices before it.  When the first
+    T - 1 vertices did not diverge, that square at the last pivot decides
+    the verdict, which is why a size trial of ``axioms._inserted_verdicts``
+    passes iff its price cone's ``P * P`` is at most ``threshold``.
     """
     stacked = values.ndim == 3
     live = np.arange(len(values)) if stacked else None
@@ -94,43 +98,9 @@ def _relax(values: FloatArray, threshold: float, lines: FloatArray | None = None
             work, through = through[:live.size], work[:live.size]
             diagonal = work.diagonal(0, -2, -1)
         if k < values.shape[-1]:
-            if lines is not None:
-                lines[k, 0], lines[k, 1] = work[k], work[:, k]
             np.multiply(work[..., :, k, np.newaxis], work[..., np.newaxis, k, :], out=through)
             np.maximum(work, through, out=work)
     return diverged
-
-
-def _relax_border(lines: FloatArray, border: FloatArray, threshold: float) -> np.ndarray:
-    """Divergence of a matrix bordered by one new last vertex, for a stack of borders.
-
-    ``lines`` holds the pivot rows and columns that :func:`_relax` recorded
-    on a matrix ``M[n, n]`` it did not find diverged; ``border[B, 2, n]``
-    holds each trial's row and column of the new vertex, whose own diagonal
-    entry is zero like every other.  Returns the mask of the trials whose
-    bordered matrix ``_relax`` would find diverged, at O(n^2) per trial
-    instead of O(n^3).
-
-    Nothing here is an estimate.  Pivots 0..n-1 change the ``M`` block of
-    a bordered matrix exactly as they changed ``M`` alone, since they read
-    only that block; they change the new row and column by the products
-    computed below, the same multiplications of the same operands.  Before
-    the last pivot, a diagonal entry can pass the threshold only at the
-    new vertex, whose entry only grows.  The last pivot, at the new vertex,
-    takes ``M``'s diagonal entry a to at least ``row[a] * column[a]`` and
-    the new one to at least its square, which passes a threshold of at
-    least one whenever the entry itself did.  The new row and column never
-    read the new diagonal entry, so they stay bounded when it diverges.
-    Updates ``border`` in place.
-    """
-    corner = np.zeros(len(border))  # the new vertex's diagonal entry
-    through = np.empty_like(border)
-    for k in range(border.shape[-1]):
-        np.maximum(corner, border[:, 0, k] * border[:, 1, k], out=corner)
-        np.multiply(border[:, :, k, np.newaxis], lines[k], out=through)
-        np.maximum(border, through, out=border)
-    cycles = (border[:, 0] * border[:, 1]).max(axis=1, initial=0.0)
-    return (corner * corner > threshold) | (cycles > threshold)
 
 
 def maxtimes_closure(matrix, *, tol: float = 0.0) -> FloatArray | None:
@@ -256,21 +226,23 @@ def maxtimes_product(left: FloatArray, right: FloatArray) -> FloatArray:
     size while small matrices still go through in a single block.  Every
     product is the same float multiplication as in the full cube and a
     maximum does not depend on the order it is taken in, so the result is
-    bit-identical to reducing the whole cube at once.
+    bit-identical to reducing the whole cube at once.  ``fmax`` skips the
+    NaN of an overflowed walk times a missing step (``inf * 0``), whose
+    warning :func:`shortest_cycle_above` silences, and is ``max`` elsewhere.
     """
     rows, inner = left.shape
     cols = right.shape[1]
     block = max(1, _PRODUCT_BLOCK_BYTES // (8 * rows * cols))
     out = None
     for lo in range(0, inner, block):
-        part = (left[:, lo:lo + block, np.newaxis] * right[np.newaxis, lo:lo + block, :]).max(axis=1)
-        out = part if out is None else np.maximum(out, part, out=out)
+        part = np.fmax.reduce(left[:, lo:lo + block, np.newaxis] * right[np.newaxis, lo:lo + block, :], axis=1)
+        out = part if out is None else np.fmax(out, part, out=out)
     return out
 
 
 def _diagonal_product(left: FloatArray, right: FloatArray) -> FloatArray:
     """The diagonal of ``maxtimes_product(left, right)``, bit for bit, at O(T^2)."""
-    return (left * right.T).max(axis=1)
+    return np.fmax.reduce(left * right.T, axis=1)
 
 
 def _lift(base, last: int, advance):
@@ -313,7 +285,7 @@ def _start_rows(steps: FloatArray, start: int, k: int) -> list[FloatArray]:
     """
     rows = [steps[start]]
     for _ in range(k - 2):
-        rows.append((rows[-1][:, np.newaxis] * steps).max(axis=0))
+        rows.append(np.fmax.reduce(rows[-1][:, np.newaxis] * steps, axis=0))
     return rows
 
 
@@ -374,7 +346,7 @@ def _search_by_lifting(steps: FloatArray, bound: float):
     k, reach = found
     for start in np.flatnonzero(_diagonal_product(reach, lift) > threshold):
         rows = _start_rows(steps, int(start), k)
-        if (rows[-1] * steps[:, start]).max() > bound:
+        if np.fmax.reduce(rows[-1] * steps[:, start]) > bound:
             return k, int(start), rows
     return _search_by_length(steps, bound, n)
 
@@ -390,7 +362,8 @@ def shortest_cycle_above(matrix, bound: float) -> tuple[int, ...] | None:
     entry of the k-th max-times power exceeds ``bound``, and the walk starts
     from the smallest such index.  Walking back from it, each predecessor is
     the first ``argmax`` of the start row of the shorter power times the step
-    column, and the cycle is returned rotated to start at its smallest index.
+    column, skipping a NaN (an overflowed walk times a missing step), and
+    the cycle is returned rotated to start at its smallest index.
 
     Cost: lengths up to ``_LIFT_AFTER`` are tried one at a time, each by the
     diagonal of the next power alone, at O(T^2); the power is carried on
@@ -411,17 +384,20 @@ def shortest_cycle_above(matrix, bound: float) -> tuple[int, ...] | None:
         return None
     steps = arr  # already a private copy
     np.fill_diagonal(steps, 0.0)  # forbid self-steps; adjacency stays distinct
-    found = _search_by_length(steps, bound, min(n, _LIFT_AFTER))
-    if found is None and n > _LIFT_AFTER:
-        found = _search_by_lifting(steps, bound)
-    if found is None:
-        return None
-    k, start, rows = found  # rows[j - 1]: start row of the j-th power
-    walk = [start]
-    target = start
-    for j in range(k - 1, 0, -1):
-        scores = rows[j - 1] * steps[:, target]
-        target = int(scores.argmax())
-        walk.append(target)
+    with np.errstate(invalid="ignore"):  # inf * 0: an overflowed walk times a missing step
+        found = _search_by_length(steps, bound, min(n, _LIFT_AFTER))
+        if found is None and n > _LIFT_AFTER:
+            found = _search_by_lifting(steps, bound)
+        if found is None:
+            return None
+        k, start, rows = found  # rows[j - 1]: start row of the j-th power
+        walk = [start]
+        target = start
+        for j in range(k - 1, 0, -1):
+            scores = rows[j - 1] * steps[:, target]
+            target = int(scores.argmax())
+            if math.isnan(scores[target]):  # argmax stops at a NaN; skip them, as the products do
+                target = int(np.fmax(scores, 0.0).argmax())
+            walk.append(target)
     walk.reverse()  # a rotation of (start, v1, ..., v_{k-1})
     return _canonical_rotation(tuple(walk))

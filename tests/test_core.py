@@ -331,3 +331,24 @@ def test_extended_rejects_a_bad_new_row(two_period_panel, price, quantity, error
 def test_extended_rejects_a_block_of_other_than_one_row(two_period_panel, rows):
     with pytest.raises(TradeDataError):
         two_period_panel.extended(rows, rows)
+
+
+@pytest.mark.parametrize("good_ids, period_ids, message", [
+    (("a", "a"), ("t1", "t2"), "duplicate good id 'a'"),
+    (("a", "b"), ("g", "g"), "duplicate period id 'g'"),
+    (("a", "a"), ("g", "g"), "duplicate good id 'a'"),  # goods are checked first, as the loader does
+])
+def test_library_panels_refuse_the_ids_the_loader_refuses(good_ids, period_ids, message):
+    with pytest.raises(TradeDataError) as caught:
+        trade_statistics([[1.0, 2.0], [2.0, 1.0]], [[1.0, 0.0], [0.0, 1.0]],
+                         good_ids=good_ids, period_ids=period_ids)
+    assert str(caught.value) == message
+
+
+def test_extended_refuses_a_panel_that_has_a_period_new(two_period_panel):
+    ts = trade_statistics(two_period_panel.prices, two_period_panel.quantities, period_ids=("a", "new"))
+    with pytest.raises(TradeDataError) as caught:
+        ts.extended([1.0, 1.0], [1.0, 1.0])
+    assert str(caught.value) == "duplicate period id 'new'"
+    with pytest.raises(TradeDataError):
+        stacked(ts, [1.0, 1.0], [1.0, 1.0])  # what the whole table gives

@@ -37,7 +37,7 @@ from konus import (
 from konus import econometrics, forecast
 from konus.semiring import FLOAT_SLACK, _relax, boolean_closure, maxtimes_closure
 from konus.axioms import _inserted_verdicts, _insertion_base, _verdicts
-from konus._mc import trial_streams
+from konus._mc import batch_size, trial_streams
 from konus.econometrics import _group_batch, _power_batch, _sampled_group, _simulate_stack
 from konus.forecast import _size_batch
 
@@ -157,6 +157,27 @@ def bordered_stacks(draw):
     return stack
 
 
+def _ulps_from(value, steps):
+    """The float ``steps`` ulp above ``value`` (below it for negative ``steps``)."""
+    for _ in range(abs(steps)):
+        value = np.nextafter(value, np.inf if steps > 0 else -np.inf)
+    return value
+
+
+# The largest cycle product through the new period whose square passes the threshold: the tie
+# of the size trials' price cone, which squares its product as the closure's last pivot does.
+ROOT_OF_THRESHOLD = float(np.sqrt(1.0 + FLOAT_SLACK))
+while ROOT_OF_THRESHOLD * ROOT_OF_THRESHOLD > 1.0 + FLOAT_SLACK:
+    ROOT_OF_THRESHOLD = _ulps_from(ROOT_OF_THRESHOLD, -1)
+while _ulps_from(ROOT_OF_THRESHOLD, 1) ** 2 <= 1.0 + FLOAT_SLACK:
+    ROOT_OF_THRESHOLD = _ulps_from(ROOT_OF_THRESHOLD, 1)
+
+
+def _last_period_cycles(*products):
+    """Trials of two periods whose one cycle, through the last period, has the given products."""
+    return np.array([[[1.0, 1.0], [1.0, product]] for product in products])
+
+
 @given(bordered_stacks())
 # in the first trial the only violating pair is (0, 1), joined through the last period by
 # two tied links; the second trial's last period links to no period and passes acyclicity
@@ -164,9 +185,43 @@ def bordered_stacks(draw):
                    [[1.0, 2.0, 1.0], [1.0, 2.0, 2.0], [3.0, 3.0, 1.0]]]))
 # a 2-cycle of product 1 + 7e-13, below the threshold, whose square at the last pivot is above it
 @example(np.array([[[1.0, 1.0], [1.0, 1.0 + 7e-13]]]))
+# products whose square is just below the threshold (1 + 4e-13 and up to the tie), then above it
+@example(_last_period_cycles(1.0 + 4e-13, *(_ulps_from(ROOT_OF_THRESHOLD, -k) for k in (3, 1, 0)),
+                             *(_ulps_from(ROOT_OF_THRESHOLD, k) for k in (1, 3))))
 def test_inserted_verdicts_match_the_stacked_kernel(stack):
     base = _insertion_base(stack[0])
-    assert rows(zip(*_inserted_verdicts(base, stack))) == rows(zip(*_verdicts(stack)))
+    assert rows(zip(*_inserted_verdicts(base, stack[:, -1]))) == rows(zip(*_verdicts(stack)))
+
+
+def test_the_cone_tie_falls_where_the_closure_squares():
+    stack = _last_period_cycles(ROOT_OF_THRESHOLD, _ulps_from(ROOT_OF_THRESHOLD, 1), 1.0 + 4e-13)
+    assert _inserted_verdicts(_insertion_base(stack[0]), stack[:, -1])[1].tolist() == [True, False, True]
+    assert _verdicts(stack)[1].tolist() == [True, False, True]
+    assert 1.0 < ROOT_OF_THRESHOLD < 1.0 + FLOAT_SLACK  # a threshold on P itself would pass all three
+
+
+def test_cone_verdicts_match_the_stacked_kernel_on_the_benchmark_panels():
+    # every size trial of the monte_carlo benchmark at seed 1: its panels, its trial counts and
+    # its Monte Carlo seed, each SeedSequence([1, k]); the benchmark rechecks only 10 trials
+    def subseed(key):
+        return int(np.random.SeedSequence([1, key]).generate_state(1)[0])
+
+    for ts, trials in ((cobb_douglas_statistics(10, 10, seed=subseed(1)), 10000),
+                       (cobb_douglas_statistics(27, 106, seed=subseed(2)), 5000)):
+        base_px = cross_value_matrix(ts)
+        base = _insertion_base(base_px)
+        harp_hits = 0
+        for lo in range(0, trials, 500):
+            new_rows = np.array([ts.quantities @ sample_positive_sphere(ts.num_goods, rng)
+                                 for rng in trial_streams((subseed(3),), range(lo, lo + 500))])
+            stack = np.repeat(base_px[np.newaxis], len(new_rows), axis=0)
+            stack[:, -1] = new_rows
+            garp_ok, harp_ok = _inserted_verdicts(base, new_rows)
+            expected_garp, expected_harp = _verdicts(stack)
+            assert garp_ok.tolist() == expected_garp.tolist()
+            assert harp_ok.tolist() == expected_harp.tolist()
+            harp_hits += int(harp_ok.sum())
+        assert 0 < harp_hits < trials
 
 
 def test_stack_where_every_trial_diverges_at_pivot_zero():
@@ -454,6 +509,31 @@ def test_overflowing_paasche_entries_raise_the_oracle_error():
             assert _error(experiment) == (TradeDataError, "cross-value matrix must be finite")
 
 
+def test_invalid_trial_rows_raise_what_the_full_stack_raises():
+    # each kind of new row fails one of paasche_matrix's checks (or none); a batch raises the first
+    # check that any trial or the base fails, in paasche_matrix's order, whatever the trials' order
+    kinds = {
+        "valid": [1.0, 1.0, 1.5],
+        "zero": [0.0, 1.0, 1.0],  # a cross value that is not positive
+        "nan": [np.nan, 1.0, 1.0],
+        "infinite_row": [np.inf, 1.0, 1.0],  # Paasche entry 2 / inf = 0
+        "infinite_new": [1.0, 1.0, np.inf],  # Paasche corner inf / inf = NaN
+        "tiny": [1e-320, 1.0, 1.0],  # Paasche entry 2 / 1e-320 overflows
+    }
+    valid_base = np.array([[2.0, 1.0, 1.0], [1.0, 2.0, 1.0], [1.0, 1.0, 1.0]])
+    overflowing_base = np.array([[2.0, 1e-320, 1.0], [1.0, 2.0, 1.0], [1.0, 1.0, 1.0]])
+    with np.errstate(all="ignore"):
+        for base_px in (valid_base, overflowing_base):
+            base = _insertion_base(base_px)
+            for batch in [[k] for k in kinds] + [[a, b] for a in kinds for b in kinds]:
+                new_rows = np.array([kinds[k] for k in batch])
+                stack = np.repeat(base_px[np.newaxis], len(batch), axis=0)
+                stack[:, -1] = new_rows
+                expected = _error(lambda: _verdicts(stack))
+                assert (expected is None) == (base_px is valid_base and set(batch) == {"valid"})
+                assert _error(lambda: _inserted_verdicts(base, new_rows)) == expected, (batch, expected)
+
+
 def test_overflowing_scaled_paasche_raises_the_oracle_error():
     # C[0, 1] = 1e7 / 1e-300 is finite, but dividing it by omega = 0.01 overflows
     px = np.array([[1.0, 1e-300], [1.0, 1e7]])
@@ -474,10 +554,16 @@ def _traced_peak(call):
 
 @pytest.mark.parametrize("experiment", [power_estimate, forecast_size_paired])
 def test_batch_budget_not_trial_count_bounds_memory(experiment):
-    # a T=27, m=106 panel, the benchmark's larger one; a warm-up run first
-    # fills the interpreter's free lists, so both peaks start from the same state
+    # a T=27, m=106 panel, the benchmark's larger one.  Both trial counts run full batches of the
+    # experiment's own size, so both peaks hold one batch; a warm-up run first fills the
+    # interpreter's free lists, so both peaks start from the same state
     ts = cobb_douglas_statistics(27, 106, seed=1)
-    experiment(ts, 2000, 4)
-    small = _traced_peak(lambda: experiment(ts, 200, 3))
-    large = _traced_peak(lambda: experiment(ts, 2000, 3))
-    assert large <= 1.05 * small
+    module = {power_estimate: econometrics, forecast_size_paired: forecast}[experiment]
+    sizes = []
+    with mock.patch.object(module, "batch_size", lambda floats: sizes.append(batch_size(floats)) or sizes[-1]):
+        experiment(ts, 1, 4)
+    small, large = 2 * sizes[0], 20 * sizes[0]
+    experiment(ts, large, 4)
+    small_peak = _traced_peak(lambda: experiment(ts, small, 3))
+    large_peak = _traced_peak(lambda: experiment(ts, large, 3))
+    assert large_peak <= 1.05 * small_peak

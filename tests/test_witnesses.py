@@ -2,6 +2,7 @@
 
 import time
 import tracemalloc
+import warnings
 from unittest import mock
 
 import numpy as np
@@ -188,21 +189,38 @@ def test_planted_t300_panel_gets_both_witnesses_within_10_s():
     assert elapsed < 10.0
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the cube oracle's, and overflow
 def test_cycle_lost_to_underflow_by_lifting_is_found_step_by_step():
     # The only cycle runs 0 -> 1 -> ... -> 7 -> 0 with product 2.  Multiplied left to right from
     # period 0, no partial product leaves the normal range; but in every rotation the pairwise
     # order of the squares multiplies 1e-30 * 1e-300 (periods 2 to 4) first, which underflows to
     # zero, so lifting sees no cycle above the bound and the step-by-step search must run.  (A
     # block of the cycle that underflows leaves a rest that overflows: from period 5 on, the
-    # left-to-right products reach inf, and inf times a missing edge is NaN; both only touch
-    # starts later than period 0.)
+    # left-to-right products reach inf, and inf times a missing edge is NaN, which the products
+    # skip; both only touch starts later than period 0.)
     weights = [1e100, 1e100, 1e-30, 1e-300, 1e-30, 2e60, 1e50, 1e50]
     matrix = np.zeros((8, 8))
     for a, weight in enumerate(weights):
         matrix[a, (a + 1) % 8] = weight
     bound = 1.0 + FLOAT_SLACK
-    assert shortest_cycle_above(matrix, bound) == shortest_cycle_by_cube(matrix, bound) == tuple(range(8))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        found = shortest_cycle_above(matrix, bound)
+    assert found == shortest_cycle_by_cube(matrix, bound) == tuple(range(8))
+    assert [str(w.message) for w in caught if "invalid value" in str(w.message)] == []
+
+
+def test_overflowing_walk_times_a_missing_step_is_no_walk():
+    # a^2 is [[inf, 0], [0, inf]]: each diagonal walk overflows.  Each entry of a^3 has one walk
+    # times a zero step (inf * 0 = NaN) and one real walk, whose value it must keep
+    a = np.array([[0.0, 1e200], [1e200, 0.0]])
+    with np.errstate(over="ignore", invalid="ignore"):  # as shortest_cycle_above holds it
+        square = maxtimes_product(a, a)
+        cube = maxtimes_product(square, a)
+        diagonal = semiring._diagonal_product(square, a)
+    np.testing.assert_array_equal(square, [[np.inf, 0.0], [0.0, np.inf]])
+    np.testing.assert_array_equal(cube, [[0.0, np.inf], [np.inf, 0.0]])
+    np.testing.assert_array_equal(diagonal, [0.0, 0.0])
 
 
 def test_two_cycle_witness_takes_no_matrix_product(monkeypatch):
