@@ -23,11 +23,11 @@ from .core import (
 )
 from .semiring import (
     FLOAT_SLACK,
+    _closure,
     _lift,
     _relax,
+    _shortest_cycle,
     boolean_closure,
-    maxtimes_closure,
-    shortest_cycle_above,
 )
 
 
@@ -297,16 +297,20 @@ def _harp_verdict(ts: TradeStatistics, omega: float,
     The closure is the max-times closure of the omega-scaled Paasche matrix
     with its diagonal zeroed.  On failure there is none: ``None`` is
     returned in its place, and the verdict carries the shortest violating
-    cycle.
+    cycle.  ``_scaled_paasche`` has checked that matrix, so it goes to the
+    trusted kernels with no further scan: a copy to ``semiring._closure``,
+    and on divergence the original to ``semiring._shortest_cycle``.  The
+    verdict, cycle and product are those of :func:`~konus.maxtimes_closure`
+    and :func:`~konus.semiring.shortest_cycle_above` on it, bit for bit.
     """
     validate_level(omega, tol)
     px = cross_value_matrix(ts)
     scaled = _scaled_paasche(px, omega)
-    closure = maxtimes_closure(scaled, tol=tol)
+    closure = _closure(scaled.copy(), tol)
     if closure is not None:
         return AxiomVerdict(satisfied=True, omega=omega), closure
     bound = (1.0 + tol) * (1.0 + FLOAT_SLACK)
-    cycle = shortest_cycle_above(scaled, bound)
+    cycle = _shortest_cycle(scaled, bound)
     if cycle is None:  # pragma: no cover - closure divergence implies a violating cycle
         raise RuntimeError("homotheticity violation detected but no cycle recovered")
     product = 1.0

@@ -96,14 +96,21 @@ def _observation(values, m: int) -> FloatArray:
     return row
 
 
+def _with_new_period(period_ids: tuple[str, ...]) -> tuple[str, ...]:
+    """``period_ids`` and the id ``"new"`` of an appended observation, refused if it is taken."""
+    if "new" in period_ids:
+        raise TradeDataError("duplicate period id 'new'")
+    return period_ids + ("new",)
+
+
 @dataclass(frozen=True, eq=False)
 class TradeStatistics:
     """Panel of ``T`` observations of prices and demands for ``m`` goods.
 
-    Invariants enforced at construction: good ids are distinct, and so are
-    period ids; every price is strictly positive, every demand vector is
-    nonnegative with at least one strictly positive coordinate, so all
-    cross values ``<P^t, X^s>`` are strictly positive.
+    Invariants enforced at construction: good ids are non-empty and
+    distinct, and so are period ids; every price is strictly positive,
+    every demand vector is nonnegative with at least one strictly positive
+    coordinate, so all cross values ``<P^t, X^s>`` are strictly positive.
     Instances are immutable and safe to share between threads.
     """
 
@@ -131,6 +138,8 @@ class TradeStatistics:
         if len(period_ids) != T:
             raise TradeDataError(f"expected {T} period ids, got {len(period_ids)}")
         for kind, ids in (("good", good_ids), ("period", period_ids)):
+            if "" in ids:
+                raise TradeDataError(f"empty {kind} id")
             if len(set(ids)) < len(ids):
                 repeat = next(i for n, i in enumerate(ids) if i in ids[:n])
                 raise TradeDataError(f"duplicate {kind} id {repeat!r}")
@@ -167,9 +176,7 @@ class TradeStatistics:
         quantities[:T] = self.quantities
         prices[T] = _observation(price_new, m)
         quantities[T] = _observation(quantity_new, m)
-        if "new" in self.period_ids:
-            raise TradeDataError("duplicate period id 'new'")
-        period_ids = self.period_ids + ("new",)
+        period_ids = _with_new_period(self.period_ids)
         _check_rows(prices[T:], quantities[T:], self.good_ids, period_ids[T:])
         prices.flags.writeable = False
         quantities.flags.writeable = False
@@ -254,8 +261,9 @@ def _read_table(source, what: str) -> tuple[list[str], list[str], FloatArray]:
                 f"{what} table row has {len(row) - 1} value cells, expected {len(good_ids)}", row=r
             )
         period = row[0].strip()
-        if period in seen_periods:
-            raise TradeDataError(f"duplicate period id {period!r} in {what} table", row=r)
+        if not period or period in seen_periods:
+            problem = f"duplicate period id {period!r}" if period else "empty period id"
+            raise TradeDataError(f"{problem} in {what} table", row=r)
         seen_periods.add(period)
         period_ids.append(period)
         parsed = []

@@ -43,7 +43,15 @@ from .axioms import (
     _insertion_base,
 )
 from .afriat import InfeasibleAxiomError
-from .core import FloatArray, TradeStatistics, cross_value_matrix, trade_statistics, validate_level
+from .core import (
+    FloatArray,
+    TradeStatistics,
+    _finite_cross_values,
+    _with_new_period,
+    cross_value_matrix,
+    trade_statistics,
+    validate_level,
+)
 
 VERTEX_ENUMERATION_MAX_DIM = 4
 # Relative slack of the feasibility test in vertex enumeration; ten times it merges vertices.
@@ -160,11 +168,21 @@ def kh_membership(cone: ForecastCone, ts: TradeStatistics, x, *, tol: float = 0.
 
 
 def kg_membership(ts: TradeStatistics, omega: float, price_new, x, *, tol: float = 0.0) -> bool:
-    """True iff appending ``(price_new, x)`` keeps the panel acyclicity-consistent."""
+    """True iff appending ``(price_new, x)`` keeps the panel acyclicity-consistent.
+
+    The acyclicity test on ``cross_value_matrix(ts.extended(price_new, x))``,
+    with the same errors, without building that panel: the admissibility
+    checks leave nothing for its row checks to refuse, so only the stacked
+    prices and bundles are formed, and their cross values are the same
+    matrix product.
+    """
     validate_level(omega, tol)
     price_new = _admissible_price(price_new, ts.num_goods)
     arr = _admissible_bundle(x, ts.num_goods)
-    return _garp_satisfied(cross_value_matrix(ts.extended(price_new, arr)), omega, tol)
+    _with_new_period(ts.period_ids)
+    prices = np.concatenate((ts.prices, price_new[np.newaxis]))
+    quantities = np.concatenate((ts.quantities, arr[np.newaxis]))
+    return _garp_satisfied(_finite_cross_values(prices @ quantities.T), omega, tol)
 
 
 def kh_polytope(cone: ForecastCone, x_new: float) -> PolytopeDescription:

@@ -69,8 +69,9 @@ def _relax(values: FloatArray, threshold: float):
     diverged.  Each pivot step is the same elementwise multiply and maximum
     for a single matrix and for every trial of a stack, so a trial's verdict
     does not depend on the stack it runs in.  The input must be finite and
-    nonnegative: :func:`maxtimes_closure` checks that, and ``axioms._verdicts``
-    builds its stacks that way.  Pivot k squares its own diagonal entry,
+    nonnegative: :func:`maxtimes_closure` checks that, and
+    ``axioms._scaled_paasche`` builds every matrix and stack of the axiom
+    module that way.  Pivot k squares its own diagonal entry,
     the best cycle through k over the vertices before it.  When the first
     T - 1 vertices did not diverge, that square at the last pivot decides
     the verdict, which is why a size trial of ``axioms._inserted_verdicts``
@@ -111,12 +112,24 @@ def maxtimes_closure(matrix, *, tol: float = 0.0) -> FloatArray | None:
     (plus the float-rounding slack) at any relaxation stage, because a cycle
     with product above one lets walk products grow without bound.  Runs in
     O(T^3) multiply-compare steps otherwise, through :func:`_relax`, the
-    pivot loop the stacked verdicts of ``axioms._verdicts`` run too.
+    pivot loop the stacked verdicts of ``axioms._verdicts`` run too.  Checks
+    ``tol`` and the matrix, then closes a private copy through
+    :func:`_closure`, the kernel internal callers with a checked matrix call
+    directly.
     """
     validate_level(tol=tol)
     values, low = _as_square(matrix)
     if low < 0.0:
         raise ValueError("max-times closure requires a nonnegative matrix")
+    return _closure(values, tol)
+
+
+def _closure(values: FloatArray, tol: float) -> FloatArray | None:
+    """:func:`maxtimes_closure` of a private, finite, nonnegative float matrix, closed in place.
+
+    Trusts its input: no copy, no scan.  ``values`` becomes the read-only
+    closure, or is left mid-relaxation when ``None`` reports divergence.
+    """
     if _relax(values, (1.0 + tol) * (1.0 + FLOAT_SLACK)):
         return None
     values.flags.writeable = False
@@ -374,15 +387,25 @@ def shortest_cycle_above(matrix, bound: float) -> tuple[int, ...] | None:
     the cutoff with no such cycle costs the step-by-step search, O(T^4).
     The start rows of the shorter powers are then rebuilt, one
     vector-matrix step each.  Memory stays O(T^2): at most
-    ``ceil(log2(T)) + 3`` matrices.
+    ``ceil(log2(T)) + 3`` matrices.  Checks the matrix, then searches a
+    private copy through :func:`_shortest_cycle`, the kernel internal
+    callers with a checked matrix call directly.
     """
-    arr, low = _as_square(matrix)
+    steps, low = _as_square(matrix)
     if low < 0.0:
         raise ValueError("cycle search requires a nonnegative matrix")
-    n = arr.shape[0]
+    return _shortest_cycle(steps, bound)
+
+
+def _shortest_cycle(steps: FloatArray, bound: float) -> tuple[int, ...] | None:
+    """:func:`shortest_cycle_above` of a private, finite, nonnegative float matrix.
+
+    Trusts its input: no copy, no scan.  Zeroes the diagonal of ``steps``
+    in place.
+    """
+    n = steps.shape[0]
     if n < 2:
         return None
-    steps = arr  # already a private copy
     np.fill_diagonal(steps, 0.0)  # forbid self-steps; adjacency stays distinct
     with np.errstate(invalid="ignore"):  # inf * 0: an overflowed walk times a missing step
         found = _search_by_length(steps, bound, min(n, _LIFT_AFTER))

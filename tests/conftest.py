@@ -248,8 +248,12 @@ def replace_everywhere(monkeypatch, original, replacement):
                     monkeypatch.setattr(module, name, replacement)
 
 
-def count_closures(monkeypatch, name="maxtimes_closure"):
-    """Record the order of every closure ``semiring.<name>`` konus builds; returns the live list."""
+def count_closures(monkeypatch, name="_closure"):
+    """Record the order of every closure ``semiring.<name>`` konus builds; returns the live list.
+
+    The default counts the trusted max-times kernel, which every single-matrix
+    closure passes through, :func:`~konus.maxtimes_closure` included.
+    """
     from konus import semiring
 
     calls = []

@@ -137,7 +137,8 @@ def test_irrationality_command_searches_no_witness(tmp_path, capsys, monkeypatch
     def no_witness_search(*args, **kwargs):
         raise AssertionError("witness search")
 
-    for function in (semiring.shortest_cycle_above, axioms.check_harp, axioms.check_garp):
+    for function in (semiring.shortest_cycle_above, semiring._shortest_cycle, axioms.check_harp,
+                     axioms.check_garp):
         replace_everywhere(monkeypatch, function, no_witness_search)
     code = main(["irrationality", str(tmp_path / "prices.csv"), str(tmp_path / "quantities.csv"),
                  "--out", str(tmp_path / "irr")])
@@ -302,6 +303,20 @@ def test_ambiguous_table_fails_before_any_output(tmp_path, capsys, prices, messa
     assert code == 2
     assert captured.out == ""
     assert message in captured.err
+    assert not out.exists()
+
+
+def test_empty_period_id_fails_before_any_output(tmp_path, capsys):
+    # both tables carry the same blank id, so their period labels agree and only the id can refuse them
+    prices, quantities = tmp_path / "prices.csv", tmp_path / "quantities.csv"
+    prices.write_text("period,g1,g2\nt1,1,2\n ,2,1\n")
+    quantities.write_text("period,g1,g2\nt1,1,0\n ,0,1\n")
+    out = tmp_path / "refused"
+    code = main(["test", str(prices), str(quantities), "--out", str(out)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert "empty period id in price table (row 3)" in captured.err
     assert not out.exists()
 
 

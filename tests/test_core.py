@@ -55,6 +55,12 @@ def test_load_reports_cell_location():
     assert err.value.row == "t2" and err.value.column == "b"
 
 
+def test_load_rejects_an_empty_period_id():
+    with pytest.raises(TradeDataError) as caught:
+        load_trade_statistics(io.StringIO("period,g\n,5\nt2,3\n"), io.StringIO("period,g\nt1,1\nt2,1\n"))
+    assert str(caught.value) == "empty period id in price table (row 2)"
+
+
 def test_load_rejects_header_mismatch():
     quantities = "period,a,b,z\nt1,1,0,0\nt2,0,1,0\nt3,0,0,1\n"
     with pytest.raises(TradeDataError, match="good headers differ"):
@@ -337,6 +343,8 @@ def test_extended_rejects_a_block_of_other_than_one_row(two_period_panel, rows):
     (("a", "a"), ("t1", "t2"), "duplicate good id 'a'"),
     (("a", "b"), ("g", "g"), "duplicate period id 'g'"),
     (("a", "a"), ("g", "g"), "duplicate good id 'a'"),  # goods are checked first, as the loader does
+    (("", "b"), ("t1", "t2"), "empty good id"),
+    (("a", "b"), ("", "b"), "empty period id"),
 ])
 def test_library_panels_refuse_the_ids_the_loader_refuses(good_ids, period_ids, message):
     with pytest.raises(TradeDataError) as caught:

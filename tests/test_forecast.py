@@ -2,9 +2,11 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from konus import (
     InfeasibleAxiomError,
+    TradeDataError,
     check_harp,
     cobb_douglas_statistics,
     cross_value_matrix,
@@ -20,7 +22,7 @@ from konus import (
     sample_positive_sphere,
     trade_statistics,
 )
-from konus.axioms import HarpWitness
+from konus.axioms import HarpWitness, _garp_satisfied
 from konus.forecast import CounterexampleFixture
 from konus.semiring import FLOAT_SLACK
 
@@ -32,6 +34,7 @@ from conftest import (
     random_panel,
     shortest_cycle_by_cube,
 )
+from test_core import panels_and_new_rows
 
 UNIT_PRICE = np.array([1.0, 1.0, 1.0])
 
@@ -134,6 +137,58 @@ def test_kg_membership_intersection_setup():
 def test_kg_membership_vacuous_for_expensive_bundle(appendix_panel):
     # a bundle too costly to relate to anything forms no relation edges
     assert kg_membership(appendix_panel, 1.0, UNIT_PRICE, [100.0, 100.0, 100.0])
+
+
+@st.composite
+def memberships(draw):
+    """A panel of 1..6 periods over 1..4 goods, a new observation, and a level.
+
+    The level may sit exactly on a relation boundary of the extended panel,
+    ``px[t, t] / px[t, s]``, where the comparison turns on the last bit.
+    """
+    ts, price, bundle = draw(panels_and_new_rows())
+    kind = draw(st.sampled_from(["boundary", "one", "any"]))
+    if kind == "boundary":
+        px = cross_value_matrix(ts.extended(price, bundle))
+        t, s = draw(st.permutations(range(ts.num_periods + 1)))[:2]
+        omega = float(px[t, t] / px[t, s])
+    else:
+        omega = 1.0 if kind == "one" else draw(st.floats(0.5, 2.0))
+    return ts, omega, price, bundle
+
+
+@given(memberships(), st.sampled_from([0.0, 1e-9]))
+def test_kg_membership_is_the_acyclicity_test_of_the_extended_panel(case, tol):
+    ts, omega, price, bundle = case
+    expected = _garp_satisfied(cross_value_matrix(ts.extended(price, bundle)), omega, tol)
+    assert kg_membership(ts, omega, price, bundle, tol=tol) is expected
+
+
+NAN = float("nan")
+BAD_PRICE = "new price must be finite and strictly positive"
+BAD_BUNDLE = "bundle must be finite, nonnegative and nonzero"
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered in matmul:RuntimeWarning")
+@pytest.mark.parametrize("period_ids, price, bundle, error, message", [
+    (None, [NAN, 1.0, 1.0], [1.0, 1.0, 1.0], ValueError, BAD_PRICE),
+    (None, [1.0, -1.0, 1.0], [1.0, 1.0, 1.0], ValueError, BAD_PRICE),
+    (None, [1.0, 0.0, 1.0], [1.0, 1.0, 1.0], ValueError, BAD_PRICE),
+    (None, [1.0, 1.0], [1.0, 1.0, 1.0], ValueError, "new price must have 3 coordinates"),
+    (None, [1.0, 1.0, 1.0], [1.0, NAN, 1.0], ValueError, BAD_BUNDLE),
+    (None, [1.0, 1.0, 1.0], [1.0, -1.0, 1.0], ValueError, BAD_BUNDLE),
+    (None, [1.0, 1.0, 1.0], [0.0, 0.0, 0.0], ValueError, BAD_BUNDLE),
+    (None, [1.0, 1.0, 1.0], [[1.0, 1.0, 1.0]], ValueError, "bundle must have 3 coordinates"),
+    (None, [1e300, 1.0, 1.0], [1e300, 0.0, 0.0], TradeDataError, "cross-value matrix must be finite"),
+    (("a", "new", "b"), [1.0, 1.0, 1.0], [1.0, 1.0, 1.0], TradeDataError, "duplicate period id 'new'"),
+])
+def test_kg_membership_refuses_what_the_extended_panel_refuses(appendix_panel, period_ids, price, bundle,
+                                                               error, message):
+    ts = trade_statistics(appendix_panel.prices, appendix_panel.quantities, period_ids=period_ids)
+    with pytest.raises(ValueError) as caught:
+        kg_membership(ts, 1.0, price, bundle)
+    assert type(caught.value) is error
+    assert str(caught.value) == message
 
 
 def test_strict_inclusion_of_homothetic_set():

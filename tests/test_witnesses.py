@@ -21,8 +21,8 @@ from konus import (
     trade_statistics,
 )
 from konus import semiring
-from konus.axioms import _garp_violations
-from konus.semiring import FLOAT_SLACK, maxtimes_product, shortest_cycle_above
+from konus.axioms import _garp_violations, _harp_verdict, _scaled_paasche
+from konus.semiring import FLOAT_SLACK, maxtimes_closure, maxtimes_product, shortest_cycle_above
 
 from conftest import count_closures, garp_chain_by_pairs, planted_cycle_panel, shortest_cycle_by_cube
 from test_axioms import recheck_garp_witness, recheck_harp_witness
@@ -127,6 +127,27 @@ def test_garp_witness_matches_per_pair_oracle(case, tol):
     assert verdict.witness.chain == expected
     assert verdict.witness.comparison == (expected[-1], expected[0])
     recheck_garp_witness(ts, verdict.witness)
+
+
+@given(panels_and_levels(), st.sampled_from([0.0, 1e-9, 0.05]))
+def test_harp_verdict_is_the_public_closure_then_search_bit_for_bit(case, tol):
+    # check_harp hands its checked matrix to the trusted kernels; the checking wrappers must agree
+    ts, omega = case
+    px = cross_value_matrix(ts)
+    scaled = _scaled_paasche(px, omega)
+    closure = maxtimes_closure(scaled, tol=tol)
+    verdict = check_harp(ts, omega, tol=tol)
+    assert verdict.satisfied is (closure is not None)
+    if closure is not None:
+        got = _harp_verdict(ts, omega, tol)[1]
+        assert got.tobytes() == closure.tobytes() and not got.flags.writeable
+        return
+    cycle = shortest_cycle_above(scaled, (1.0 + tol) * (1.0 + FLOAT_SLACK))
+    product = 1.0
+    for a, b in zip(cycle, cycle[1:] + cycle[:1]):
+        product *= px[b, b] / px[a, b]
+    assert verdict.witness.cycle == cycle
+    assert verdict.witness.product == product and verdict.witness.omega == omega
 
 
 @given(panels_and_levels())
