@@ -66,9 +66,16 @@ def _relax(values: FloatArray, threshold: float):
     grow to ``inf`` and ``inf * 0`` never makes a NaN; the survivors are
     compacted into the step buffer and the two buffers swap roles, so
     memory stays two stacks and ``values`` holds closures only if no trial
-    diverged.  Each pivot step is the same elementwise multiply and maximum
-    for a single matrix and for every trial of a stack, so a trial's verdict
-    does not depend on the stack it runs in.  The input must be finite and
+    diverged.  Each pivot step forms the products of pivot column and pivot
+    row with one ``einsum`` outer product, then takes their maximum with the
+    walks so far, the same steps for a single matrix and for every trial of
+    a stack, so a trial's verdict does not depend on the stack it runs in.
+    The outer product has no summed index: each entry is the single product
+    ``a * b`` of two nonnegative floats added to the output's initial +0,
+    which leaves it unchanged, so the walks are bit for bit those of a
+    broadcast ``np.multiply``, whose stride-0 loop takes about twice as long
+    at T=400.  Unlike ``np.multiply``, ``einsum`` raises no overflow warning
+    for a product that overflows to ``inf``.  The input must be finite and
     nonnegative: :func:`maxtimes_closure` checks that, and
     ``axioms._scaled_paasche`` builds every matrix and stack of the axiom
     module that way.  Pivot k squares its own diagonal entry,
@@ -99,7 +106,7 @@ def _relax(values: FloatArray, threshold: float):
             work, through = through[:live.size], work[:live.size]
             diagonal = work.diagonal(0, -2, -1)
         if k < values.shape[-1]:
-            np.multiply(work[..., :, k, np.newaxis], work[..., np.newaxis, k, :], out=through)
+            np.einsum("...i,...j->...ij", work[..., :, k], work[..., k, :], out=through)
             np.maximum(work, through, out=work)
     return diverged
 
@@ -235,20 +242,28 @@ def maxtimes_product(left: FloatArray, right: FloatArray) -> FloatArray:
     """Max-times matrix product ``out[i, j] = max_m left[i, m] * right[m, j]``.
 
     The ``(i, m, j)`` products are formed over blocks of the middle index
-    whose cube stays within a fixed byte budget, so memory is O(T^2) at any
-    size while small matrices still go through in a single block.  Every
-    product is the same float multiplication as in the full cube and a
-    maximum does not depend on the order it is taken in, so the result is
-    bit-identical to reducing the whole cube at once.  ``fmax`` skips the
-    NaN of an overflowed walk times a missing step (``inf * 0``), whose
-    warning :func:`shortest_cycle_above` silences, and is ``max`` elsewhere.
+    into one preallocated cube within a fixed byte budget, so memory is
+    O(T^2) at any size while small matrices still go through in a single
+    block.  Each block is one ``einsum`` with no summed index: every entry
+    is the single product ``left[i, m] * right[m, j]`` of two nonnegative
+    floats added to the output's initial +0, which leaves it unchanged, so
+    it is the same float multiplication as in the full cube.  A maximum does
+    not depend on the order it is taken in, so the result is bit-identical
+    to reducing the whole cube at once.  ``fmax`` skips the NaN of an
+    overflowed walk times a missing step (``inf * 0``), and is ``max``
+    elsewhere.  Unlike ``np.multiply``, ``einsum`` raises no overflow
+    warning, nor an invalid-value warning for that NaN.
     """
     rows, inner = left.shape
     cols = right.shape[1]
-    block = max(1, _PRODUCT_BLOCK_BYTES // (8 * rows * cols))
+    block = max(1, min(inner, _PRODUCT_BLOCK_BYTES // (8 * rows * cols)))
+    cube = np.empty((rows, block, cols))
     out = None
     for lo in range(0, inner, block):
-        part = np.fmax.reduce(left[:, lo:lo + block, np.newaxis] * right[np.newaxis, lo:lo + block, :], axis=1)
+        width = min(block, inner - lo)
+        products = cube[:, :width]
+        np.einsum("im,mj->imj", left[:, lo:lo + width], right[lo:lo + width], out=products)
+        part = np.fmax.reduce(products, axis=1)
         out = part if out is None else np.fmax(out, part, out=out)
     return out
 
@@ -293,12 +308,18 @@ def _lift(base, last: int, advance):
 def _start_rows(steps: FloatArray, start: int, k: int) -> list[FloatArray]:
     """Row ``start`` of the first ``k - 1`` max-times powers of ``steps``, one vector-matrix step each.
 
-    Each row is bit-identical to the same row of the power built by
-    :func:`maxtimes_product`: the same multiplications, the same maximum.
+    Each step forms its products with one ``einsum`` into a reused T x T
+    buffer, with no summed index: every entry is the single product of two
+    nonnegative floats added to the output's initial +0, which leaves it
+    unchanged.  So each row is bit-identical to the same row of the power
+    built by :func:`maxtimes_product`: the same multiplications, the same
+    maximum.  Unlike ``np.multiply``, ``einsum`` raises no overflow warning.
     """
     rows = [steps[start]]
+    products = np.empty_like(steps)
     for _ in range(k - 2):
-        rows.append(np.fmax.reduce(rows[-1][:, np.newaxis] * steps, axis=0))
+        np.einsum("m,mj->mj", rows[-1], steps, out=products)
+        rows.append(np.fmax.reduce(products, axis=0))
     return rows
 
 
@@ -387,10 +408,14 @@ def shortest_cycle_above(matrix, bound: float) -> tuple[int, ...] | None:
     the cutoff with no such cycle costs the step-by-step search, O(T^4).
     The start rows of the shorter powers are then rebuilt, one
     vector-matrix step each.  Memory stays O(T^2): at most
-    ``ceil(log2(T)) + 3`` matrices.  Checks the matrix, then searches a
-    private copy through :func:`_shortest_cycle`, the kernel internal
-    callers with a checked matrix call directly.
+    ``ceil(log2(T)) + 3`` matrices.  Checks the bound, which must be finite
+    (a NaN or infinite bound raises ``ValueError`` rather than read as "no
+    violating cycle"), and the matrix, then searches a private copy through
+    :func:`_shortest_cycle`, the kernel internal callers with a checked
+    matrix call directly.
     """
+    if not math.isfinite(bound):
+        raise ValueError(f"bound must be finite, got {bound!r}")
     steps, low = _as_square(matrix)
     if low < 0.0:
         raise ValueError("cycle search requires a nonnegative matrix")

@@ -22,6 +22,7 @@ from konus import (
     forecast,
     maxtimes_closure,
     paasche_matrix,
+    semiring,
     trade_statistics,
 )
 from konus.axioms import _garp_satisfied
@@ -179,6 +180,57 @@ def closure_by_outer(matrix, tol=0.0, slack=1e-12):
         if np.any(np.diagonal(values) > threshold):
             return values, True
     return values, False
+
+
+def relax_by_multiply(values, threshold):
+    """``semiring._relax`` with each pivot's products formed by a broadcast ``np.multiply``.
+
+    The same divergence test, compaction and buffer swap; returns the same
+    flag or mask and leaves ``values`` in the same state.
+    """
+    stacked = values.ndim == 3
+    live = np.arange(len(values)) if stacked else None
+    diverged = np.zeros(len(values), dtype=bool) if stacked else False
+    work, through = values, np.empty_like(values)
+    diagonal = work.diagonal(0, -2, -1)
+    for k in range(values.shape[-1] + 1):
+        above = np.fmax.reduce(diagonal, axis=-1, initial=-np.inf) > threshold
+        if not stacked:
+            if above:
+                return True
+        elif above.any():
+            diverged[live[above]] = True
+            keep = np.flatnonzero(~above)
+            live = live[keep]
+            if not live.size:
+                break
+            np.take(work, keep, axis=0, out=through[:live.size], mode="clip")
+            work, through = through[:live.size], work[:live.size]
+            diagonal = work.diagonal(0, -2, -1)
+        if k < values.shape[-1]:
+            np.multiply(work[..., :, k, np.newaxis], work[..., np.newaxis, k, :], out=through)
+            np.maximum(work, through, out=work)
+    return diverged
+
+
+def maxtimes_product_by_multiply(left, right):
+    """``semiring.maxtimes_product`` with each block's cube formed by a broadcast multiply."""
+    rows, inner = left.shape
+    cols = right.shape[1]
+    block = max(1, semiring._PRODUCT_BLOCK_BYTES // (8 * rows * cols))
+    out = None
+    for lo in range(0, inner, block):
+        part = np.fmax.reduce(left[:, lo:lo + block, np.newaxis] * right[np.newaxis, lo:lo + block, :], axis=1)
+        out = part if out is None else np.fmax(out, part, out=out)
+    return out
+
+
+def start_rows_by_multiply(steps, start, k):
+    """``semiring._start_rows`` with each step's products formed by a broadcast multiply."""
+    rows = [steps[start]]
+    for _ in range(k - 2):
+        rows.append(np.fmax.reduce(rows[-1][:, np.newaxis] * steps, axis=0))
+    return rows
 
 
 def karp_table_by_columns(log_weights):

@@ -4,7 +4,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 from hypothesis.extra.numpy import arrays
 
 from konus import (
@@ -23,7 +23,15 @@ from konus.forecast import VERTEX_ENUMERATION_MAX_DIM, LinearConstraint, Polytop
 from konus import semiring
 from konus.semiring import _karp_max_mean, _karp_table, maxtimes_closure
 
-from conftest import closure_by_outer, karp_max_mean_by_loop, karp_table_by_columns, vertices_by_subsets
+from conftest import (
+    closure_by_outer,
+    karp_max_mean_by_loop,
+    karp_table_by_columns,
+    maxtimes_product_by_multiply,
+    relax_by_multiply,
+    start_rows_by_multiply,
+    vertices_by_subsets,
+)
 from test_witnesses import panels
 
 
@@ -97,6 +105,66 @@ def test_closure_matches_outer_loop_bitwise(case):
     assert (closure is None) == diverged
     if closure is not None:
         assert closure.tobytes() == values.tobytes()
+
+
+# The least subnormal, a product that underflows, ties at one and just above it, and 1e200 and
+# 1e300, whose products overflow; mixed with uniform values
+edge_entries = st.sampled_from([0.0, 5e-324, 1e-300, 1.0, 1.0 + 1e-12, 1e200, 1e300]) | st.floats(0.0, 2.0)
+
+
+def _same_bits(a, b):
+    return np.array_equal(a, b, equal_nan=True) and np.array_equal(np.signbit(a), np.signbit(b))
+
+
+@st.composite
+def relax_inputs(draw):
+    """A matrix of order 1..12, or a stack of 1..4 of them, of edge entries."""
+    T = draw(st.integers(1, 12))
+    trials = draw(st.none() | st.integers(1, 4))
+    return draw(arrays(float, (T, T) if trials is None else (trials, T, T), elements=edge_entries))
+
+
+# 0 -> 1 -> 0 overflows at pivot 0, and pivot 1 meets the missing step 1 -> 2: inf * 0 is NaN
+_OVERFLOW_THEN_ZERO = np.array([[0.0, 1e300, 0.0], [1e300, 0.0, 0.0], [0.0, 0.0, 0.0]])
+
+
+@given(relax_inputs(), st.sampled_from([1.0 + 1e-12, 1.05, 1e250, np.inf]))
+@example(_OVERFLOW_THEN_ZERO, np.inf)
+@example(np.stack([_OVERFLOW_THEN_ZERO, np.eye(3), _OVERFLOW_THEN_ZERO * 1e-300]), np.inf)
+@example(np.stack([_OVERFLOW_THEN_ZERO, np.eye(3), _OVERFLOW_THEN_ZERO * 1e-300]), 1.0 + 1e-12)
+def test_relax_matches_multiply_form_bitwise(values, threshold):
+    # an infinite threshold never diverges, so overflowed walks meet zero steps and make NaNs
+    values = values.copy()
+    expected = values.copy()
+    with np.errstate(all="ignore"):
+        expected_diverged = relax_by_multiply(expected, threshold)
+    diverged = semiring._relax(values, threshold)
+    assert np.array_equal(diverged, expected_diverged)
+    assert _same_bits(values, expected)
+
+
+@given(st.integers(1, 12), st.integers(1, 12), st.integers(1, 12), st.data())
+def test_maxtimes_product_matches_multiply_form_bitwise(rows, inner, cols, data):
+    # the left factor is a power: it may hold walks that overflowed already
+    left = data.draw(arrays(float, (rows, inner), elements=edge_entries | st.just(np.inf)), label="left")
+    right = data.draw(arrays(float, (inner, cols), elements=edge_entries), label="right")
+    width = data.draw(st.integers(1, inner), label="block width")
+    with mock.patch.object(semiring, "_PRODUCT_BLOCK_BYTES", 8 * rows * cols * width):
+        with np.errstate(all="ignore"):
+            expected = maxtimes_product_by_multiply(left, right)
+        assert _same_bits(semiring.maxtimes_product(left, right), expected)
+
+
+@given(st.integers(1, 12), st.data())
+def test_start_rows_match_multiply_form_bitwise(T, data):
+    steps = data.draw(arrays(float, (T, T), elements=edge_entries), label="steps")
+    start = data.draw(st.integers(0, T - 1), label="start")
+    k = data.draw(st.integers(2, T + 2), label="k")
+    with np.errstate(all="ignore"):
+        expected = start_rows_by_multiply(steps, start, k)
+    rows = semiring._start_rows(steps, start, k)
+    assert len(rows) == len(expected)
+    assert all(_same_bits(row, oracle) for row, oracle in zip(rows, expected))
 
 
 @given(panels(max_periods=12), st.floats(1.0, 1.5), st.data())

@@ -169,6 +169,13 @@ def test_shortest_cycle_above_finds_minimal_length():
     assert shortest_cycle_above(matrix * 0.1, 1.0) is None
 
 
+@pytest.mark.parametrize("bound", [np.nan, np.inf, -np.inf])
+def test_shortest_cycle_above_refuses_a_non_finite_bound(bound):
+    # None would read as "no violating cycle", an answer for a bound that has none
+    with pytest.raises(ValueError, match="bound must be finite"):
+        shortest_cycle_above(np.array([[0.0, 2.0], [2.0, 0.0]]), bound)
+
+
 def test_shortest_cycle_above_longer_cycle():
     matrix = np.array([
         [0.0, 1.5, 0.1],
