@@ -314,8 +314,9 @@ def _harp_verdict(ts: TradeStatistics, omega: float,
     if cycle is None:  # pragma: no cover - closure divergence implies a violating cycle
         raise RuntimeError("homotheticity violation detected but no cycle recovered")
     product = 1.0
-    for a, b in zip(cycle, cycle[1:] + cycle[:1]):
-        product *= px[b, b] / px[a, b]  # the Paasche entry C[a, b]
+    with np.errstate(over="ignore"):  # a violating product may overflow to inf
+        for a, b in zip(cycle, cycle[1:] + cycle[:1]):
+            product *= px[b, b] / px[a, b]  # the Paasche entry C[a, b]
     witness = HarpWitness(cycle=cycle, product=product, omega=omega)
     return AxiomVerdict(satisfied=False, omega=omega, witness=witness), None
 

@@ -179,18 +179,16 @@ def _cone_files(ts: TradeStatistics, cone: ForecastCone,
     return files, vertices
 
 
-def _format_witness(ts: TradeStatistics, witness) -> str:
+def _format_witness(ts: TradeStatistics, witness: GarpWitness | HarpWitness) -> str:
     if isinstance(witness, GarpWitness):
         chain = " -> ".join(ts.period_ids[i] for i in witness.chain)
         s, t = witness.comparison
         return (f"chain {chain}; closing comparison fails: "
                 f"expenditure({ts.period_ids[s]}) > {witness.omega} * cross value"
                 f"({ts.period_ids[s]}, {ts.period_ids[t]})")
-    if isinstance(witness, HarpWitness):
-        cycle = " -> ".join(ts.period_ids[i] for i in witness.cycle)
-        return (f"cycle {cycle} -> {ts.period_ids[witness.cycle[0]]}; "
-                f"product {witness.product!r} exceeds omega^{len(witness.cycle)}")
-    return str(witness)
+    cycle = " -> ".join(ts.period_ids[i] for i in witness.cycle)
+    return (f"cycle {cycle} -> {ts.period_ids[witness.cycle[0]]}; "
+            f"product {witness.product!r} exceeds omega^{len(witness.cycle)}")
 
 
 def _load_panel(args) -> TradeStatistics:

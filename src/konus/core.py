@@ -226,9 +226,6 @@ class GroupSelection:
                 raise TradeDataError(f"unknown good id {gid!r}") from None
         return cls(indices=tuple(sorted(set(positions))))
 
-    def __len__(self) -> int:
-        return len(self.indices)
-
 
 def _read_table(source, what: str) -> tuple[list[str], list[str], FloatArray]:
     """Parse one CSV table: header of good ids, first column of period ids."""
@@ -303,12 +300,15 @@ def load_trade_statistics(prices_source, quantities_source) -> TradeStatistics:
                            good_ids=tuple(p_goods), period_ids=tuple(p_periods))
 
 
-def _finite_cross_values(px: FloatArray) -> FloatArray:
-    """``px``, a cross-value matrix or a stack of them, unless a cross value overflowed.
+def _cross_values(prices: FloatArray, quantities: FloatArray) -> FloatArray:
+    """``prices @ quantities.T`` over the last two axes, leading axes broadcast, unless one overflowed.
 
-    Raises :class:`TradeDataError` otherwise.  Cross values of a valid panel
-    are positive, so the largest is the only one to scan.
+    Forms every cross value a verdict reads: of a panel, of a stack of
+    panels, or of one-row price tables ``[B, 1, m]`` against shared bundles.
+    Raises :class:`TradeDataError` on overflow; valid cross values are
+    positive, so the largest is the only one to scan.
     """
+    px = prices @ quantities.swapaxes(-1, -2)
     if not px.max() < np.inf:
         raise TradeDataError("cross-value matrix must be finite")
     return px
@@ -320,7 +320,7 @@ def cross_value_matrix(ts: TradeStatistics) -> FloatArray:
     Raises :class:`TradeDataError` if a cross value overflows (after numpy's
     own overflow warning).
     """
-    return _finite_cross_values(ts.prices @ ts.quantities.T)
+    return _cross_values(ts.prices, ts.quantities)
 
 
 def paasche_matrix(px) -> FloatArray:

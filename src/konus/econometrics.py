@@ -23,7 +23,7 @@ import numpy as np
 
 from ._mc import batch_size, count_trials, trial_streams
 from .axioms import _verdicts
-from .core import FloatArray, TradeStatistics, _finite_cross_values, trade_statistics
+from .core import FloatArray, TradeStatistics, _cross_values, trade_statistics
 
 VARIANCE_FLOOR = 1e-12
 # Largest autoregression order that fit_ar compares.
@@ -197,10 +197,7 @@ def simulate_price_paths(ts: TradeStatistics, models: Sequence[ARModel],
 def _power_batch(ts: TradeStatistics, models: Sequence[ARModel], seed: int, trials: range) -> np.ndarray:
     """``(garp_rejected, harp_rejected)`` rows of the power trials in ``trials``."""
     prices = _simulate_stack(ts, models, trial_streams((seed,), trials), len(trials))
-    px = np.empty((len(trials), ts.num_periods, ts.num_periods))
-    for row, panel in zip(px, prices):
-        row[...] = panel @ ts.quantities.T
-    garp_ok, harp_ok = _verdicts(_finite_cross_values(px))
+    garp_ok, harp_ok = _verdicts(_cross_values(prices, ts.quantities))
     # an acyclicity failure is a homotheticity failure; enforce the
     # implication against rounding at the cycle-product boundary
     return np.column_stack([~garp_ok, ~(harp_ok & garp_ok)])
@@ -230,8 +227,8 @@ def power_estimate(ts: TradeStatistics, trials: int, seed: int) -> PowerReport:
 
 def _group_batch(ts: TradeStatistics, groups: Sequence[np.ndarray]) -> np.ndarray:
     """``(garp_ok, harp_ok)`` rows of the panel restricted to each group of goods."""
-    px = np.stack([ts.prices[:, idx] @ ts.quantities[:, idx].T for idx in groups])
-    garp_ok, harp_ok = _verdicts(_finite_cross_values(px))
+    garp_ok, harp_ok = _verdicts(_cross_values(np.stack([ts.prices[:, idx] for idx in groups]),
+                                               np.stack([ts.quantities[:, idx] for idx in groups])))
     return np.column_stack([garp_ok | harp_ok, harp_ok])  # homotheticity implies acyclicity
 
 

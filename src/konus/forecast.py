@@ -14,7 +14,7 @@ cone above, the paper's linear inequalities with the last bundle q_n
 fixed: the trial passes iff ``P * P <= 1 + FLOAT_SLACK``, where
 ``P = max_b p.q_n / (kappa_b p.q_b)``, squared as the full closure's last
 pivot squares it; the two may differ only within about ``4 (T + 1)`` ulp
-of that threshold.  The new row is a matrix-vector product, which may
+of that threshold.  The new rows come from ``core._cross_values``, and may
 round a few ulp away from the row ``cross_value_matrix`` computes.  Trial
 b draws its price from ``np.random.default_rng((seed, b))``, bit for bit;
 ``_mc.trial_streams`` derives these a batch at a time and yields one
@@ -46,7 +46,7 @@ from .afriat import InfeasibleAxiomError
 from .core import (
     FloatArray,
     TradeStatistics,
-    _finite_cross_values,
+    _cross_values,
     _with_new_period,
     cross_value_matrix,
     trade_statistics,
@@ -128,7 +128,7 @@ def gamma_coefficients(ts: TradeStatistics, omega: float, price_new) -> Forecast
         )
     paths = closure.copy()
     np.fill_diagonal(paths, np.maximum(paths.diagonal(), 1.0 / omega))
-    new_values = ts.quantities @ price_new           # <price_new, X^t>
+    new_values = _cross_values(price_new[np.newaxis], ts.quantities)[0]  # <price_new, X^t>
     numerators = omega * omega * new_values / ts.expenditures()
     gamma = (numerators[:, np.newaxis] / paths).min(axis=0)
     return ForecastCone(omega=omega, price_new=price_new, gamma=gamma, prices=ts.prices)
@@ -174,7 +174,7 @@ def kg_membership(ts: TradeStatistics, omega: float, price_new, x, *, tol: float
     with the same errors, without building that panel: the admissibility
     checks leave nothing for its row checks to refuse, so only the stacked
     prices and bundles are formed, and their cross values are the same
-    matrix product.
+    ``core._cross_values`` product.
     """
     validate_level(omega, tol)
     price_new = _admissible_price(price_new, ts.num_goods)
@@ -182,7 +182,7 @@ def kg_membership(ts: TradeStatistics, omega: float, price_new, x, *, tol: float
     _with_new_period(ts.period_ids)
     prices = np.concatenate((ts.prices, price_new[np.newaxis]))
     quantities = np.concatenate((ts.quantities, arr[np.newaxis]))
-    return _garp_satisfied(_finite_cross_values(prices @ quantities.T), omega, tol)
+    return _garp_satisfied(_cross_values(prices, quantities), omega, tol)
 
 
 def kh_polytope(cone: ForecastCone, x_new: float) -> PolytopeDescription:
@@ -278,17 +278,18 @@ def _size_batch(ts: TradeStatistics, base: _Insertion, seed: int, trials: range)
     """``(garp_ok, harp_ok)`` rows of the size trials in ``trials``.
 
     Each trial redraws the last period's price p and tests both axioms at
-    level one on its new row ``ts.quantities @ p`` alone, through the
-    closures of the first T - 1 periods that ``base`` holds
-    (``axioms._inserted_verdicts``): the comparisons of the full acyclicity
-    test, and the price cone's ``P * P <= 1 + FLOAT_SLACK`` for
-    homotheticity, which can differ from the full closure's verdict only
-    within about ``4 (T + 1)`` ulp of that threshold.
+    level one on its new row alone, through the closures of the first T - 1
+    periods that ``base`` holds (``axioms._inserted_verdicts``): the
+    comparisons of the full acyclicity test, and the price cone's
+    ``P * P <= 1 + FLOAT_SLACK`` for homotheticity, which can differ from
+    the full closure's verdict only within about ``4 (T + 1)`` ulp of that
+    threshold.  One ``core._cross_values`` call forms every new row of the
+    batch, which may round a few ulp away from the full panel's row.
     """
-    rows = np.empty((len(trials), ts.num_periods))
-    for row, rng in zip(rows, trial_streams((seed,), trials)):
-        row[:] = ts.quantities @ sample_positive_sphere(ts.num_goods, rng)
-    garp_ok, harp_ok = _inserted_verdicts(base, rows)
+    prices = np.empty((len(trials), 1, ts.num_goods))
+    for price, rng in zip(prices, trial_streams((seed,), trials)):
+        price[0] = sample_positive_sphere(ts.num_goods, rng)
+    garp_ok, harp_ok = _inserted_verdicts(base, _cross_values(prices, ts.quantities)[:, 0])
     # homotheticity implies acyclicity; enforce the implication against
     # rounding at the cycle-product boundary so paired dominance is exact
     return np.column_stack([garp_ok | harp_ok, harp_ok])
@@ -376,7 +377,9 @@ def check_inclusion(fix: CounterexampleFixture, cone: ForecastCone, vertices: np
     """Verify the homothetic set sits strictly inside the acyclic support set.
 
     ``cone`` and ``vertices`` are the fixture's homothetic cone and the
-    vertices of its slice at the new expenditure.
+    vertices of its slice at the new expenditure.  Rounding alone can push a
+    vertex on the support set's boundary out, so the homothetic points are
+    tested at the vertices' own slack, ``VERTEX_TOL`` times the expenditure.
     """
     base = fix.statistics()
     support = fix.intersection_statistics()
@@ -387,7 +390,7 @@ def check_inclusion(fix: CounterexampleFixture, cone: ForecastCone, vertices: np
         weights = rng.dirichlet(np.ones(len(vertices)))
         inside.append(weights @ vertices)
     for point in inside:
-        if not kg_membership(support, 1.0, price_new, point):
+        if not kg_membership(support, 1.0, price_new, point, tol=VERTEX_TOL * fix.expenditure_new):
             return "inclusion FAILED: a homothetic forecast point left the support set"
     strict = _strict_inclusion_witness(fix, cone, base, support, price_new)
     if strict is None:

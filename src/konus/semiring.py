@@ -432,7 +432,7 @@ def _shortest_cycle(steps: FloatArray, bound: float) -> tuple[int, ...] | None:
     if n < 2:
         return None
     np.fill_diagonal(steps, 0.0)  # forbid self-steps; adjacency stays distinct
-    with np.errstate(invalid="ignore"):  # inf * 0: an overflowed walk times a missing step
+    with np.errstate(over="ignore", invalid="ignore"):  # overflowing walks; inf * 0: one times a missing step
         found = _search_by_length(steps, bound, min(n, _LIFT_AFTER))
         if found is None and n > _LIFT_AFTER:
             found = _search_by_lifting(steps, bound)

@@ -97,6 +97,14 @@ def test_gamma_requires_consistency(two_period_panel):
         gamma_coefficients(two_period_panel, 1.0, np.array([1.0, 1.0]))
 
 
+@pytest.mark.filterwarnings("ignore:overflow encountered in matmul:RuntimeWarning")
+def test_gamma_refuses_an_overflowing_new_cross_value():
+    # <price_new, X^1> = 1e310 overflows; the cone coefficient would be inf
+    ts = trade_statistics([[1.0, 1.0]], [[1e10, 1.0]])
+    with pytest.raises(TradeDataError, match="^cross-value matrix must be finite$"):
+        gamma_coefficients(ts, 1.0, [1e300, 1.0])
+
+
 def test_gamma_rejects_omega_below_one_before_any_closure(monkeypatch):
     ts = random_statistics(8, 3, seed=2)
     assert not check_harp(ts, 0.5).satisfied

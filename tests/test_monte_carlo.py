@@ -507,6 +507,17 @@ def test_overflowing_paasche_entries_raise_the_oracle_error():
         for experiment in (lambda: forecast_size_paired(ts, 5, 1), lambda: power_estimate(ts, 5, 1),
                            lambda: random_group_probability(ts, [2], 5, 1)):
             assert _error(experiment) == (TradeDataError, "cross-value matrix must be finite")
+        # here only the trials' new rows overflow: the size trials refuse them as the full tests
+        # refuse trial 0's rebuilt panel, not at the Paasche checks as the oracle does
+        ts = trade_statistics([[1e-10, 2e-10], [2e-10, 1e-10], [1e-10, 1e-10]],
+                              [[1.7e308, 1e307], [1e307, 1.7e308], [1.7e308, 1.7e308]])
+        assert np.isfinite(cross_value_matrix(ts)).all()
+        prices = np.array(ts.prices)
+        prices[-1] = sample_positive_sphere(ts.num_goods, np.random.default_rng((1, 0)))
+        trial = trade_statistics(prices, ts.quantities)
+        for call in (lambda: check_garp(trial), lambda: check_harp(trial),
+                     lambda: forecast_size_paired(ts, 5, 1)):
+            assert _error(call) == (TradeDataError, "cross-value matrix must be finite")
 
 
 def test_invalid_trial_rows_raise_what_the_full_stack_raises():

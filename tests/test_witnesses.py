@@ -244,6 +244,17 @@ def test_overflowing_walk_times_a_missing_step_is_no_walk():
     np.testing.assert_array_equal(diagonal, [0.0, 0.0])
 
 
+def test_overflowing_witness_product_warns_nothing():
+    # both Paasche entries are 1e200, so the walk products, the walk-back scores and the witness's
+    # own product overflow to inf; the search silences that and still returns the witness
+    ts = trade_statistics([[1.0, 1e-200], [1e-200, 1.0]], [[1.0, 0.0], [0.0, 1.0]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        witness = check_harp(ts).witness
+    assert witness.cycle == (0, 1)
+    assert witness.product == np.inf
+
+
 def test_two_cycle_witness_takes_no_matrix_product(monkeypatch):
     ts = random_statistics(100, 10, 1)
     products = count_closures(monkeypatch, "maxtimes_product")
