@@ -16,7 +16,7 @@ import numpy as np
 
 from .axioms import _garp_satisfied
 from .core import TradeStatistics, cross_value_matrix, paasche_matrix
-from .semiring import _maxmin_closure, max_cycle_geomean
+from .semiring import _warshall, max_cycle_geomean
 
 # Level reported for a single observation, where no admissible cycle exists
 # and every positive level is consistent with homotheticity.
@@ -50,5 +50,5 @@ def garp_irrationality(ts: TradeStatistics) -> tuple[float, bool]:
     px = cross_value_matrix(ts)
     ratios = px.diagonal()[:, np.newaxis] / px
     np.fill_diagonal(ratios, 0.0)  # no self-edges; it also zeroes the diagonal of the minimum below
-    value = float(np.minimum(_maxmin_closure(ratios.copy()), ratios.T).max())
+    value = float(np.minimum(_warshall(ratios.copy(), np.maximum, np.minimum), ratios.T).max())
     return value, _garp_satisfied(px, value, 0.0)

@@ -1,4 +1,4 @@
-"""Idempotent (max, *) and (max, min) matrix closures and cycle searches on positive matrices.
+"""Idempotent (max, *), (max, min) and (min, +) matrix closures and cycle searches on positive matrices.
 
 The closure of a nonnegative matrix in the semiring with ``a + b := max(a, b)``
 and ``a * b := ab`` collects, for every ordered pair ``(t, s)``, the maximal
@@ -143,15 +143,19 @@ def _closure(values: FloatArray, tol: float) -> FloatArray | None:
     return values
 
 
-def _maxmin_closure(out: np.ndarray) -> np.ndarray:
-    """Warshall closure in place in the (max, min) semiring, of one matrix or a stack ``[..., T, T]``.
+def _warshall(out: np.ndarray, plus, times) -> np.ndarray:
+    """Warshall closure in place in the semiring ``(plus, times)``, of one matrix or a stack ``[..., T, T]``.
 
-    Entry ``[t, s]`` becomes the largest least edge of any walk from ``t`` to
-    ``s`` with at least one edge: reachability on booleans.  Max and min only
-    select entries, so no value is rounded.
+    Each pivot ``k`` sets ``out = plus(out, times(out[:, k], out[k, :]))``.
+    With ``(np.maximum, np.minimum)``, entry ``[t, s]`` becomes the largest
+    least edge of any walk from ``t`` to ``s`` with at least one edge:
+    reachability on booleans.  Max and min only select entries, so no value
+    is rounded.  With ``(np.minimum, np.add)`` on integer link counts it
+    becomes the fewest links of such a walk; the caller picks a dtype in
+    which the sum of two counts cannot overflow.
     """
     for k in range(out.shape[-1]):
-        np.maximum(out, np.minimum(out[..., :, k, np.newaxis], out[..., np.newaxis, k, :]), out=out)
+        plus(out, times(out[..., :, k, np.newaxis], out[..., np.newaxis, k, :]), out=out)
     return out
 
 
@@ -163,7 +167,7 @@ def boolean_closure(rel) -> BooleanRelation:
     out = np.array(rel, dtype=bool)
     if out.ndim < 2 or out.shape[-1] != out.shape[-2]:
         raise ValueError(f"relation must be square, got shape {out.shape}")
-    return _maxmin_closure(out)
+    return _warshall(out, np.maximum, np.minimum)
 
 
 def _karp_table(log_weights: FloatArray) -> FloatArray:
@@ -273,38 +277,6 @@ def _diagonal_product(left: FloatArray, right: FloatArray) -> FloatArray:
     return np.fmax.reduce(left * right.T, axis=1)
 
 
-def _lift(base, last: int, advance):
-    """Least ``k <= last`` at which some walk of at most ``k`` steps violates, by binary lifting.
-
-    ``base`` holds the walks of at most one step, none of which may violate.
-    ``advance(x, y)`` composes the walks of ``x`` then ``y``: it returns
-    whether some composed walk violates, and the composed walks, which are
-    read only when none does (so it may skip them then).
-    Violation must be monotone in the number of steps, as it is for walks
-    padded with steps that stay put.  The walks of at most ``2**i`` steps are
-    squared until a square would violate; the least ``k`` is then found by
-    descending through the squares kept, so it takes O(log last) products
-    and holds at most ``log2(last) + 2`` of them.  Returns ``(k, walks of at
-    most k - 1 steps)``, or ``None`` if no walk of at most ``last`` steps
-    violates.
-    """
-    squares = [base]  # squares[i]: the walks of at most 2**i steps
-    while True:
-        violated, square = advance(squares[-1], squares[-1])
-        if violated:
-            break
-        if 2 ** len(squares) >= last:
-            return None
-        squares.append(square)
-    reach = squares.pop()
-    low = 2 ** len(squares)  # no walk of at most low steps violates
-    for i in reversed(range(len(squares))):
-        violated, longer = advance(reach, squares[i])
-        if not violated:
-            reach, low = longer, low + 2 ** i
-    return (low + 1, reach) if low < last else None
-
-
 def _start_rows(steps: FloatArray, start: int, k: int) -> list[FloatArray]:
     """Row ``start`` of the first ``k - 1`` max-times powers of ``steps``, one vector-matrix step each.
 
@@ -344,7 +316,12 @@ def _search_by_length(steps: FloatArray, bound: float, last: int):
 def _search_by_lifting(steps: FloatArray, bound: float):
     """What ``_search_by_length(steps, bound, n)`` returns, through O(log n) products instead of n.
 
-    Powers of ``max(steps, I)`` hold the best walk of at most j steps, whose
+    Powers of ``max(steps, I)`` hold the best walk of at most j steps; a
+    walk padded with steps that stay put keeps its product, so a violation
+    only grows more likely with j.  The walks of at most ``2**i`` steps are
+    squared until a square would violate; the least length is then found by
+    descending through the squares kept, so the search takes O(log n)
+    products and holds at most ``log2(n) + 2`` of them.  These walks'
     products are multiplied in another order than the exact-length powers'.
     Two orders of one product of at most n factors differ by a relative
     ``2 n u`` at most (u = 2**-53), as long as no partial product under- or
@@ -368,20 +345,22 @@ def _search_by_lifting(steps: FloatArray, bound: float):
         return _search_by_length(steps, bound, n)
     lift = steps.copy()
     np.fill_diagonal(lift, 1.0)
-
-    def advance(left, right):
-        if (_diagonal_product(left, right) > threshold).any():
-            return True, None
-        return False, maxtimes_product(left, right)
-
-    found = _lift(lift, n, advance)
-    if found is None:  # no cycle, or one lost to an under- or overflowing product
-        return _search_by_length(steps, bound, n)
-    k, reach = found
-    for start in np.flatnonzero(_diagonal_product(reach, lift) > threshold):
-        rows = _start_rows(steps, int(start), k)
-        if np.fmax.reduce(rows[-1] * steps[:, start]) > bound:
-            return k, int(start), rows
+    squares = [lift]  # squares[i]: the best walks of at most 2**i steps
+    while not (_diagonal_product(squares[-1], squares[-1]) > threshold).any():
+        if 2 ** len(squares) >= n:  # no cycle, or one lost to an under- or overflowing product
+            return _search_by_length(steps, bound, n)
+        squares.append(maxtimes_product(squares[-1], squares[-1]))
+    # the least length: descend through the squares kept, joining each one that violates nothing
+    reach = squares.pop()
+    low = 2 ** len(squares)  # no walk of at most low steps violates
+    for i in reversed(range(len(squares))):
+        if not (_diagonal_product(reach, squares[i]) > threshold).any():
+            reach, low = maxtimes_product(reach, squares[i]), low + 2 ** i
+    if low < n:  # reach: the best walks of at most low steps
+        for start in np.flatnonzero(_diagonal_product(reach, lift) > threshold):
+            rows = _start_rows(steps, int(start), low + 1)
+            if np.fmax.reduce(rows[-1] * steps[:, start]) > bound:
+                return low + 1, int(start), rows
     return _search_by_length(steps, bound, n)
 
 

@@ -16,6 +16,7 @@ from konus import (
     AxiomVerdict,
     HarpWitness,
     NoAdmissibleCycleError,
+    TradeDataError,
     TradeStatistics,
     cross_value_matrix,
     econometrics,
@@ -637,6 +638,13 @@ def verdicts_by_trial(px, omega=1.0, tol=0.0):
     return not bool(bad.any()), not closure_by_outer(scaled, tol)[1]
 
 
+def finite_cross_values(px):
+    """``px``, unless a cross value overflowed: then the error the library raises for it."""
+    if not np.isfinite(px).all():
+        raise TradeDataError("cross-value matrix must be finite")
+    return px
+
+
 def size_trial(ts, base_px, seed, trial):
     """Size trial oracle: redraw the last period price, test both axioms at level one."""
     from konus import sample_positive_sphere
@@ -644,18 +652,18 @@ def size_trial(ts, base_px, seed, trial):
     price = sample_positive_sphere(ts.num_goods, np.random.default_rng((seed, trial)))
     px = base_px.copy()
     px[-1, :] = ts.quantities @ price
-    garp_ok, harp_ok = verdicts_by_trial(px)
+    garp_ok, harp_ok = verdicts_by_trial(finite_cross_values(px))
     return garp_ok or harp_ok, harp_ok
 
 
 def power_trial(ts, models, seed, trial):
     """Power trial oracle: one simulated panel, rejections with GARP failures forcing HARP ones."""
     prices = simulate_price_paths_by_loop(ts, models, np.random.default_rng((seed, trial)))
-    garp_ok, harp_ok = verdicts_by_trial(prices @ ts.quantities.T)
+    garp_ok, harp_ok = verdicts_by_trial(finite_cross_values(prices @ ts.quantities.T))
     return not garp_ok, not (harp_ok and garp_ok)
 
 
 def group_verdicts(ts, idx):
     """Group oracle: verdicts of the panel restricted to the goods ``idx``."""
-    garp_ok, harp_ok = verdicts_by_trial(ts.prices[:, idx] @ ts.quantities[:, idx].T)
+    garp_ok, harp_ok = verdicts_by_trial(finite_cross_values(ts.prices[:, idx] @ ts.quantities[:, idx].T))
     return garp_ok or harp_ok, harp_ok

@@ -101,6 +101,20 @@ def test_test_command_violation_exit_code(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_test_command_reports_a_multi_link_garp_chain(tmp_path, capsys):
+    # the planted panel's only violations close a chain through all eight periods
+    _write_files(tmp_path, _panel_files(planted_cycle_panel(8)))
+    out = tmp_path / "v"
+    code = main(["test", str(tmp_path / "prices.csv"), str(tmp_path / "quantities.csv"),
+                 "--axiom", "garp", "--out", str(out)])
+    assert code == 1
+    lines = (out / "verdicts.csv").read_text().splitlines()
+    assert lines == ["axiom,omega,status,witness",
+                     'garp,1.0,violated,"chain t1 -> t2 -> t3 -> t4 -> t5 -> t6 -> t7 -> t8; closing '
+                     'comparison fails: expenditure(t8) > 1.0 * cross value(t8, t1)"']
+    assert "garp(omega=1.0): violated [chain t1 -> t2 -> t3" in capsys.readouterr().out
+
+
 def test_test_command_input_error(tmp_path, capsys):
     assert main(["test", str(tmp_path / "missing.csv"), str(tmp_path / "also.csv"),
                  "--out", str(tmp_path / "o")]) == 2
@@ -474,6 +488,10 @@ FAILING_RUNS = {
         lambda d: ["groups", *write_power_panel(d), "--sizes", "9", "--samples", "5", "--seed", "1"], 2),
     "forecast-negative-size-trials": (
         lambda d: ["forecast", *write_power_panel(d), "--size-trials", "-3", "--seed", "1"], 2),
+    "forecast-size-trials-without-seed": (
+        lambda d: ["forecast", *write_power_panel(d), "--size-trials", "10"], 2),
+    "forecast-unparseable-new-price": (
+        lambda d: ["forecast", *write_power_panel(d), "--new-price", "1,one,1,1"], 2),
     "hierarchy-truncated-tree": (
         lambda d: ["hierarchy", *write_power_panel(d), "--tree", write_tree(d, '{"name": "root", "goods": [')], 2),
     "hierarchy-missing-tree": (

@@ -231,6 +231,30 @@ def test_cycle_lost_to_underflow_by_lifting_is_found_step_by_step():
     assert [str(w.message) for w in caught if "invalid value" in str(w.message)] == []
 
 
+def unconfirmed_lift_matrix():
+    """A 7-cycle on periods 0-6 with product exactly 2.0, and an 8-cycle on 7-14 with product 4.0."""
+    matrix = np.zeros((15, 15))
+    for cycle, closing in ((range(7), 2.0), (range(7, 15), 4.0)):
+        for a, b in zip(cycle, [*cycle[1:], cycle[0]]):
+            matrix[a, b] = 1.0
+        matrix[cycle[-1], cycle[0]] = closing
+    return matrix
+
+
+@pytest.mark.parametrize("matrix, bound, expected, searched_lengths", [
+    # the lifting's lowered bound admits the 7-cycle, which the exact recurrence does not confirm
+    # at bound 2.0, so after the first 6 lengths the step-by-step search runs over all 15 and
+    # finds the 8-cycle
+    (unconfirmed_lift_matrix(), 2.0, tuple(range(7, 15)), [6, 15]),
+    (np.array([[5.0]]), 1.0, None, []),  # one period: no cycle of two or more
+])
+def test_shortest_cycle_edge_cases_match_cube_oracle(matrix, bound, expected, searched_lengths):
+    with mock.patch.object(semiring, "_search_by_length", wraps=semiring._search_by_length) as search:
+        found = shortest_cycle_above(matrix, bound)
+    assert found == shortest_cycle_by_cube(matrix, bound) == expected
+    assert [call.args[2] for call in search.call_args_list] == searched_lengths
+
+
 def test_overflowing_walk_times_a_missing_step_is_no_walk():
     # a^2 is [[inf, 0], [0, inf]]: each diagonal walk overflows.  Each entry of a^3 has one walk
     # times a zero step (inf * 0 = NaN) and one real walk, whose value it must keep
