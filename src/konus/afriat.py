@@ -4,20 +4,25 @@ Passing the homotheticity test yields positive multipliers ``lam`` with
 ``omega * lam[t] * px[t, s] >= lam[s] * px[s, s]`` for all ``t != s``; passing
 the acyclicity test yields utility levels and multipliers ``(U, lam)`` with
 ``U[t] <= U[s] + lam[s] * (omega * px[s, t] - px[s, s])``.  Both constructions
-are verified against their inequality systems before being returned.  Each
-is read off the one O(T^3) closure that decided its verdict; the witness
-search of a failing test runs only to give :class:`InfeasibleAxiomError`
-its witness.
+are verified against their inequality systems before being returned.  The
+homothetic multipliers are read off one O(T^3) Karp table in O(T^2) when
+that table certifies the panel, and off the closure that decided the verdict
+otherwise; the acyclicity numbers are read off the one boolean closure that
+decided theirs.  The witness search of a failing test runs only to give
+:class:`InfeasibleAxiomError` its witness.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .axioms import GarpWitness, HarpWitness, _garp_violations, _garp_witness, _harp_verdict
-from .core import FloatArray, TradeStatistics, cross_value_matrix, validate_level
+from .axioms import AxiomVerdict, GarpWitness, HarpWitness, _garp_violations, _garp_witness, _harp_verdict
+from .core import FloatArray, TradeStatistics, cross_value_matrix, paasche_matrix, validate_level
+from .irrationality import SINGLE_PERIOD_HARP_INDEX
+from .semiring import FLOAT_SLACK, _karp_table, _longest_walks, _table_max_mean
 
 CERTIFICATE_RTOL = 1e-9
 
@@ -99,25 +104,83 @@ def verify_afriat_solution(sol: AfriatSolution, ts: TradeStatistics) -> None:
 
 def solve_harp_multipliers(ts: TradeStatistics, omega: float = 1.0, *,
                            tol: float = 0.0) -> HarpMultipliers:
-    """Multipliers from row maxima of the omega-scaled Paasche closure.
+    """Multipliers from the longest walks out of each period in the omega-scaled Paasche graph.
 
     Requires the homotheticity test to pass at level omega; raises
-    :class:`InfeasibleAxiomError` with the violating cycle otherwise.  The
-    multipliers are read off the same closure the verdict was decided on, so
-    one O(T^3) closure serves both.  The output is normalised so the first
-    period's multiplier is one, making the dual price index a
-    base-period-one series.
+    :class:`InfeasibleAxiomError` with the violating cycle otherwise.  A
+    panel that Karp's table certifies gets ``lam[t]`` as at least one and at
+    least every walk product out of t, read off that table in O(T^2) (see
+    :func:`_harp_certificate`); any other panel is decided by the closure
+    of :func:`~konus.check_harp`, whose row maxima give the multipliers.
+    The output is normalised so the first period's multiplier is one,
+    making the dual price index a base-period-one series.
     """
-    verdict, closure = _harp_verdict(ts, omega, tol)
-    if not verdict.satisfied:
+    _, verdict, lm = _harp_certificate(ts, omega, tol)
+    if lm is None:
         raise InfeasibleAxiomError(
             f"homotheticity fails at omega={omega}; no multipliers exist", verdict.witness
         )
-    lam = np.maximum(1.0, closure.max(axis=1))
-    lam = lam / lam[0]
-    lm = HarpMultipliers(lam=lam, omega=omega)
-    verify_harp_multipliers(lm, ts)
     return lm
+
+
+def _harp_certificate(ts: TradeStatistics, omega: float,
+                      tol: float) -> tuple[float, AxiomVerdict, HarpMultipliers | None]:
+    """The homothetic index of ``ts``, the homotheticity verdict at omega and tol, and the multipliers on a pass.
+
+    One Karp table of the Paasche logs ``w = log C`` (diagonal excluded)
+    gives the index ``exp(mu)``, bit for bit :func:`~konus.harp_irrationality`
+    (one for a single period), from its maximum cycle mean ``mu``.  The
+    table certifies the panel when
+    ``n * max(0, mu + err - log(omega)) <= log1p(FLOAT_SLACK)``, with
+    ``err = 2 n eps max|w|`` and ``eps = 2**-52``: ``err`` bounds mu's
+    rounding error, so no cycle of at most n periods then has a product
+    above ``omega**k * (1 + FLOAT_SLACK)``, and the test passes at any tol.
+    The worst term of Karp's formula, ``d[n, v] - d[k, v]`` at
+    ``n - k = 1``, is a difference of two walk sums of at most 2n terms
+    together; each term carries two roundings, its log's and the addition
+    that appends it, each within ``eps / 2`` of ``max|w|`` while the
+    partial walk sums stay within ``max|w|``.  They do on the panels where
+    the bound decides, those with a cycle mean near ``log(omega)`` and
+    telescoping walks; a panel with ``mu`` well below ``log(omega)``
+    certifies whatever the bound.  The bound stops being covered near
+    ``n = (log1p(FLOAT_SLACK) / (2 eps max|w|)) ** 0.5``, about
+    ``47 / max|w| ** 0.5`` periods on a single-good panel, whose cycle
+    products are all one; beyond that, such a panel falls back to the
+    closure (ROADMAP item 4).
+
+    A certified panel's multipliers are ``max(1, longest walk)`` out of
+    each period at level omega, from ``semiring._longest_walks`` on the
+    same table, normalised by the first and verified.  They agree with the
+    closure's row maxima to a relative
+    ``4 n**2 eps (1 + max|w| + |log(omega)|)``: each of the at most n edges
+    of a walk is reweighted by potentials of fewer than n edges, so its
+    rounding is within ``n eps (max|w| + |log(omega)|)``, and the closure's
+    products carry at most ``n eps``.  Measured, they agree to within 24
+    units in the last place at 400 periods.  Any other panel gets the
+    verdict, witness and multipliers of the closure path,
+    ``axioms._harp_verdict``, unchanged.
+    """
+    validate_level(omega, tol)
+    n = ts.num_periods
+    logs = np.log(paasche_matrix(cross_value_matrix(ts)))
+    bound = max(float(logs.max()), -float(logs.min()))  # the diagonal's zeros change neither
+    np.fill_diagonal(logs, -np.inf)
+    table = _karp_table(logs)
+    mean = _table_max_mean(table)
+    index = float(np.exp(mean)) if n >= 2 else SINGLE_PERIOD_HARP_INDEX
+    err = 2.0 * n * np.finfo(float).eps * bound
+    log_level = math.log(omega)
+    if n * max(0.0, mean + err - log_level) <= math.log1p(FLOAT_SLACK):
+        lam = np.maximum(1.0, _longest_walks(table, logs, log_level))
+        verdict = AxiomVerdict(satisfied=True, omega=omega)
+    else:
+        verdict, closure = _harp_verdict(ts, omega, tol)
+        if not verdict.satisfied:
+            return index, verdict, None
+        lam = np.maximum(1.0, closure.max(axis=1))
+    lm = HarpMultipliers(lam=lam / lam[0], omega=omega)
+    verify_harp_multipliers(lm, ts)
+    return index, verdict, lm
 
 
 def solve_afriat_numbers(ts: TradeStatistics, omega: float = 1.0, *,

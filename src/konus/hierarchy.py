@@ -6,7 +6,10 @@ series; an internal node replaces every child group by one composite good
 whose price is the child's price index and whose quantity is the child's
 consumption index, then runs the same analysis on the aggregated panel.  When
 a node and all of its descendants pass, the flat union of its goods is
-homothetically rationalizable with the composed indices.
+homothetically rationalizable with the composed indices.  Each analysed node
+builds one Karp table, which gives its homothetic index and, when it
+certifies the node, its multipliers; only a node it cannot certify closes
+its Paasche matrix as well.
 """
 
 from __future__ import annotations
@@ -17,9 +20,15 @@ from typing import Sequence
 
 import numpy as np
 
-from .afriat import IndexSeries, InfeasibleAxiomError, konus_divisia_series, solve_harp_multipliers
-from .core import GroupSelection, TradeDataError, TradeStatistics, restrict_to_group, trade_statistics
-from .irrationality import harp_irrationality
+from .afriat import IndexSeries, _harp_certificate, konus_divisia_series
+from .core import (
+    GroupSelection,
+    TradeDataError,
+    TradeStatistics,
+    restrict_to_group,
+    trade_statistics,
+    validate_level,
+)
 
 
 @dataclass(frozen=True)
@@ -181,16 +190,16 @@ def build_hierarchy(ts: TradeStatistics, tree: TreeNode, omega: float = 1.0) -> 
     Failed nodes are reported, not fatal; a parent whose child failed is
     marked ``blocked`` since its composite panel cannot be formed.
     """
+    validate_level(omega)
     validate_tree(ts, tree)
     _, subtree = _process_node(ts, tree, omega, depth=0)
     return HierarchyReport(nodes=tuple(subtree))
 
 
 def _analyse_panel(panel: TradeStatistics, omega: float):
-    omega_h = harp_irrationality(panel)
-    try:
-        lm = solve_harp_multipliers(panel, omega)
-    except InfeasibleAxiomError:
+    """Status, homothetic index and index series of one node's panel, from one Karp table."""
+    omega_h, _, lm = _harp_certificate(panel, omega, 0.0)
+    if lm is None:
         return "violated", omega_h, None
     return "ok", omega_h, konus_divisia_series(panel, lm)
 

@@ -196,23 +196,69 @@ def _karp_table(log_weights: FloatArray) -> FloatArray:
 
 
 def _karp_max_mean(log_weights: FloatArray) -> float:
-    """Karp's maximum mean cycle on a complete digraph given log edge weights.
+    """Karp's maximum mean cycle on a complete digraph given log edge weights, read off its table."""
+    return _table_max_mean(_karp_table(log_weights))
 
-    Over the finite entries of :func:`_karp_table`, the answer is
-    ``max_v min_k (d[n, v] - d[k, v]) / (n - k)``.  The final scan is one
-    array expression over the whole table: each ratio is the same
-    subtraction and division as an entry-by-entry loop, and min and max do
-    not depend on the order they are taken in, so the result is
-    bit-identical to it.
+
+def _table_max_mean(d: FloatArray) -> float:
+    """Karp's maximum mean cycle read off a table ``d[n + 1, n]`` of :func:`_karp_table`.
+
+    Over the finite entries of the table, the answer is
+    ``max_v min_k (d[n, v] - d[k, v]) / (n - k)``.  The scan is one array
+    expression over the whole table: each ratio is the same subtraction and
+    division as an entry-by-entry loop, and min and max do not depend on
+    the order they are taken in, so the result is bit-identical to it.
     """
-    n = log_weights.shape[0]
-    d = _karp_table(log_weights)
+    n = d.shape[1]
     finite = np.isfinite(d[:n])
     with np.errstate(invalid="ignore"):  # -inf - -inf where d[n, v] is unreachable
         ratios = (d[n] - d[:n]) / np.arange(n, 0, -1)[:, np.newaxis]
     worst = np.where(finite, ratios, np.inf).min(axis=0)
     reached = np.isfinite(d[n]) & finite.any(axis=0)
     return float(worst[reached].max()) if reached.any() else -np.inf
+
+
+def _longest_walks(d: FloatArray, log_weights: FloatArray, log_level: float) -> FloatArray:
+    """Largest edge product over the walks of at least one edge out of each vertex, at level ``exp(log_level)``.
+
+    The walks run over the edges ``exp(log_weights[t, s] - log_level)``;
+    ``d`` is :func:`_karp_table` of ``log_weights``, and no cycle may have a
+    mean above ``log_level`` beyond rounding.  Then the potentials
+    ``D(v) = max_{k < n} d[k, v] - k * log_level``, the longest walks of
+    fewer than n edges from vertex 0, reweight every edge to
+    ``r[t, s] = (log_weights[t, s] + (D(t) - log_level)) - D(s)``, at most
+    zero up to rounding and clipped at zero (Johnson, J. ACM 24, 1977).
+    A walk's log weight is its reweighted sum plus ``D`` of its end minus
+    ``D`` of its start, so one dense Dijkstra toward a virtual sink, which
+    every vertex s enters at ``D(s)``, labels each vertex with
+    ``max(D(t), max_s r[t, s] + label(s))``, settling the largest open
+    label first.  Adding a weight that is at most zero never raises a
+    float, so the labels are the largest rounded walk values whatever
+    order ties are settled in.  The walks of at least one edge are then
+    ``exp(max_s (r[t, s] + label(s)) - D(t))``, the closure's row maxima
+    up to rounding.  O(n^2) in all, with the reweighted edges held
+    transposed, so that relaxing from a settled vertex reads one row.
+    """
+    n = log_weights.shape[0]
+    lengths = d[:n] if log_level == 0.0 else d[:n] - np.arange(n)[:, np.newaxis] * log_level
+    potentials = lengths.max(axis=0)
+    into = np.empty((n, n))  # into[s, t]: the edge t -> s, reweighted; C order, so a row is contiguous
+    np.add(log_weights.T, potentials - log_level, out=into)
+    np.subtract(into, potentials[:, np.newaxis], out=into)
+    np.minimum(into, 0.0, out=into)
+    labels = potentials.copy()
+    keys = potentials.copy()  # the labels of the open vertices, -inf once settled
+    open_ = np.ones(n, dtype=bool)
+    step = np.empty(n)
+    for _ in range(n):
+        s = int(keys.argmax())
+        keys[s] = -np.inf
+        open_[s] = False
+        np.add(into[s], labels[s], out=step)
+        np.maximum(labels, step, out=labels)  # a settled label is at least labels[s] >= step
+        np.maximum(keys, step, out=keys, where=open_)
+    np.add(into, labels[:, np.newaxis], out=into)
+    return np.exp(into.max(axis=0) - potentials)
 
 
 def max_cycle_geomean(matrix) -> float:

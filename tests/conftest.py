@@ -246,6 +246,33 @@ def karp_table_by_columns(log_weights):
     return d
 
 
+def longest_walks_by_loops(log_weights, log_level):
+    """Oracle of ``semiring._longest_walks`` with its own table, in Python floats, entry by entry.
+
+    The potentials are ``max_{k < n} d[k, v] - k * log_level``; each edge is
+    reweighted to ``min(0, (w[t, s] + (D(t) - log_level)) - D(s))``; the sink
+    labels come from Bellman-Ford rounds instead of Dijkstra, until none
+    changes; and each walk is ``exp(max_s (r[t, s] + label(s)) - D(t))``.
+    """
+    n = len(log_weights)
+    w = log_weights.tolist()
+    d = karp_table_by_columns(log_weights).tolist()
+    potentials = [max(d[k][v] - k * log_level for k in range(n)) for v in range(n)]
+    r = [[min(0.0, (w[t][s] + (potentials[t] - log_level)) - potentials[s]) for s in range(n)]
+         for t in range(n)]
+    labels = list(potentials)
+    changed = True
+    while changed:
+        changed = False
+        for t in range(n):
+            for s in range(n):
+                if r[t][s] + labels[s] > labels[t]:
+                    labels[t] = r[t][s] + labels[s]
+                    changed = True
+    best = [max(r[t][s] + labels[s] for s in range(n)) - potentials[t] for t in range(n)]
+    return np.exp(np.array(best))
+
+
 def karp_max_mean_by_loop(log_weights):
     """Karp oracle: the final ``max_v min_k`` scan as a loop over vertices and lengths."""
     n = log_weights.shape[0]

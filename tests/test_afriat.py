@@ -1,5 +1,7 @@
 """Certificate constructions, their inequality systems, and index evaluators."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, strategies as st
@@ -26,7 +28,13 @@ from konus import (
     verify_harp_multipliers,
 )
 
-from conftest import afriat_numbers_by_class_closures, closure_by_outer, count_closures, random_panel
+from conftest import (
+    afriat_numbers_by_class_closures,
+    closure_by_outer,
+    count_closures,
+    longest_walks_by_loops,
+    random_panel,
+)
 from test_witnesses import panels as witness_panels
 
 
@@ -260,29 +268,83 @@ def test_index_series_base_period_and_euler_identity():
     assert panels > 15
 
 
-@given(witness_panels(max_periods=12), st.floats(1.0, 1.5), st.sampled_from([0.0, 1e-9]))
-def test_multipliers_match_two_closure_path_bitwise(ts, slack, tol):
-    # the multipliers read off the verdict's closure equal those of a second, separate closure
-    omega = harp_irrationality(ts) * slack
-    lm = solve_harp_multipliers(ts, omega, tol=tol)
-    assert check_harp(ts, omega, tol=tol).satisfied
+def paasche_logs(ts):
+    """The log weights Karp's table of a panel is built on: ``log C``, diagonal excluded."""
+    logs = np.log(paasche_matrix(cross_value_matrix(ts)))
+    np.fill_diagonal(logs, -np.inf)
+    return logs
+
+
+def closure_multipliers(ts, omega, tol):
+    """The multipliers of the closure path: row maxima of the omega-scaled Paasche closure."""
     scaled = paasche_matrix(cross_value_matrix(ts)) / omega
     np.fill_diagonal(scaled, 0.0)
     values, diverged = closure_by_outer(scaled, tol=tol)
     assert not diverged
     lam = np.maximum(1.0, values.max(axis=1))
+    return lam / lam[0]
+
+
+def solve_counting_closures(ts, omega, tol):
+    """``solve_harp_multipliers`` and the number of max-times closures it built."""
+    with pytest.MonkeyPatch.context() as patch:
+        calls = count_closures(patch)
+        lm = solve_harp_multipliers(ts, omega, tol=tol)
+    return lm, len(calls)
+
+
+@given(witness_panels(max_periods=12), st.floats(1.0, 1.5), st.sampled_from([0.0, 1e-9]))
+def test_certified_multipliers_match_loop_oracle_bitwise(ts, slack, tol):
+    # at or above the index, Karp's table certifies these panels, and the multipliers are its longest
+    # walks out of each period, bit for bit those of the entry-by-entry oracle
+    omega = harp_irrationality(ts) * slack
+    lm, closures = solve_counting_closures(ts, omega, tol)
+    assert closures == 0
+    lam = np.maximum(1.0, longest_walks_by_loops(paasche_logs(ts), math.log(omega)))
     assert lm.lam.tobytes() == (lam / lam[0]).tobytes()
 
 
-def test_multipliers_build_one_closure(monkeypatch):
-    calls = count_closures(monkeypatch)
+@given(witness_panels(max_periods=10))
+def test_uncertified_multipliers_are_the_closure_row_maxima_bitwise(ts):
+    # just below the index the table cannot certify; the tolerance covers the closure's squaring of
+    # cycles a hair above one, so the closure passes, and its row maxima are the multipliers, bit for bit
+    omega = harp_irrationality(ts) * (1.0 - 1e-12)
+    lm, closures = solve_counting_closures(ts, omega, 1e-6)
+    assert closures == 1
+    assert lm.lam.tobytes() == closure_multipliers(ts, omega, 1e-6).tobytes()
+
+
+@given(witness_panels(max_periods=12), st.floats(1.0, 1.5), st.sampled_from([0.0, 1e-9]))
+@example(cobb_douglas_statistics(40, 6, 2), 1.001, 0.0)
+@example(cobb_douglas_statistics(40, 6, 2), 1.3, 0.0)
+def test_certified_multipliers_agree_with_closure_row_maxima(ts, slack, tol):
+    # the bound of afriat._harp_certificate: 4 n^2 eps (1 + max|log C| + |log omega|), relative
+    omega = harp_irrationality(ts) * slack
+    lm, closures = solve_counting_closures(ts, omega, tol)
+    assert closures == 0
+    logs = paasche_logs(ts)
+    n = ts.num_periods
+    bound = 4 * n * n * np.finfo(float).eps * (1.0 + np.abs(logs[np.isfinite(logs)]).max(initial=0.0)
+                                               + abs(math.log(omega)))
+    expected = closure_multipliers(ts, omega, tol)
+    assert np.all(np.abs(lm.lam / expected - 1.0) <= bound)
+
+
+def test_multipliers_build_one_table(monkeypatch):
+    tables = count_closures(monkeypatch, "_karp_table")
+    closures = count_closures(monkeypatch)
     for seed in range(4):
         ts = random_panel(np.random.default_rng(seed), T=6, m=3)
         omega = harp_irrationality(ts)
+        tables.clear()  # the index's own table
         solve_harp_multipliers(ts, omega)
+        assert (tables, closures) == ([6], [])  # certified: the table alone
+        tables.clear()
         with pytest.raises(InfeasibleAxiomError):
             solve_harp_multipliers(ts, omega * 0.9)
-    assert calls == [6] * 8
+        assert (tables, closures) == ([6], [6])  # failing: the closure decides, and the search runs
+        tables.clear()
+        closures.clear()
 
 
 def test_afriat_numbers_build_one_boolean_closure(monkeypatch):

@@ -237,6 +237,22 @@ def test_hierarchy_command(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_hierarchy_with_a_single_good_leaf(tmp_path, capsys):
+    # every cycle of a one-good panel has product one; Karp's table certifies the leaf at T=30
+    _write_files(tmp_path, _panel_files(cobb_douglas_statistics(30, 6, 3)))
+    tree = {"name": "root", "children": [{"name": "l1", "goods": ["g1"]},
+                                         {"name": "l2", "goods": ["g2", "g3", "g4", "g5", "g6"]}]}
+    (tmp_path / "tree.json").write_text(json.dumps(tree))
+    hdir = tmp_path / "hier"
+    code = main(["hierarchy", str(tmp_path / "prices.csv"), str(tmp_path / "quantities.csv"),
+                 "--tree", str(tmp_path / "tree.json"), "--out", str(hdir)])
+    assert code == 0
+    lines = (hdir / "hierarchy_nodes.csv").read_text().splitlines()
+    statuses = {line.split(",")[0]: line.split(",")[-1] for line in lines[1:]}
+    assert statuses == {"root": "ok", "l1": "ok", "l2": "ok"}
+    capsys.readouterr()
+
+
 def test_manifest_replay_reproduces_outputs(tmp_path, capsys):
     out = emit_fixture(tmp_path)
     fdir = tmp_path / "run"

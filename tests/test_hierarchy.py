@@ -12,6 +12,7 @@ from konus import (
     build_hierarchy,
     check_harp,
     cobb_douglas_statistics,
+    harp_irrationality,
     konus_divisia_series,
     parse_partition_tree,
     random_statistics,
@@ -142,8 +143,6 @@ def test_failed_leaf_blocks_parent_but_everything_reported():
     assert not report.root.implies_flat_harp
 
 
-@pytest.mark.xfail(strict=True, raises=RuntimeError,
-                   reason="closure rounding compounds past FLOAT_SLACK on telescoping panels")
 def test_single_good_leaf_is_analysed():
     # a one-good panel telescopes: every cycle product is exactly one
     ts = cobb_douglas_statistics(30, 6, 3)
@@ -196,19 +195,41 @@ def test_render_tree_mentions_all_nodes(appendix_panel_half):
     assert "status=" in text
 
 
-def test_each_analysed_node_builds_one_closure(monkeypatch):
-    calls = count_closures(monkeypatch)
+def test_each_analysed_node_builds_one_table(monkeypatch):
+    tables = count_closures(monkeypatch, "_karp_table")
+    closures = count_closures(monkeypatch)
     ts = cobb_douglas_statistics(8, 6, seed=3)
     tree = TreeNode("root", (TreeNode("a", (), ("g1", "g2")), TreeNode("b", (), ("g3", "g4", "g5"))),
                     ("g6",))
     report = build_hierarchy(ts, tree)
     assert [node.status for node in report.nodes] == ["ok"] * 3
-    assert len(calls) == 3
-    calls.clear()
+    assert (tables, closures) == ([8] * 3, [])  # certified: one table per node, no closure
+    tables.clear()
     prices = np.array([[1.0, 2.0, 1.0], [2.0, 1.0, 1.0]])
     quantities = np.array([[1.0, 1.0, 1.0], [2.0, 1.0, 1.0]])
     ts = trade_statistics(prices, quantities)  # goods 1-2 form the failing pair
     tree = TreeNode("root", (TreeNode("bad", (), ("g1", "g2")), TreeNode("solo", (), ("g3",))), ())
     report = build_hierarchy(ts, tree)
     assert [node.status for node in report.nodes] == ["blocked", "violated", "ok"]
-    assert len(calls) == 2  # blocked nodes build none
+    assert (tables, closures) == ([2, 2], [2])  # the failing node's closure decides; blocked nodes build none
+
+
+def test_node_index_is_harp_irrationality_bitwise():
+    tree = TreeNode("root", (TreeNode("a", (), ("g1", "g2")), TreeNode("b", (), ("g3",))), ("g4",))
+    for seed in range(10):
+        for ts in (cobb_douglas_statistics(12, 4, seed=seed), random_statistics(12, 4, seed=seed),
+                   cobb_douglas_statistics(1, 4, seed=seed)):
+            for node in build_hierarchy(ts, tree).nodes:
+                if node.statistics is not None:
+                    assert np.float64(node.omega_h).tobytes() == np.float64(
+                        harp_irrationality(node.statistics)).tobytes()
+
+
+@pytest.mark.parametrize("omega", [np.nan, np.inf, -np.inf, 0.0, -1.0])
+def test_invalid_level_is_refused_before_any_table(monkeypatch, omega):
+    tables = count_closures(monkeypatch, "_karp_table")
+    ts = cobb_douglas_statistics(8, 6, seed=3)
+    tree = TreeNode("root", (TreeNode("a", (), ("g1", "g2")),), ("g3",))
+    with pytest.raises(ValueError, match="omega must be finite and positive"):
+        build_hierarchy(ts, tree, omega)
+    assert tables == []
