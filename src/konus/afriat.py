@@ -5,9 +5,9 @@ Passing the homotheticity test yields positive multipliers ``lam`` with
 the acyclicity test yields utility levels and multipliers ``(U, lam)`` with
 ``U[t] <= U[s] + lam[s] * (omega * px[s, t] - px[s, s])``.  Both constructions
 are verified against their inequality systems before being returned.  The
-homothetic multipliers are read off one O(T^3) Karp table in O(T^2) when
-that table certifies the panel, and off the closure that decided the verdict
-otherwise; the acyclicity numbers are read off the one boolean closure that
+homothetic multipliers of every passing panel are read off one O(T^3) Karp
+table in O(T^2), whether that table or ``axioms._harp_verdict`` decided the
+verdict; the acyclicity numbers are read off the one boolean closure that
 decided theirs.  The witness search of a failing test runs only to give
 :class:`InfeasibleAxiomError` its witness.
 """
@@ -20,9 +20,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .axioms import AxiomVerdict, GarpWitness, HarpWitness, _garp_violations, _garp_witness, _harp_verdict
-from .core import FloatArray, TradeStatistics, cross_value_matrix, paasche_matrix, validate_level
-from .irrationality import SINGLE_PERIOD_HARP_INDEX
-from .semiring import FLOAT_SLACK, _karp_table, _longest_walks, _table_max_mean
+from .core import FloatArray, TradeStatistics, cross_value_matrix, validate_level
+from .irrationality import _harp_index
+from .semiring import FLOAT_SLACK, _longest_walks
 
 CERTIFICATE_RTOL = 1e-9
 
@@ -80,7 +80,7 @@ def verify_harp_multipliers(lm: HarpMultipliers, ts: TradeStatistics) -> None:
     if not np.all(ok):
         t, s = np.argwhere(~ok)[0]
         raise CertificateError(
-            f"multiplier system violated at pair ({t}, {s}): {lhs[t, s]} < {rhs[t, s]}"
+            f"multiplier system violated at pair ({t}, {s}): {lhs[t, s]} < {rhs[0, s]}"
         )
 
 
@@ -108,10 +108,9 @@ def solve_harp_multipliers(ts: TradeStatistics, omega: float = 1.0, *,
 
     Requires the homotheticity test to pass at level omega; raises
     :class:`InfeasibleAxiomError` with the violating cycle otherwise.  A
-    panel that Karp's table certifies gets ``lam[t]`` as at least one and at
-    least every walk product out of t, read off that table in O(T^2) (see
-    :func:`_harp_certificate`); any other panel is decided by the closure
-    of :func:`~konus.check_harp`, whose row maxima give the multipliers.
+    passing panel gets ``lam[t]`` as at least one and at least every walk
+    product out of t, read off Karp's table in O(T^2) (see
+    :func:`_harp_certificate`).
     The output is normalised so the first period's multiplier is one,
     making the dual price index a base-period-one series.
     """
@@ -127,10 +126,10 @@ def _harp_certificate(ts: TradeStatistics, omega: float,
                       tol: float) -> tuple[float, AxiomVerdict, HarpMultipliers | None]:
     """The homothetic index of ``ts``, the homotheticity verdict at omega and tol, and the multipliers on a pass.
 
-    One Karp table of the Paasche logs ``w = log C`` (diagonal excluded)
-    gives the index ``exp(mu)``, bit for bit :func:`~konus.harp_irrationality`
-    (one for a single period), from its maximum cycle mean ``mu``.  The
-    table certifies the panel when
+    One Karp table of the Paasche logs ``w = log C`` (diagonal excluded),
+    from ``irrationality._harp_index``, gives the index ``exp(mu)`` of
+    :func:`~konus.harp_irrationality` from its maximum cycle mean ``mu``.
+    The table certifies the panel when
     ``n * max(0, mu + err - log(omega)) <= log1p(FLOAT_SLACK)``, with
     ``err = 2 n eps max|w|`` and ``eps = 2**-52``: ``err`` bounds mu's
     rounding error, so no cycle of at most n periods then has a product
@@ -145,39 +144,26 @@ def _harp_certificate(ts: TradeStatistics, omega: float,
     certifies whatever the bound.  The bound stops being covered near
     ``n = (log1p(FLOAT_SLACK) / (2 eps max|w|)) ** 0.5``, about
     ``47 / max|w| ** 0.5`` periods on a single-good panel, whose cycle
-    products are all one; beyond that, such a panel falls back to the
-    closure (ROADMAP item 4).
-
-    A certified panel's multipliers are ``max(1, longest walk)`` out of
-    each period at level omega, from ``semiring._longest_walks`` on the
-    same table, normalised by the first and verified.  They agree with the
-    closure's row maxima to a relative
-    ``4 n**2 eps (1 + max|w| + |log(omega)|)``: each of the at most n edges
-    of a walk is reweighted by potentials of fewer than n edges, so its
-    rounding is within ``n eps (max|w| + |log(omega)|)``, and the closure's
-    products carry at most ``n eps``.  Measured, they agree to within 24
-    units in the last place at 400 periods.  Any other panel gets the
-    verdict, witness and multipliers of the closure path,
+    products are all one.  Any other panel gets the verdict and witness of
     ``axioms._harp_verdict``, unchanged.
+
+    Every passing panel's multipliers are ``max(1, longest walk)`` out of
+    each period at level omega, from ``semiring._longest_walks`` on the
+    same table, normalised by the first and verified.  Those walks need no
+    cycle above ``omega**k`` beyond rounding, as the table or the verdict
+    has just found; a positive tol admits cycles a hair above, and the
+    verification may then raise ``CertificateError``.
     """
     validate_level(omega, tol)
+    index, mean, logs, table = _harp_index(ts)
     n = ts.num_periods
-    logs = np.log(paasche_matrix(cross_value_matrix(ts)))
-    bound = max(float(logs.max()), -float(logs.min()))  # the diagonal's zeros change neither
-    np.fill_diagonal(logs, -np.inf)
-    table = _karp_table(logs)
-    mean = _table_max_mean(table)
-    index = float(np.exp(mean)) if n >= 2 else SINGLE_PERIOD_HARP_INDEX
-    err = 2.0 * n * np.finfo(float).eps * bound
+    err = 2.0 * n * np.finfo(float).eps * np.abs(logs).max(where=np.isfinite(logs), initial=0.0)
     log_level = math.log(omega)
-    if n * max(0.0, mean + err - log_level) <= math.log1p(FLOAT_SLACK):
-        lam = np.maximum(1.0, _longest_walks(table, logs, log_level))
-        verdict = AxiomVerdict(satisfied=True, omega=omega)
-    else:
-        verdict, closure = _harp_verdict(ts, omega, tol)
-        if not verdict.satisfied:
-            return index, verdict, None
-        lam = np.maximum(1.0, closure.max(axis=1))
+    certified = n * max(0.0, mean + err - log_level) <= math.log1p(FLOAT_SLACK)
+    verdict = AxiomVerdict(satisfied=True, omega=omega) if certified else _harp_verdict(ts, omega, tol)[0]
+    if not verdict.satisfied:
+        return index, verdict, None
+    lam = np.maximum(1.0, _longest_walks(table, logs, log_level))
     lm = HarpMultipliers(lam=lam / lam[0], omega=omega)
     verify_harp_multipliers(lm, ts)
     return index, verdict, lm

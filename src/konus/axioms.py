@@ -3,7 +3,8 @@
 Both tests consume only the cross-value matrix.  The acyclicity test builds
 the direct revealed-preference relation at level omega and inspects its
 transitive closure; the homotheticity test bounds cycle products of the
-Paasche matrix by powers of omega via a max-times closure.
+Paasche matrix by powers of omega via a max-times closure, or where it
+diverges the exact cycle search.
 """
 
 from __future__ import annotations
@@ -269,16 +270,16 @@ def _inserted_verdicts(base: _Insertion, rows: FloatArray) -> tuple[np.ndarray, 
 
 def _harp_verdict(ts: TradeStatistics, omega: float,
                   tol: float) -> tuple[AxiomVerdict, FloatArray | None]:
-    """Homotheticity verdict at one level, with the closure it was read from on success.
+    """Homotheticity verdict at one level, with the closure that decided it, or ``None``.
 
     The closure is the max-times closure of the omega-scaled Paasche matrix
-    with its diagonal zeroed.  On failure there is none: ``None`` is
-    returned in its place, and the verdict carries the shortest violating
-    cycle.  ``_scaled_paasche`` has checked that matrix, so it goes to the
-    trusted kernels with no further scan: a copy to ``semiring._closure``,
-    and on divergence the original to ``semiring._shortest_cycle``.  The
-    verdict, cycle and product are those of :func:`~konus.maxtimes_closure`
-    and :func:`~konus.semiring.shortest_cycle_above` on it, bit for bit.
+    with its diagonal zeroed.  If it diverges, the cycle search at the same
+    bound decides, and no cycle is a pass.  ``_scaled_paasche`` has checked
+    that matrix, so it goes to the trusted kernels with no further scan: a
+    copy to ``semiring._closure``, and on divergence the original to
+    ``semiring._shortest_cycle``.  The closure, cycle and product are those
+    of :func:`~konus.maxtimes_closure` and
+    :func:`~konus.semiring.shortest_cycle_above` on it, bit for bit.
     """
     validate_level(omega, tol)
     px = cross_value_matrix(ts)
@@ -286,10 +287,9 @@ def _harp_verdict(ts: TradeStatistics, omega: float,
     closure = _closure(scaled.copy(), tol)
     if closure is not None:
         return AxiomVerdict(satisfied=True, omega=omega), closure
-    bound = (1.0 + tol) * (1.0 + FLOAT_SLACK)
-    cycle = _shortest_cycle(scaled, bound)
-    if cycle is None:  # rounding alone can diverge the closure at exact-one cycles (ROADMAP item 4)
-        raise RuntimeError("homotheticity violation detected but no cycle recovered")
+    cycle = _shortest_cycle(scaled, (1.0 + tol) * (1.0 + FLOAT_SLACK))
+    if cycle is None:
+        return AxiomVerdict(satisfied=True, omega=omega), None
     product = 1.0
     with np.errstate(over="ignore"):  # a violating product may overflow to inf
         for a, b in zip(cycle, cycle[1:] + cycle[:1]):
@@ -301,9 +301,13 @@ def _harp_verdict(ts: TradeStatistics, omega: float,
 def check_harp(ts: TradeStatistics, omega: float = 1.0, *, tol: float = 0.0) -> AxiomVerdict:
     """Test the homotheticity axiom at efficiency level omega.
 
-    Satisfied iff the max-times closure of the omega-scaled Paasche matrix
-    (diagonal excluded) keeps all diagonal entries at most one, equivalently
-    iff no admissible cycle has geometric mean above omega.  ``tol`` is an
-    additive slack on the omega-normalised cycle products.
+    Satisfied iff no admissible k-cycle has a Paasche product above
+    ``omega**k * (1 + tol) * (1 + FLOAT_SLACK)``.  The test passes in O(T^3)
+    if the max-times closure of the omega-scaled Paasche matrix (diagonal
+    excluded) keeps its diagonal within that bound; otherwise the exact
+    shortest-cycle search decides, and its cycle is the witness.  Rounding
+    alone can diverge the closure where cycle products are exactly one, as
+    on any single-good panel; the search then finds no cycle in O(T^4),
+    about 0.14 s at 100 periods and 2.0 s at 200 on a 2-core machine.
     """
     return _harp_verdict(ts, omega, tol)[0]

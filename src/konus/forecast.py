@@ -114,7 +114,8 @@ def gamma_coefficients(ts: TradeStatistics, omega: float, price_new) -> Forecast
     off the closure that decided the homotheticity verdict: that one leaves
     out the self-loops, whose weight ``1 / omega <= 1`` can raise only the
     diagonal, so restoring the diagonal to at least ``1 / omega`` gives it
-    bit for bit.
+    bit for bit.  A pass the cycle search decided, the closure diverged by
+    rounding at exact-one cycles, has no closure and raises ``RuntimeError``.
     """
     validate_level(omega)
     if omega < 1.0:
@@ -126,6 +127,8 @@ def gamma_coefficients(ts: TradeStatistics, omega: float, price_new) -> Forecast
             f"homotheticity fails at omega={omega}; the forecasting cone is undefined",
             verdict.witness,
         )
+    if closure is None:
+        raise RuntimeError(f"homotheticity holds at omega={omega}, but rounding diverged the cone's closure")
     paths = closure.copy()
     np.fill_diagonal(paths, np.maximum(paths.diagonal(), 1.0 / omega))
     new_values = _cross_values(price_new[np.newaxis], ts.quantities)[0]  # <price_new, X^t>

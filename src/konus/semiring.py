@@ -195,11 +195,6 @@ def _karp_table(log_weights: FloatArray) -> FloatArray:
     return d
 
 
-def _karp_max_mean(log_weights: FloatArray) -> float:
-    """Karp's maximum mean cycle on a complete digraph given log edge weights, read off its table."""
-    return _table_max_mean(_karp_table(log_weights))
-
-
 def _table_max_mean(d: FloatArray) -> float:
     """Karp's maximum mean cycle read off a table ``d[n + 1, n]`` of :func:`_karp_table`.
 
@@ -277,7 +272,7 @@ def max_cycle_geomean(matrix) -> float:
         raise NoAdmissibleCycleError(f"no admissible cycle of length >= 2 in a {n}x{n} matrix")
     log_weights = np.log(arr)
     np.fill_diagonal(log_weights, -np.inf)
-    mean = _karp_max_mean(log_weights)
+    mean = _table_max_mean(_karp_table(log_weights))
     if not np.isfinite(mean):
         raise NoAdmissibleCycleError("no cycle reachable in cycle search")
     return float(np.exp(mean))

@@ -9,6 +9,7 @@ from hypothesis import assume, example, given, strategies as st
 from konus import (
     AfriatSolution,
     CertificateError,
+    HarpMultipliers,
     InfeasibleAxiomError,
     check_garp,
     check_harp,
@@ -59,6 +60,17 @@ def test_multipliers_infeasible(two_period_panel):
         solve_harp_multipliers(two_period_panel, 1.0)
     assert err.value.witness is not None
     assert err.value.witness.cycle == (0, 1)
+
+
+def test_multiplier_check_names_a_violated_pair_past_the_first_row():
+    ts = cobb_douglas_statistics(5, 3, seed=2)
+    lam = solve_harp_multipliers(ts).lam.copy()
+    lam[1] *= 1e-6  # period 1's inequality against period 0 now fails; row 0 still holds
+    px = cross_value_matrix(ts)
+    with pytest.raises(CertificateError) as raised:
+        verify_harp_multipliers(HarpMultipliers(lam=lam, omega=1.0), ts)
+    lhs, rhs = 1.0 * lam[1] * px[1, 0], lam[0] * px[0, 0]
+    assert str(raised.value) == f"multiplier system violated at pair (1, 0): {lhs} < {rhs}"
 
 
 def test_multipliers_sound_on_random_panels():
@@ -305,13 +317,15 @@ def test_certified_multipliers_match_loop_oracle_bitwise(ts, slack, tol):
 
 
 @given(witness_panels(max_periods=10))
-def test_uncertified_multipliers_are_the_closure_row_maxima_bitwise(ts):
+def test_uncertified_multipliers_are_the_longest_walks_bitwise(ts):
     # just below the index the table cannot certify; the tolerance covers the closure's squaring of
-    # cycles a hair above one, so the closure passes, and its row maxima are the multipliers, bit for bit
+    # cycles a hair above one, so the closure decides the verdict, and the multipliers are still the
+    # table's longest walks, bit for bit those of the entry-by-entry oracle
     omega = harp_irrationality(ts) * (1.0 - 1e-12)
     lm, closures = solve_counting_closures(ts, omega, 1e-6)
     assert closures == 1
-    assert lm.lam.tobytes() == closure_multipliers(ts, omega, 1e-6).tobytes()
+    lam = np.maximum(1.0, longest_walks_by_loops(paasche_logs(ts), math.log(omega)))
+    assert lm.lam.tobytes() == (lam / lam[0]).tobytes()
 
 
 @given(witness_panels(max_periods=12), st.floats(1.0, 1.5), st.sampled_from([0.0, 1e-9]))

@@ -18,6 +18,7 @@ from konus.cli import RunManifest, _panel_files, _write_files, main
 from konus.forecast import CounterexampleFixture, intersection_demands
 
 from conftest import planted_cycle_panel, replace_everywhere
+from test_axioms import telescoping_panel
 
 TWO_PERIOD_PRICES = "period,g1,g2\nt1,1,2\nt2,2,1\n"
 TWO_PERIOD_QUANTITIES = "period,g1,g2\nt1,1,1\nt2,2,1\n"
@@ -250,6 +251,33 @@ def test_hierarchy_with_a_single_good_leaf(tmp_path, capsys):
     lines = (hdir / "hierarchy_nodes.csv").read_text().splitlines()
     statuses = {line.split(",")[0]: line.split(",")[-1] for line in lines[1:]}
     assert statuses == {"root": "ok", "l1": "ok", "l2": "ok"}
+    capsys.readouterr()
+
+
+def test_test_command_passes_a_telescoping_panel(tmp_path, capsys):
+    # rounding alone diverges the closure on this panel; the cycle search finds no violating cycle
+    _write_files(tmp_path, _panel_files(telescoping_panel(40, 4, 0)))
+    code = main(["test", str(tmp_path / "prices.csv"), str(tmp_path / "quantities.csv"),
+                 "--axiom", "harp", "--out", str(tmp_path / "verdict")])
+    assert code == 0
+    lines = (tmp_path / "verdict" / "verdicts.csv").read_text().splitlines()
+    assert lines[1].split(",")[:3] == ["harp", "1.0", "satisfied"]
+    capsys.readouterr()
+
+
+def test_hierarchy_with_single_good_leaves_beyond_the_table_bound(tmp_path, capsys):
+    # the leaves g4 and g5 (max|log C| 2.5 and 2.9) are too long for Karp's table to certify;
+    # the closure diverges on them, and the cycle search passes them
+    _write_files(tmp_path, _panel_files(cobb_douglas_statistics(30, 6, 3)))
+    tree = {"name": "root", "children": [{"name": "l4", "goods": ["g4"]}, {"name": "l5", "goods": ["g5"]}]}
+    (tmp_path / "tree.json").write_text(json.dumps(tree))
+    hdir = tmp_path / "hier"
+    code = main(["hierarchy", str(tmp_path / "prices.csv"), str(tmp_path / "quantities.csv"),
+                 "--tree", str(tmp_path / "tree.json"), "--out", str(hdir)])
+    assert code == 0
+    lines = (hdir / "hierarchy_nodes.csv").read_text().splitlines()
+    statuses = {line.split(",")[0]: line.split(",")[-1] for line in lines[1:]}
+    assert statuses["l4"] == statuses["l5"] == "ok"
     capsys.readouterr()
 
 

@@ -34,6 +34,7 @@ from conftest import (
     random_panel,
     shortest_cycle_by_cube,
 )
+from test_axioms import telescoping_panel
 from test_core import panels_and_new_rows
 
 UNIT_PRICE = np.array([1.0, 1.0, 1.0])
@@ -112,6 +113,15 @@ def test_gamma_rejects_omega_below_one_before_any_closure(monkeypatch):
     with pytest.raises(ValueError, match="omega must be at least 1"):
         gamma_coefficients(ts, 0.5, np.array([1.0, 1.0, 1.0]))
     assert calls == []
+
+
+@pytest.mark.xfail(strict=True, raises=RuntimeError,
+                   reason="the cone is read off the max-times closure, which rounding diverges at "
+                          "exact-one cycles (ROADMAP item 4)")
+def test_gamma_on_telescoping_panel():
+    ts = telescoping_panel(40, 4, 0)
+    assert check_harp(ts).satisfied
+    assert np.all(gamma_coefficients(ts, 1.0, np.ones(4)).gamma > 0.0)
 
 
 def test_gamma_positive():

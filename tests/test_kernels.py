@@ -21,7 +21,7 @@ from konus import (
 from konus import forecast
 from konus.forecast import VERTEX_ENUMERATION_MAX_DIM, LinearConstraint, PolytopeDescription
 from konus import semiring
-from konus.semiring import _karp_max_mean, _karp_table, maxtimes_closure
+from konus.semiring import _karp_table, _table_max_mean, maxtimes_closure
 
 from conftest import (
     closure_by_outer,
@@ -68,7 +68,7 @@ def closure_inputs(draw):
 
 @given(log_weight_tables())
 def test_karp_scan_matches_loop_bitwise(weights):
-    assert np.float64(_karp_max_mean(weights)).tobytes() == np.float64(
+    assert np.float64(_table_max_mean(_karp_table(weights))).tobytes() == np.float64(
         karp_max_mean_by_loop(weights)).tobytes()
 
 

@@ -482,11 +482,13 @@ def single_good_panel(T):
     return trade_statistics(np.exp(rng.normal(0.0, 0.3, (T, 1))), np.exp(rng.normal(0.0, 0.3, (T, 1))))
 
 
-# From T=20 on, closure rounding compounds past FLOAT_SLACK on these panels and every trial
-# reads as a HARP failure, silently (ROADMAP item 4).
+# From T=20 on, closure rounding compounds past FLOAT_SLACK on these panels; the stacked
+# closure and the size trials' base closure still read that divergence as a HARP failure, and
+# every trial fails, silently (ROADMAP item 4).
 SINGLE_GOOD_SIZES = [10] + [
     pytest.param(T, marks=pytest.mark.xfail(strict=True, raises=AssertionError,
-                                            reason="closure rounding at exact-one cycles (ROADMAP item 4)"))
+                                            reason="the stacked closure reads divergence at exact-one "
+                                                   "cycles as failure (ROADMAP item 4)"))
     for T in (20, 40)]
 
 

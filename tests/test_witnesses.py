@@ -18,14 +18,16 @@ from konus import (
     harp_irrationality,
     paasche_matrix,
     random_statistics,
+    solve_harp_multipliers,
     trade_statistics,
+    verify_harp_multipliers,
 )
 from konus import semiring
 from konus.axioms import _garp_violations, _harp_verdict, _scaled_paasche
 from konus.semiring import FLOAT_SLACK, maxtimes_closure, maxtimes_product, shortest_cycle_above
 
 from conftest import count_closures, garp_chain_by_pairs, planted_cycle_panel, shortest_cycle_by_cube
-from test_axioms import recheck_garp_witness, recheck_harp_witness
+from test_axioms import recheck_garp_witness, recheck_harp_witness, telescoping_panel
 
 # A coarse grid makes equal cross values, ties between chains and exact breakpoints common.
 GRID = st.sampled_from([0.5, 1.0, 1.5, 2.0, 3.0])
@@ -137,17 +139,61 @@ def test_harp_verdict_is_the_public_closure_then_search_bit_for_bit(case, tol):
     scaled = _scaled_paasche(px, omega)
     closure = maxtimes_closure(scaled, tol=tol)
     verdict = check_harp(ts, omega, tol=tol)
-    assert verdict.satisfied is (closure is not None)
     if closure is not None:
+        assert verdict.satisfied
         got = _harp_verdict(ts, omega, tol)[1]
         assert got.tobytes() == closure.tobytes() and not got.flags.writeable
         return
     cycle = shortest_cycle_above(scaled, (1.0 + tol) * (1.0 + FLOAT_SLACK))
+    assert verdict.satisfied is (cycle is None)  # a diverged closure with no cycle above the bound passes
+    if cycle is None:
+        assert _harp_verdict(ts, omega, tol)[1] is None
+        return
     product = 1.0
     for a, b in zip(cycle, cycle[1:] + cycle[:1]):
         product *= px[b, b] / px[a, b]
     assert verdict.witness.cycle == cycle
     assert verdict.witness.product == product and verdict.witness.omega == omega
+
+
+def harp_certifies_itself(ts, omega, tol):
+    """A pass at tol 0 gives multipliers the check accepts; a fail, a witness whose product exceeds the bound."""
+    verdict = check_harp(ts, omega, tol=tol)
+    if verdict.satisfied:
+        if tol == 0.0:
+            verify_harp_multipliers(solve_harp_multipliers(ts, omega), ts)
+        return
+    px = cross_value_matrix(ts)
+    cycle = verdict.witness.cycle
+    product = 1.0
+    for a, b in zip(cycle, cycle[1:] + cycle[:1]):
+        product *= px[b, b] / px[a, b]
+    assert product > omega ** len(cycle) * (1.0 + tol) * (1.0 + FLOAT_SLACK)
+
+
+NEAR_INDEX = [1.0 - 1e-9, 1.0 - 1e-12, 1.0, 1.0 + 1e-12]
+
+
+@given(panels() | planted_panels(), st.sampled_from(NEAR_INDEX), st.sampled_from([0.0, 1e-9]))
+def test_harp_verdict_certifies_itself(ts, factor, tol):
+    harp_certifies_itself(ts, harp_irrationality(ts) * factor, tol)
+
+
+def single_good_panel(T, seed):
+    rng = np.random.default_rng(seed)
+    return trade_statistics(np.exp(rng.normal(0.0, 0.3, (T, 1))), np.exp(rng.normal(0.0, 0.3, (T, 1))))
+
+
+@pytest.mark.parametrize("T", [20, 40])
+@pytest.mark.parametrize("panel", [single_good_panel, lambda T, seed: telescoping_panel(T, 4, seed)],
+                         ids=["single-good", "telescoping"])
+def test_harp_verdict_certifies_itself_on_exact_one_panels(panel, T):
+    # every cycle product is one, so the closure may diverge through rounding alone
+    for seed in range(2):
+        ts = panel(T, seed)
+        for factor in NEAR_INDEX:
+            for tol in (0.0, 1e-9):
+                harp_certifies_itself(ts, harp_irrationality(ts) * factor, tol)
 
 
 @given(panels_and_levels())
