@@ -14,15 +14,14 @@ decided theirs.  The witness search of a failing test runs only to give
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .axioms import AxiomVerdict, GarpWitness, HarpWitness, _garp_violations, _garp_witness, _harp_verdict
+from .axioms import (AxiomVerdict, GarpWitness, HarpWitness, _garp_violations, _garp_witness, _harp_verdict,
+                     _harp_walks)
 from .core import FloatArray, TradeStatistics, cross_value_matrix, validate_level
-from .irrationality import _harp_index
-from .semiring import FLOAT_SLACK, _longest_walks
+from .semiring import _longest_walks
 
 CERTIFICATE_RTOL = 1e-9
 
@@ -110,60 +109,41 @@ def solve_harp_multipliers(ts: TradeStatistics, omega: float = 1.0, *,
     :class:`InfeasibleAxiomError` with the violating cycle otherwise.  A
     passing panel gets ``lam[t]`` as at least one and at least every walk
     product out of t, read off Karp's table in O(T^2) (see
-    :func:`_harp_certificate`).
+    :func:`_harp_certificate`).  A positive tol admits cycles a hair above
+    ``omega**k``; where the multipliers then fail their check, the panel
+    holds only within tol, with the cycle of the test at tol 0 as witness.
     The output is normalised so the first period's multiplier is one,
     making the dual price index a base-period-one series.
     """
-    _, verdict, lm = _harp_certificate(ts, omega, tol)
+    validate_level(omega, tol)
+    try:
+        _, verdict, lm = _harp_certificate(ts, omega, tol)
+    except CertificateError as exc:
+        exact = _harp_verdict(cross_value_matrix(ts), omega, 0.0)
+        if exact.satisfied:
+            raise
+        raise InfeasibleAxiomError(f"homotheticity holds only within tol={tol}; "
+                                   f"no multipliers exist at omega={omega}", exact.witness) from exc
     if lm is None:
-        raise InfeasibleAxiomError(
-            f"homotheticity fails at omega={omega}; no multipliers exist", verdict.witness
-        )
+        raise InfeasibleAxiomError(f"homotheticity fails at omega={omega}; no multipliers exist",
+                                   verdict.witness)
     return lm
 
 
 def _harp_certificate(ts: TradeStatistics, omega: float,
                       tol: float) -> tuple[float, AxiomVerdict, HarpMultipliers | None]:
-    """The homothetic index of ``ts``, the homotheticity verdict at omega and tol, and the multipliers on a pass.
+    """The homothetic index of ``ts``, its homotheticity verdict at omega and tol, and multipliers on a pass.
 
-    One Karp table of the Paasche logs ``w = log C`` (diagonal excluded),
-    from ``irrationality._harp_index``, gives the index ``exp(mu)`` of
-    :func:`~konus.harp_irrationality` from its maximum cycle mean ``mu``.
-    The table certifies the panel when
-    ``n * max(0, mu + err - log(omega)) <= log1p(FLOAT_SLACK)``, with
-    ``err = 2 n eps max|w|`` and ``eps = 2**-52``: ``err`` bounds mu's
-    rounding error, so no cycle of at most n periods then has a product
-    above ``omega**k * (1 + FLOAT_SLACK)``, and the test passes at any tol.
-    The worst term of Karp's formula, ``d[n, v] - d[k, v]`` at
-    ``n - k = 1``, is a difference of two walk sums of at most 2n terms
-    together; each term carries two roundings, its log's and the addition
-    that appends it, each within ``eps / 2`` of ``max|w|`` while the
-    partial walk sums stay within ``max|w|``.  They do on the panels where
-    the bound decides, those with a cycle mean near ``log(omega)`` and
-    telescoping walks; a panel with ``mu`` well below ``log(omega)``
-    certifies whatever the bound.  The bound stops being covered near
-    ``n = (log1p(FLOAT_SLACK) / (2 eps max|w|)) ** 0.5``, about
-    ``47 / max|w| ** 0.5`` periods on a single-good panel, whose cycle
-    products are all one.  Any other panel gets the verdict and witness of
-    ``axioms._harp_verdict``, unchanged.
-
-    Every passing panel's multipliers are ``max(1, longest walk)`` out of
-    each period at level omega, from ``semiring._longest_walks`` on the
-    same table, normalised by the first and verified.  Those walks need no
-    cycle above ``omega**k`` beyond rounding, as the table or the verdict
-    has just found; a positive tol admits cycles a hair above, and the
-    verification may then raise ``CertificateError``.
+    ``axioms._harp_walks`` gives the index and the verdict off one Karp
+    table.  Every passing panel's multipliers are ``max(1, longest walk)``
+    out of each period at level omega, read off the same table by
+    ``semiring._longest_walks``, normalised by the first and verified:
+    ``CertificateError`` if a positive tol admitted cycles above ``omega**k``.
     """
-    validate_level(omega, tol)
-    index, mean, logs, table = _harp_index(ts)
-    n = ts.num_periods
-    err = 2.0 * n * np.finfo(float).eps * np.abs(logs).max(where=np.isfinite(logs), initial=0.0)
-    log_level = math.log(omega)
-    certified = n * max(0.0, mean + err - log_level) <= math.log1p(FLOAT_SLACK)
-    verdict = AxiomVerdict(satisfied=True, omega=omega) if certified else _harp_verdict(ts, omega, tol)[0]
-    if not verdict.satisfied:
+    index, verdict, walks = _harp_walks(cross_value_matrix(ts), omega, tol)
+    if walks is None:
         return index, verdict, None
-    lam = np.maximum(1.0, _longest_walks(table, logs, log_level))
+    lam = np.maximum(1.0, np.exp(_longest_walks(*walks, 0.0)))
     lm = HarpMultipliers(lam=lam / lam[0], omega=omega)
     verify_harp_multipliers(lm, ts)
     return index, verdict, lm

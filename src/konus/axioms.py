@@ -4,31 +4,21 @@ Both tests consume only the cross-value matrix.  The acyclicity test builds
 the direct revealed-preference relation at level omega and inspects its
 transitive closure; the homotheticity test bounds cycle products of the
 Paasche matrix by powers of omega via a max-times closure, or where it
-diverges the exact cycle search.
+diverges the exact cycle search.  The closure only decides verdicts: every
+walk value is read off one Karp table of the Paasche logs.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (
-    FloatArray,
-    TradeDataError,
-    TradeStatistics,
-    cross_value_matrix,
-    paasche_matrix,
-    validate_level,
-)
-from .semiring import (
-    FLOAT_SLACK,
-    _closure,
-    _relax,
-    _shortest_cycle,
-    _warshall,
-    boolean_closure,
-)
+from .core import (FloatArray, TradeDataError, TradeStatistics, cross_value_matrix, paasche_matrix,
+                   validate_level)
+from .semiring import (FLOAT_SLACK, _closure, _karp_table, _longest_walks, _relax, _reweight, _shortest_cycle,
+                       _table_max_mean, _warshall, boolean_closure)
 
 
 @dataclass(frozen=True)
@@ -203,9 +193,10 @@ class _Insertion:
     to b closes a violation, because the reflexive base closure leads from
     b to some period whose closing comparison fails against the new period
     or against a base period that reaches it.  ``weights[b] = px[b, b] *
-    max_a M̄[b, a] / px[a, n]``, with ``M̄ = max(M, I)`` and M the base's
-    homotheticity closure, or ``None`` if M diverges or the base's Paasche
-    matrix is invalid (then ``paasche_matrix`` raises on every batch first).
+    max(1 / px[b, n], max_a W[b, a] / px[a, n])``, W the best Paasche walk
+    products of the base, off its Karp table (:func:`_harp_walks`); ``None``
+    if the base fails homotheticity or its Paasche matrix is invalid (then
+    ``paasche_matrix`` raises on every batch first).
     """
 
     px: FloatArray  # [T, T]; each trial replaces its last row
@@ -216,7 +207,7 @@ class _Insertion:
 
 
 def _insertion_base(px: FloatArray) -> _Insertion:
-    """The base closures of :func:`_inserted_verdicts`, computed once for any number of trials."""
+    """The base of :func:`_inserted_verdicts`, computed once for any number of trials."""
     n = len(px) - 1
     base, column, diag = px[:n, :n], px[:n, n], px.diagonal()[:n]
     _, closure, bad = _garp_violations(base, 1.0, 0.0)
@@ -225,15 +216,14 @@ def _insertion_base(px: FloatArray) -> _Insertion:
     # [a, b]: the closing comparison px[b, b] <= px[b, a] fails, as in _garp_violations
     closing_fails = diag[np.newaxis, :] > base.T
     heads = (into_new[:, np.newaxis] & closing_fails).any(axis=0) | (diag > column)
-    weights = None
-    try:
-        paths = _scaled_paasche(base, 1.0)
-        diverged = _relax(paths, 1.0 + FLOAT_SLACK)
-    except TradeDataError:
-        diverged = True
-    if not diverged:
-        np.fill_diagonal(paths, np.maximum(paths.diagonal(), 1.0))  # M̄ = max(M, I)
-        weights = diag * (paths / column).max(axis=1, initial=0.0)
+    weights = np.empty(0)  # a one-period panel's base is empty, and so is its price cone
+    if n:
+        try:
+            walks = _harp_walks(base, 1.0, 0.0)[2]
+        except TradeDataError:
+            walks = None
+        weights = None if walks is None else diag * np.maximum(
+            1.0 / column, np.exp(_longest_walks(*walks, -np.log(column))))
     return _Insertion(px=px, garp_fails=bool(bad.any()), into_new=into_new,
                       dooms=(reach & heads).any(axis=1), weights=weights)
 
@@ -250,9 +240,9 @@ def _inserted_verdicts(base: _Insertion, rows: FloatArray) -> tuple[np.ndarray, 
     ``P <= 1`` is the paper's ``p . q_n <= kappa_b p . q_b`` for every b,
     with ``kappa_b = 1 / weights[b]``.  A trial passes iff
     ``P * P <= 1 + FLOAT_SLACK``, the tie rule of ``semiring._relax``, whose
-    last pivot squares the same P.  Computed from the same factors in
-    another order, at most T + 1 of them, the two can differ only when
-    ``P * P`` is within about ``4 (T + 1) u`` (u = 2**-53) of the threshold.
+    last pivot squares the closure's P.  The weights come off Karp's table,
+    so the two can differ within their rounding of the threshold, and where
+    rounding alone diverges the stacked closure, which fails the trial.
     """
     # the panels with the least and the largest new cross values hold each extreme Paasche
     # entry of the batch (division is monotone), so paasche_matrix raises what the batch would
@@ -268,34 +258,71 @@ def _inserted_verdicts(base: _Insertion, rows: FloatArray) -> tuple[np.ndarray, 
     return ~garp_fails, cone * cone <= 1.0 + FLOAT_SLACK
 
 
-def _harp_verdict(ts: TradeStatistics, omega: float,
-                  tol: float) -> tuple[AxiomVerdict, FloatArray | None]:
-    """Homotheticity verdict at one level, with the closure that decided it, or ``None``.
+def _harp_verdict(px: FloatArray, omega: float, tol: float) -> AxiomVerdict:
+    """:func:`check_harp` of a cross-value matrix, bit for bit: the closure, then the cycle search.
 
-    The closure is the max-times closure of the omega-scaled Paasche matrix
-    with its diagonal zeroed.  If it diverges, the cycle search at the same
-    bound decides, and no cycle is a pass.  ``_scaled_paasche`` has checked
-    that matrix, so it goes to the trusted kernels with no further scan: a
-    copy to ``semiring._closure``, and on divergence the original to
-    ``semiring._shortest_cycle``.  The closure, cycle and product are those
-    of :func:`~konus.maxtimes_closure` and
-    :func:`~konus.semiring.shortest_cycle_above` on it, bit for bit.
+    ``_scaled_paasche`` has checked the matrix, so the trusted kernels get it unscanned: a copy
+    to ``semiring._closure``, and on divergence the original to ``semiring._shortest_cycle``.
     """
-    validate_level(omega, tol)
-    px = cross_value_matrix(ts)
     scaled = _scaled_paasche(px, omega)
-    closure = _closure(scaled.copy(), tol)
-    if closure is not None:
-        return AxiomVerdict(satisfied=True, omega=omega), closure
+    if _closure(scaled.copy(), tol) is not None:
+        return AxiomVerdict(satisfied=True, omega=omega)
     cycle = _shortest_cycle(scaled, (1.0 + tol) * (1.0 + FLOAT_SLACK))
     if cycle is None:
-        return AxiomVerdict(satisfied=True, omega=omega), None
+        return AxiomVerdict(satisfied=True, omega=omega)
     product = 1.0
     with np.errstate(over="ignore"):  # a violating product may overflow to inf
         for a, b in zip(cycle, cycle[1:] + cycle[:1]):
             product *= px[b, b] / px[a, b]  # the Paasche entry C[a, b]
-    witness = HarpWitness(cycle=cycle, product=product, omega=omega)
-    return AxiomVerdict(satisfied=False, omega=omega, witness=witness), None
+    return AxiomVerdict(satisfied=False, omega=omega,
+                        witness=HarpWitness(cycle=cycle, product=product, omega=omega))
+
+
+def _harp_index(px: FloatArray) -> tuple[float, float, FloatArray, FloatArray]:
+    """The homothetic index of ``px`` and what it is read off: ``(index, mean, logs, table)``.
+
+    ``logs`` is ``log C`` with a ``-inf`` diagonal, ``table`` its Karp table and ``mean`` its maximum
+    cycle mean; ``index`` is ``exp(mean)`` as :func:`~konus.max_cycle_geomean` reads it, bit for bit.
+    """
+    logs = paasche_matrix(px)
+    np.log(logs, out=logs)
+    np.fill_diagonal(logs, -np.inf)
+    table = _karp_table(logs)
+    mean = _table_max_mean(table)
+    index = float(np.exp(mean)) if len(px) >= 2 else 1.0  # one period: every level is consistent
+    return index, mean, logs, table
+
+
+def _harp_walks(px: FloatArray, omega: float, tol: float):
+    """``(index, verdict, walks)`` of ``px``: its homothetic index, verdict at omega and tol, walks on a pass.
+
+    The Karp table of :func:`_harp_index`, with ``w = log C`` and maximum
+    cycle mean ``mu``, certifies the panel when
+    ``n * max(0, mu + err - log(omega)) <= log1p(FLOAT_SLACK)``, with
+    ``err = 2 n eps max|w|`` and ``eps = 2**-52``: ``err`` bounds mu's
+    rounding error, so no cycle of at most n periods then has a product
+    above ``omega**k * (1 + FLOAT_SLACK)``, and the test passes at any tol.
+    The worst term of Karp's formula, ``d[n, v] - d[k, v]`` at
+    ``n - k = 1``, is a difference of two walk sums of at most 2n terms
+    together; each term carries two roundings, its log's and the addition
+    that appends it, each within ``eps / 2`` of ``max|w|`` while the
+    partial walk sums stay within ``max|w|``.  They do on the panels where
+    the bound decides, those with a cycle mean near ``log(omega)`` and
+    telescoping walks; a panel with ``mu`` well below ``log(omega)``
+    certifies whatever the bound.  The bound stops being covered near
+    ``n = (log1p(FLOAT_SLACK) / (2 eps max|w|)) ** 0.5``, about
+    ``47 / max|w| ** 0.5`` periods on a single-good panel, whose cycle
+    products are all one.  Any other panel gets :func:`_harp_verdict`.  On a
+    pass, ``walks`` is ``semiring._reweight`` of the same table at level
+    omega, which ``semiring._longest_walks`` reads every walk value off.
+    """
+    index, mean, logs, table = _harp_index(px)
+    n = len(px)
+    err = 2.0 * n * np.finfo(float).eps * np.abs(logs).max(where=np.isfinite(logs), initial=0.0)
+    log_level = math.log(omega)
+    certified = n * max(0.0, mean + err - log_level) <= math.log1p(FLOAT_SLACK)
+    verdict = AxiomVerdict(satisfied=True, omega=omega) if certified else _harp_verdict(px, omega, tol)
+    return index, verdict, _reweight(table, logs, log_level) if verdict.satisfied else None
 
 
 def check_harp(ts: TradeStatistics, omega: float = 1.0, *, tol: float = 0.0) -> AxiomVerdict:
@@ -310,4 +337,5 @@ def check_harp(ts: TradeStatistics, omega: float = 1.0, *, tol: float = 0.0) -> 
     on any single-good panel; the search then finds no cycle in O(T^4),
     about 0.14 s at 100 periods and 2.0 s at 200 on a 2-core machine.
     """
-    return _harp_verdict(ts, omega, tol)[0]
+    validate_level(omega, tol)
+    return _harp_verdict(cross_value_matrix(ts), omega, tol)

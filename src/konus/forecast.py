@@ -2,20 +2,22 @@
 
 Given a panel passing the homotheticity test at level omega and a new price
 vector, the admissible demand vectors form a polyhedral cone cut out by one
-linear inequality per observed period.  The cone coefficients come from the
-omega-discounted closure of the Paasche matrix, the one that decided the
-homotheticity verdict.  The size of the acyclicity- and homotheticity-based
-forecasting sets is measured by the fraction of random unit price vectors
-that keep the panel consistent.  A trial redraws only the last period's
-price p and is decided from its new row of cross values alone, against
-the closures of the other periods, computed once per run.  Acyclicity
-makes the comparisons of the full test.  Homotheticity is the dual of the
-cone above, the paper's linear inequalities with the last bundle q_n
-fixed: the trial passes iff ``P * P <= 1 + FLOAT_SLACK``, where
-``P = max_b p.q_n / (kappa_b p.q_b)``, squared as the full closure's last
-pivot squares it; the two may differ only within about ``4 (T + 1)`` ulp
-of that threshold.  The new rows come from ``core._cross_values``, and may
-round a few ulp away from the row ``cross_value_matrix`` computes.  Trial
+linear inequality per observed period.  The cone coefficients are the
+longest omega-discounted Paasche walks into each period, read off the Karp
+table that decided the homotheticity verdict.  The size of the acyclicity-
+and homotheticity-based forecasting sets is measured by the fraction of
+random unit price vectors that keep the panel consistent.  A trial redraws
+only the last period's price p and is decided from its new row of cross
+values alone, against the relation closure and the Karp table of the other
+periods, computed once per run.  Acyclicity makes the comparisons of the
+full test.  Homotheticity is the dual of the cone above, the paper's linear
+inequalities with the last bundle q_n fixed: the trial passes iff
+``P * P <= 1 + FLOAT_SLACK``, where ``P = max_b p.q_n / (kappa_b p.q_b)``,
+squared as the full closure's last pivot squares it; the two may differ
+only within rounding of that threshold, and where rounding alone diverges
+the closure at exact-one cycles.  The new rows come from
+``core._cross_values``, and may round a few ulp away from the row
+``cross_value_matrix`` computes.  Trial
 b draws its price from ``np.random.default_rng((seed, b))``, bit for bit;
 ``_mc.trial_streams`` derives these a batch at a time and yields one
 reused generator, so each trial's price is drawn before the next trial's
@@ -38,7 +40,7 @@ from ._mc import batch_size, count_trials, trial_streams
 from .axioms import (
     _Insertion,
     _garp_satisfied,
-    _harp_verdict,
+    _harp_walks,
     _inserted_verdicts,
     _insertion_base,
 )
@@ -52,6 +54,7 @@ from .core import (
     trade_statistics,
     validate_level,
 )
+from .semiring import _longest_walks
 
 VERTEX_ENUMERATION_MAX_DIM = 4
 # Relative slack of the feasibility test in vertex enumeration; ten times it merges vertices.
@@ -106,34 +109,28 @@ class PolytopeDescription:
 
 
 def gamma_coefficients(ts: TradeStatistics, omega: float, price_new) -> ForecastCone:
-    """Cone coefficients ``gamma[s] = min_t omega^2 / closure[t, s] * <price_new, X^t> / px[t, t]``.
+    """Cone coefficients ``gamma[s] = omega^2 / max(a[s] / omega, max_t a[t] * W[t, s])``.
 
-    ``closure`` is the max-times closure of the omega-discounted Paasche
-    matrix, diagonal included: a walk with ``k`` intermediate indices
-    contributes ``omega ** -(k + 1)`` times its Paasche product.  It is read
-    off the closure that decided the homotheticity verdict: that one leaves
-    out the self-loops, whose weight ``1 / omega <= 1`` can raise only the
-    diagonal, so restoring the diagonal to at least ``1 / omega`` gives it
-    bit for bit.  A pass the cycle search decided, the closure diverged by
-    rounding at exact-one cycles, has no closure and raises ``RuntimeError``.
+    Here ``a[t] = px[t, t] / <price_new, X^t>``, and ``W[t, s]`` is the
+    largest Paasche product of a walk from t to s with ``k`` intermediate
+    indices times ``omega ** -(k + 1)``; the self-loop ``1 / omega`` gives
+    the first term.  The walks into each s, entered at ``log a``, are read
+    off the Karp table that decided the homotheticity verdict, in O(T^2).
     """
     validate_level(omega)
     if omega < 1.0:
         raise ValueError("omega must be at least 1")
     price_new = _admissible_price(price_new, ts.num_goods)
-    verdict, closure = _harp_verdict(ts, omega, 0.0)
-    if not verdict.satisfied:
+    px = cross_value_matrix(ts)
+    _, verdict, walks = _harp_walks(px, omega, 0.0)
+    if walks is None:
         raise InfeasibleAxiomError(
             f"homotheticity fails at omega={omega}; the forecasting cone is undefined",
             verdict.witness,
         )
-    if closure is None:
-        raise RuntimeError(f"homotheticity holds at omega={omega}, but rounding diverged the cone's closure")
-    paths = closure.copy()
-    np.fill_diagonal(paths, np.maximum(paths.diagonal(), 1.0 / omega))
-    new_values = _cross_values(price_new[np.newaxis], ts.quantities)[0]  # <price_new, X^t>
-    numerators = omega * omega * new_values / ts.expenditures()
-    gamma = (numerators[:, np.newaxis] / paths).min(axis=0)
+    potentials, into = walks
+    a = px.diagonal() / _cross_values(price_new[np.newaxis], ts.quantities)[0]  # <price_new, X^t>
+    gamma = omega * omega / np.maximum(a / omega, np.exp(_longest_walks(-potentials, into.T, np.log(a))))
     return ForecastCone(omega=omega, price_new=price_new, gamma=gamma, prices=ts.prices)
 
 
@@ -281,13 +278,14 @@ def _size_batch(ts: TradeStatistics, base: _Insertion, seed: int, trials: range)
     """``(garp_ok, harp_ok)`` rows of the size trials in ``trials``.
 
     Each trial redraws the last period's price p and tests both axioms at
-    level one on its new row alone, through the closures of the first T - 1
-    periods that ``base`` holds (``axioms._inserted_verdicts``): the
-    comparisons of the full acyclicity test, and the price cone's
-    ``P * P <= 1 + FLOAT_SLACK`` for homotheticity, which can differ from
-    the full closure's verdict only within about ``4 (T + 1)`` ulp of that
-    threshold.  One ``core._cross_values`` call forms every new row of the
-    batch, which may round a few ulp away from the full panel's row.
+    level one on its new row alone, through what ``base`` holds of the
+    first T - 1 periods (``axioms._inserted_verdicts``): the comparisons of
+    the full acyclicity test, and the price cone's ``P * P <= 1 +
+    FLOAT_SLACK`` for homotheticity, which can differ from the full
+    closure's verdict only within rounding of that threshold, or where
+    rounding alone diverges that closure.  One ``core._cross_values`` call
+    forms every new row of the batch, which may round a few ulp away from
+    the full panel's row.
     """
     prices = np.empty((len(trials), 1, ts.num_goods))
     for price, rng in zip(prices, trial_streams((seed,), trials)):

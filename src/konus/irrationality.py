@@ -14,27 +14,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from .axioms import _garp_satisfied
-from .core import FloatArray, TradeStatistics, cross_value_matrix, paasche_matrix
-from .semiring import _karp_table, _table_max_mean, _warshall
-
-# Level reported for a single observation, where no admissible cycle exists
-# and every positive level is consistent with homotheticity.
-SINGLE_PERIOD_HARP_INDEX = 1.0
-
-
-def _harp_index(ts: TradeStatistics) -> tuple[float, float, FloatArray, FloatArray]:
-    """The homothetic index of ``ts`` and what it is read off: ``(index, mean, logs, table)``.
-
-    ``logs`` is ``log C`` with a ``-inf`` diagonal, ``table`` its Karp table and ``mean`` its maximum
-    cycle mean; ``index`` is ``exp(mean)`` as :func:`~konus.max_cycle_geomean` reads it, bit for bit.
-    """
-    logs = np.log(paasche_matrix(cross_value_matrix(ts)))
-    np.fill_diagonal(logs, -np.inf)
-    table = _karp_table(logs)
-    mean = _table_max_mean(table)
-    index = float(np.exp(mean)) if ts.num_periods >= 2 else SINGLE_PERIOD_HARP_INDEX
-    return index, mean, logs, table
+from .axioms import _garp_satisfied, _harp_index
+from .core import TradeStatistics, cross_value_matrix
+from .semiring import _warshall
 
 
 def harp_irrationality(ts: TradeStatistics) -> float:
@@ -44,7 +26,7 @@ def harp_irrationality(ts: TradeStatistics) -> float:
     value, and the infimum is always attained.  For a single period the
     conventional value one is returned.
     """
-    return _harp_index(ts)[0]
+    return _harp_index(cross_value_matrix(ts))[0]
 
 
 def garp_irrationality(ts: TradeStatistics) -> tuple[float, bool]:

@@ -82,7 +82,8 @@ def _relax(values: FloatArray, threshold: float):
     the best cycle through k over the vertices before it.  When the first
     T - 1 vertices did not diverge, that square at the last pivot decides
     the verdict, which is why a size trial of ``axioms._inserted_verdicts``
-    passes iff its price cone's ``P * P`` is at most ``threshold``.
+    compares its price cone's ``P * P`` with ``threshold``; its P is read
+    off Karp's table of the first T - 1 vertices, not off this loop.
     """
     stacked = values.ndim == 3
     live = np.arange(len(values)) if stacked else None
@@ -200,49 +201,60 @@ def _table_max_mean(d: FloatArray) -> float:
 
     Over the finite entries of the table, the answer is
     ``max_v min_k (d[n, v] - d[k, v]) / (n - k)``.  The scan is one array
-    expression over the whole table: each ratio is the same subtraction and
-    division as an entry-by-entry loop, and min and max do not depend on
-    the order they are taken in, so the result is bit-identical to it.
+    expression over the whole table, in one buffer: each ratio is the same
+    subtraction and division as an entry-by-entry loop, and min and max do
+    not depend on their order, so the result is bit-identical to it.
     """
     n = d.shape[1]
     finite = np.isfinite(d[:n])
     with np.errstate(invalid="ignore"):  # -inf - -inf where d[n, v] is unreachable
-        ratios = (d[n] - d[:n]) / np.arange(n, 0, -1)[:, np.newaxis]
-    worst = np.where(finite, ratios, np.inf).min(axis=0)
+        ratios = np.subtract(d[n], d[:n])
+        ratios /= np.arange(n, 0, -1)[:, np.newaxis]
+    np.copyto(ratios, np.inf, where=~finite)
+    worst = ratios.min(axis=0)
     reached = np.isfinite(d[n]) & finite.any(axis=0)
     return float(worst[reached].max()) if reached.any() else -np.inf
 
 
-def _longest_walks(d: FloatArray, log_weights: FloatArray, log_level: float) -> FloatArray:
-    """Largest edge product over the walks of at least one edge out of each vertex, at level ``exp(log_level)``.
+def _reweight(d: FloatArray, log_weights: FloatArray, log_level: float) -> tuple[FloatArray, FloatArray]:
+    """Potentials ``D`` and reweighted edges of ``log_weights - log_level``, for :func:`_longest_walks`.
 
-    The walks run over the edges ``exp(log_weights[t, s] - log_level)``;
     ``d`` is :func:`_karp_table` of ``log_weights``, and no cycle may have a
     mean above ``log_level`` beyond rounding.  Then the potentials
     ``D(v) = max_{k < n} d[k, v] - k * log_level``, the longest walks of
     fewer than n edges from vertex 0, reweight every edge to
     ``r[t, s] = (log_weights[t, s] + (D(t) - log_level)) - D(s)``, at most
-    zero up to rounding and clipped at zero (Johnson, J. ACM 24, 1977).
-    A walk's log weight is its reweighted sum plus ``D`` of its end minus
-    ``D`` of its start, so one dense Dijkstra toward a virtual sink, which
-    every vertex s enters at ``D(s)``, labels each vertex with
-    ``max(D(t), max_s r[t, s] + label(s))``, settling the largest open
-    label first.  Adding a weight that is at most zero never raises a
-    float, so the labels are the largest rounded walk values whatever
-    order ties are settled in.  The walks of at least one edge are then
-    ``exp(max_s (r[t, s] + label(s)) - D(t))``, the closure's row maxima
-    up to rounding.  O(n^2) in all, with the reweighted edges held
-    transposed, so that relaxing from a settled vertex reads one row.
+    zero up to rounding and clipped at zero (Johnson, J. ACM 24, 1977):
+    a walk's log weight is its reweighted sum plus ``D`` of its end minus
+    ``D`` of its start.  The first n rows of ``d`` become ``into[s, t] =
+    r[t, s]``, in C order, so the table's memory holds them.
     """
     n = log_weights.shape[0]
-    lengths = d[:n] if log_level == 0.0 else d[:n] - np.arange(n)[:, np.newaxis] * log_level
-    potentials = lengths.max(axis=0)
-    into = np.empty((n, n))  # into[s, t]: the edge t -> s, reweighted; C order, so a row is contiguous
+    into = d[:n]
+    into -= np.arange(n)[:, np.newaxis] * log_level  # subtracting zero changes no bit
+    potentials = into.max(axis=0)
     np.add(log_weights.T, potentials - log_level, out=into)
     np.subtract(into, potentials[:, np.newaxis], out=into)
     np.minimum(into, 0.0, out=into)
-    labels = potentials.copy()
-    keys = potentials.copy()  # the labels of the open vertices, -inf once settled
+    return potentials, into
+
+
+def _longest_walks(potentials: FloatArray, into: FloatArray, entry) -> FloatArray:
+    """Log of the best walk of >= 1 edge out of each vertex, ending at s with extra weight ``entry[s]``.
+
+    ``(potentials, into)`` come from :func:`_reweight`; reversing a walk
+    keeps its reweighted sum, so ``(-potentials, into.T)`` gives the walks
+    into each vertex, entry weight at their start.  One dense Dijkstra
+    toward a virtual sink entered at ``D(s) + entry[s]`` labels each t with
+    ``max(D(t) + entry[t], max_s r[t, s] + label(s))``, settling the largest
+    open label first and relaxing from it along one row of ``into``.  Adding
+    a weight at most zero never raises a float, so the labels are the
+    largest rounded walk values whatever order ties are settled in.  The
+    walks are ``max_s (r[t, s] + label(s)) - D(t)``.  O(n^2); overwrites ``into``.
+    """
+    n = len(potentials)
+    labels = potentials + entry
+    keys = labels.copy()  # the labels of the open vertices, -inf once settled
     open_ = np.ones(n, dtype=bool)
     step = np.empty(n)
     for _ in range(n):
@@ -253,7 +265,7 @@ def _longest_walks(d: FloatArray, log_weights: FloatArray, log_level: float) -> 
         np.maximum(labels, step, out=labels)  # a settled label is at least labels[s] >= step
         np.maximum(keys, step, out=keys, where=open_)
     np.add(into, labels[:, np.newaxis], out=into)
-    return np.exp(into.max(axis=0) - potentials)
+    return into.max(axis=0) - potentials
 
 
 def max_cycle_geomean(matrix) -> float:

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import contextlib
+import math
 import sys
 from collections import deque
 from itertools import combinations
@@ -26,7 +27,7 @@ from konus import (
     semiring,
     trade_statistics,
 )
-from konus.axioms import _garp_satisfied
+from konus.axioms import _garp_satisfied, _scaled_paasche
 from konus.core import FloatArray, validate_level
 from konus.forecast import CounterexampleFixture
 from konus.semiring import FLOAT_SLACK, _as_square, _canonical_rotation
@@ -246,13 +247,15 @@ def karp_table_by_columns(log_weights):
     return d
 
 
-def longest_walks_by_loops(log_weights, log_level):
-    """Oracle of ``semiring._longest_walks`` with its own table, in Python floats, entry by entry.
+def longest_walks_by_loops(log_weights, log_level, entry=0.0, reverse=False):
+    """Oracle of ``semiring._reweight`` then ``semiring._longest_walks``, with its own table, in Python floats.
 
     The potentials are ``max_{k < n} d[k, v] - k * log_level``; each edge is
-    reweighted to ``min(0, (w[t, s] + (D(t) - log_level)) - D(s))``; the sink
-    labels come from Bellman-Ford rounds instead of Dijkstra, until none
-    changes; and each walk is ``exp(max_s (r[t, s] + label(s)) - D(t))``.
+    reweighted to ``min(0, (w[t, s] + (D(t) - log_level)) - D(s))``.  For
+    walks into each vertex (``reverse``) the reweighted edges are transposed
+    and the potentials negated.  The sink labels start at ``D(t) +
+    entry[t]`` and come from Bellman-Ford rounds instead of Dijkstra, until
+    none changes; each walk is ``exp(max_s (r[t, s] + label(s)) - D(t))``.
     """
     n = len(log_weights)
     w = log_weights.tolist()
@@ -260,7 +263,10 @@ def longest_walks_by_loops(log_weights, log_level):
     potentials = [max(d[k][v] - k * log_level for k in range(n)) for v in range(n)]
     r = [[min(0.0, (w[t][s] + (potentials[t] - log_level)) - potentials[s]) for s in range(n)]
          for t in range(n)]
-    labels = list(potentials)
+    if reverse:
+        r = [list(column) for column in zip(*r)]
+        potentials = [-p for p in potentials]
+    labels = [p + e for p, e in zip(potentials, np.broadcast_to(entry, n).tolist())]
     changed = True
     while changed:
         changed = False
@@ -271,6 +277,51 @@ def longest_walks_by_loops(log_weights, log_level):
                     changed = True
     best = [max(r[t][s] + labels[s] for s in range(n)) - potentials[t] for t in range(n)]
     return np.exp(np.array(best))
+
+
+def insertion_weights_by_closure(px):
+    """The size trials' cone weights off the max-times closure M of the base, or ``None`` where M diverges.
+
+    ``weights[b] = px[b, b] * max_a M̄[b, a] / px[a, n]``, with ``M̄ = max(M, I)``
+    and ``n = T - 1``: the weights ``axioms._insertion_base`` read off the
+    closure before they were read off Karp's table.
+    """
+    n = len(px) - 1
+    column, diag = px[:n, n], px.diagonal()[:n]
+    paths = _scaled_paasche(px[:n, :n], 1.0)
+    if semiring._relax(paths, 1.0 + FLOAT_SLACK):
+        return None
+    np.fill_diagonal(paths, np.maximum(paths.diagonal(), 1.0))
+    return diag * (paths / column).max(axis=1, initial=0.0)
+
+
+def closure_bound(n, m, logs, omega, entry):
+    """Relative distance allowed between a walk value read off Karp's table and off the max-times closure.
+
+    Both are within their rounding of the exact largest walk product; with
+    ``u = eps / 2``, ``W = max|log C| + |log omega|`` and ``A = max|entry|``:
+
+    - the closure forms each entry as the product of two entries of the
+      pivot before, so it rounds a walk of at most ``2**n`` edges at most
+      ``2**n`` times, ``2**(n + 1) u`` with the scaled edges; a cycle in such
+      a walk may exceed ``omega**k`` by the index's error, at most
+      ``2 n eps`` per edge (``axioms._harp_walks``), ``2**n * 2 n eps W``;
+    - the table's potentials are sums of fewer than n edges, within
+      ``n**2 u W`` of exact, and clipping an edge's reweighted weight at
+      zero moves it by at most twice that; the logs, the reweighting (of
+      terms up to ``3 n W``) and the Dijkstra sums add at most
+      ``16 n u (1 + W + A)`` per edge of a settling-tree path of at most n
+      edges: ``n**3 eps W + 8 n**2 eps (1 + W + A)`` in log space, so
+      relative to first order;
+    - the cone's cross values against the new price and its own cross
+      values are dot products of m terms, each within ``m u``, formed once
+      each side in another order: ``4 m eps``; ``m = 0`` where both sides
+      read one cross-value matrix.
+    """
+    eps = np.finfo(float).eps
+    W = np.abs(logs[np.isfinite(logs)]).max(initial=0.0) + abs(math.log(omega))
+    A = np.abs(entry).max(initial=0.0)
+    return eps * (2.0 ** n * (2 + 2 * n * W) + n ** 3 * W + 8 * n * n * (1 + W + A) + 4 * m)
 
 
 def karp_max_mean_by_loop(log_weights):
@@ -622,8 +673,6 @@ def afriat_numbers_by_class_closures(ts, omega=1.0, tol=0.0):
 
 def simulate_price_paths_by_loop(ts, models, rng):
     """AR simulation oracle: one noise draw per good, then a loop per good, period and lag."""
-    import math
-
     from konus import log_relatives
 
     T = ts.num_periods

@@ -361,6 +361,22 @@ def test_multipliers_build_one_table(monkeypatch):
         closures.clear()
 
 
+def test_multipliers_within_tol_only_raise_infeasibility():
+    # a positive tol admits cycles a hair above omega**k, for which no multipliers exist: the
+    # request is infeasible, with the cycle of the test at tol 0, not an internal certificate error
+    rng = np.random.default_rng(2027)
+    for _ in range(40):
+        ts = random_panel(rng, max_T=12)
+        omega = harp_irrationality(ts) * (1.0 - 1e-8)
+        assert check_harp(ts, omega, tol=1e-6).satisfied
+        with pytest.raises(InfeasibleAxiomError) as raised:
+            solve_harp_multipliers(ts, omega, tol=1e-6)
+        assert str(raised.value) == f"homotheticity holds only within tol=1e-06; no multipliers exist at omega={omega}"
+        assert raised.value.witness == check_harp(ts, omega).witness is not None
+        with pytest.raises(InfeasibleAxiomError, match="^homotheticity fails at omega="):
+            solve_harp_multipliers(ts, omega * (1.0 - 1e-5), tol=1e-6)
+
+
 def test_afriat_numbers_build_one_boolean_closure(monkeypatch):
     calls = count_closures(monkeypatch, "boolean_closure")
     ts = cobb_douglas_statistics(40, 5, seed=4)

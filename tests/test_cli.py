@@ -178,6 +178,17 @@ def test_indices_command(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_indices_command_within_tol_only_exits_violated(tmp_path, capsys):
+    # the panel holds at tol 1e-6 just below its index, where no multipliers exist: exit 1, not 3
+    ts = random_statistics(6, 3, seed=5)
+    _write_files(tmp_path, _panel_files(ts))
+    omega = harp_irrationality(ts) * (1.0 - 1e-8)
+    code = main(["indices", str(tmp_path / "prices.csv"), str(tmp_path / "quantities.csv"),
+                 "--omega", repr(omega), "--tolerance", "1e-6", "--out", str(tmp_path / "i")])
+    assert code == 1
+    assert "axiom violated: homotheticity holds only within tol=1e-06" in capsys.readouterr().err
+
+
 def test_indices_command_rejects_inconsistent_panel(tmp_path, capsys):
     prices, quantities = write_two_period(tmp_path)
     assert main(["indices", prices, quantities, "--out", str(tmp_path / "i")]) == 1

@@ -44,13 +44,17 @@ from konus.forecast import _size_batch
 from conftest import (
     batches_of,
     closure_by_outer,
+    closure_bound,
     group_verdicts,
+    insertion_weights_by_closure,
+    longest_walks_by_loops,
     near_homothetic_panel,
     power_trial,
     simulate_price_paths_by_loop,
     size_trial,
     verdicts_by_trial,
 )
+from test_axioms import telescoping_panel
 
 pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
 
@@ -482,24 +486,75 @@ def single_good_panel(T):
     return trade_statistics(np.exp(rng.normal(0.0, 0.3, (T, 1))), np.exp(rng.normal(0.0, 0.3, (T, 1))))
 
 
-# From T=20 on, closure rounding compounds past FLOAT_SLACK on these panels; the stacked
-# closure and the size trials' base closure still read that divergence as a HARP failure, and
-# every trial fails, silently (ROADMAP item 4).
-SINGLE_GOOD_SIZES = [10] + [
+# From T=20 on, closure rounding compounds past FLOAT_SLACK on these panels; the power trials'
+# stacked closure still reads that divergence as a HARP failure, and every trial fails, silently
+# (ROADMAP item 4).  The size trials read their base's walks off Karp's table.
+SINGLE_GOOD_POWER_SIZES = [10] + [
     pytest.param(T, marks=pytest.mark.xfail(strict=True, raises=AssertionError,
-                                            reason="the stacked closure reads divergence at exact-one "
-                                                   "cycles as failure (ROADMAP item 4)"))
+                                            reason="the stacked closure of axioms._verdicts reads divergence "
+                                                   "at exact-one cycles as failure (ROADMAP item 4)"))
     for T in (20, 40)]
 
 
-@pytest.mark.parametrize("T", SINGLE_GOOD_SIZES)
+@pytest.mark.parametrize("T", SINGLE_GOOD_POWER_SIZES)
 def test_single_good_power_trials_reject_no_homotheticity(T):
     assert power_estimate(single_good_panel(T), 200, 1).harp_rejections == 0
 
 
-@pytest.mark.parametrize("T", SINGLE_GOOD_SIZES)
+@pytest.mark.parametrize("T", [10, 20, 40])
 def test_single_good_size_trials_all_pass_homotheticity(T):
     assert forecast_size_paired(single_good_panel(T), 200, 1)[1].hits == 200
+
+
+def test_telescoping_size_trials_all_pass_both_axioms():
+    # every period buys the same bundle, so every trial ties every comparison and every cycle is one
+    garp, harp = forecast_size_paired(telescoping_panel(40, 4, 0), 200, 7)
+    assert (garp.hits, harp.hits) == (200, 200)
+
+
+@st.composite
+def insertion_bases(draw):
+    """Cross-value matrices of 1..12 periods, mostly with a base that passes homotheticity at level one.
+
+    Cobb-Douglas panels are homothetic by construction, and over one good
+    every cycle product is one; bordered stacks' first matrices mostly fail.
+    """
+    T = draw(st.integers(1, 12))
+    ts = draw(st.builds(cobb_douglas_statistics, st.just(T), st.integers(1, 4), st.integers(0, 2 ** 16)))
+    return cross_value_matrix(ts) if draw(st.booleans()) else draw(bordered_stacks())[0]
+
+
+def base_logs(px):
+    """``log C`` of the base ``px[:n, :n]``, diagonal excluded, and its column ``px[:n, n]``."""
+    n = len(px) - 1
+    logs = np.log(paasche_matrix(px[:n, :n]))
+    np.fill_diagonal(logs, -np.inf)
+    return logs, px[:n, n]
+
+
+@given(insertion_bases())
+def test_insertion_weights_are_the_longest_walks_out_of_each_period_bitwise(px):
+    weights = _insertion_base(px).weights
+    if weights is None or len(px) == 1:  # the base fails homotheticity, or is empty
+        assert weights is None or weights.size == 0
+        return
+    logs, column = base_logs(px)
+    walks = longest_walks_by_loops(logs, 0.0, -np.log(column))
+    assert weights.tobytes() == (px.diagonal()[:-1] * np.maximum(1.0 / column, walks)).tobytes()
+
+
+@given(insertion_bases())
+def test_insertion_weights_agree_with_the_base_closure(px):
+    expected = insertion_weights_by_closure(px)
+    if expected is None:  # the base fails, or rounding alone diverged its closure
+        return
+    weights = _insertion_base(px).weights
+    if len(px) == 1:
+        assert weights.size == expected.size == 0
+        return
+    logs, column = base_logs(px)
+    bound = closure_bound(len(px) - 1, 0, logs, 1.0, np.log(column))
+    assert np.abs(weights / expected - 1.0).max() <= bound
 
 
 def _error(call):

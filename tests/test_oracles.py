@@ -4,6 +4,8 @@ Cycle oracles enumerate every index tuple, so panels stop at seven periods:
 eight would take 8**8 tuples, beyond the default oracle budget.
 """
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -22,7 +24,17 @@ from konus import (
     trade_statistics,
 )
 
-from conftest import brute_force_cycle_geomean, brute_force_harp, count_closures, gamma_by_omega_closure
+from konus.core import _cross_values
+
+from conftest import (
+    brute_force_cycle_geomean,
+    brute_force_harp,
+    closure_bound,
+    count_closures,
+    gamma_by_omega_closure,
+    longest_walks_by_loops,
+)
+from test_afriat import paasche_logs
 from test_witnesses import FINE, GRID, panels
 
 SCALES = st.sampled_from([1.0, 0.5, 2.0, 3.0])
@@ -90,19 +102,38 @@ def test_rescaled_panel_keeps_index_and_verdicts(ts, data):
     assert not check_harp(rescaled, omega_h * (1.0 - 1e-9)).satisfied
 
 
-@given(st.one_of(copied_panels(max_periods=11), panels(max_periods=11)),
-       st.sampled_from([1.0, 1.0 + 1e-9, 1.01, 1.3, 2.0]), st.data())
-def test_gamma_matches_separate_closure_bitwise(ts, factor, data):
+cones = (st.one_of(copied_panels(max_periods=11), panels(max_periods=11)),
+         st.sampled_from([1.0, 1.0 + 1e-9, 1.01, 1.3, 2.0]), st.data())
+
+
+def draw_cone(ts, factor, data):
+    """A level at or above the panel's index, a new price, the cone, and ``a[t] = px[t, t] / <price_new, X^t>``."""
     omega = max(1.0, harp_irrationality(ts)) * factor
     price_new = data.draw(arrays(float, ts.num_goods, elements=st.floats(0.2, 5.0)))
-    cone = gamma_coefficients(ts, omega, price_new)
-    assert cone.gamma.tobytes() == gamma_by_omega_closure(ts, omega, price_new).tobytes()
+    a = cross_value_matrix(ts).diagonal() / _cross_values(price_new[np.newaxis], ts.quantities)[0]
+    return omega, price_new, gamma_coefficients(ts, omega, price_new), a
 
 
-def test_gamma_builds_one_closure(monkeypatch):
-    calls = count_closures(monkeypatch)
+@given(*cones)
+def test_gamma_is_the_longest_walks_into_each_period_bitwise(ts, factor, data):
+    omega, _, cone, a = draw_cone(ts, factor, data)
+    walks = longest_walks_by_loops(paasche_logs(ts), math.log(omega), np.log(a), reverse=True)
+    assert cone.gamma.tobytes() == (omega * omega / np.maximum(a / omega, walks)).tobytes()
+
+
+@given(*cones)
+def test_gamma_agrees_with_a_separate_closure(ts, factor, data):
+    omega, price_new, cone, a = draw_cone(ts, factor, data)
+    bound = closure_bound(ts.num_periods, ts.num_goods, paasche_logs(ts), omega, np.log(a))
+    assert np.abs(cone.gamma / gamma_by_omega_closure(ts, omega, price_new) - 1.0).max() <= bound
+
+
+def test_gamma_builds_one_table(monkeypatch):
+    tables = count_closures(monkeypatch, "_karp_table")
+    closures = count_closures(monkeypatch)
     for seed in range(3):
         gamma_coefficients(cobb_douglas_statistics(40, 4, seed=seed), 1.0, [1.0, 2.0, 1.0, 0.5])
+    assert (tables, closures) == ([40] * 3, [])  # certified: the table alone
     with pytest.raises(InfeasibleAxiomError):
         gamma_coefficients(random_statistics(40, 4, seed=1), 1.0, [1.0, 2.0, 1.0, 0.5])
-    assert calls == [40] * 4
+    assert (tables, closures) == ([40] * 4, [40])  # failing: the closure decides, and the search runs

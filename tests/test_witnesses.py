@@ -23,7 +23,7 @@ from konus import (
     verify_harp_multipliers,
 )
 from konus import semiring
-from konus.axioms import _garp_violations, _harp_verdict, _scaled_paasche
+from konus.axioms import _garp_violations, _scaled_paasche
 from konus.semiring import FLOAT_SLACK, maxtimes_closure, maxtimes_product, shortest_cycle_above
 
 from conftest import count_closures, garp_chain_by_pairs, planted_cycle_panel, shortest_cycle_by_cube
@@ -141,13 +141,10 @@ def test_harp_verdict_is_the_public_closure_then_search_bit_for_bit(case, tol):
     verdict = check_harp(ts, omega, tol=tol)
     if closure is not None:
         assert verdict.satisfied
-        got = _harp_verdict(ts, omega, tol)[1]
-        assert got.tobytes() == closure.tobytes() and not got.flags.writeable
         return
     cycle = shortest_cycle_above(scaled, (1.0 + tol) * (1.0 + FLOAT_SLACK))
     assert verdict.satisfied is (cycle is None)  # a diverged closure with no cycle above the bound passes
     if cycle is None:
-        assert _harp_verdict(ts, omega, tol)[1] is None
         return
     product = 1.0
     for a, b in zip(cycle, cycle[1:] + cycle[:1]):
