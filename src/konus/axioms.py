@@ -168,18 +168,35 @@ def _scaled_paasche(px: FloatArray, omega: float) -> FloatArray:
     return scaled
 
 
-def _verdicts(px: FloatArray) -> tuple[np.ndarray, np.ndarray]:
-    """Acyclicity and homotheticity verdicts at level one of a stack ``px[B, T, T]`` of cross-value matrices.
+def _verdicts(px: FloatArray, harp_first: bool) -> tuple[np.ndarray, np.ndarray]:
+    """Acyclicity and homotheticity verdicts at level one of a stack ``px[B, T, T]``, homotheticity implying acyclicity.
 
-    Returns ``(garp_ok[B], harp_ok[B])``.  Trial b's verdicts are those of
-    :func:`check_garp` and :func:`check_harp` on ``px[b]``: the same
+    Returns ``(garp_ok[B], harp_ok[B])``.  A verdict that is computed is
+    that of :func:`check_garp` or :func:`check_harp` on ``px[b]``: the same
     comparisons, the same Warshall step and the same max-times pivot loop,
-    run over the whole stack at once.  The implication between the two is
-    left to the caller, because the Monte Carlo experiments enforce it in
-    different directions.
+    run over a stack of trials at once.  Rounding at the cycle-product
+    boundary can fail acyclicity and pass homotheticity on one trial; the
+    axiom decided first settles that trial, and the other axiom is tested
+    only where the first leaves it open.  ``harp_first`` (the group
+    experiment, which counts passes): every trial is closed in max-times,
+    and only the trials that fail homotheticity close their relation.
+    Otherwise (the power experiment, which counts rejections): every
+    relation is closed, and only the trials that pass acyclicity run the
+    max-times pivots.  The Paasche stack is formed and checked whole either
+    way, so a trial that is never closed still raises what it raises alone.
     """
+    scaled = _scaled_paasche(px, 1.0)
+    if harp_first:
+        harp_ok = ~_relax(scaled, 1.0 + FLOAT_SLACK)
+        garp_ok = harp_ok.copy()
+        if not harp_ok.all():
+            garp_ok[~harp_ok] = ~_garp_violations(px[~harp_ok], 1.0, 0.0)[2].any(axis=(1, 2))
+        return garp_ok, harp_ok
     garp_ok = ~_garp_violations(px, 1.0, 0.0)[2].any(axis=(1, 2))
-    return garp_ok, ~_relax(_scaled_paasche(px, 1.0), 1.0 + FLOAT_SLACK)
+    harp_ok = garp_ok.copy()
+    if garp_ok.any():
+        harp_ok[garp_ok] = ~_relax(scaled[garp_ok], 1.0 + FLOAT_SLACK)
+    return garp_ok, harp_ok
 
 
 @dataclass(frozen=True, eq=False)

@@ -131,8 +131,31 @@ def fit_price_models(ts: TradeStatistics) -> list[ARModel]:
     return [fit_ar(rel[:, i], good_id=ts.good_ids[i]) for i in range(ts.num_goods)]
 
 
-def _simulate_stack(ts: TradeStatistics, models: Sequence[ARModel],
-                    rngs: Iterable[np.random.Generator], panels: int) -> FloatArray:
+@dataclass(frozen=True, eq=False)
+class _PriceRecursion:
+    """What every batch of :func:`_simulate_stack` shares: a panel's AR set-up, formed once per experiment."""
+
+    first: FloatArray  # [m]: the observed first period, where every path starts
+    drawn: np.ndarray  # [good, period]: the log relatives that take noise
+    scales: FloatArray  # the noise scale of each drawn relative, in draw order
+    observed: FloatArray  # the data's log relatives where none is drawn, in the same order
+    orders: tuple[tuple[int, np.ndarray, FloatArray], ...]  # (r, the goods of order r, beta[lag, good])
+
+
+def _price_recursion(ts: TradeStatistics, models: Sequence[ARModel]) -> _PriceRecursion:
+    """The set-up of :func:`_simulate_stack` for ``ts`` and one fitted model per good."""
+    orders = np.array([model.order for model in models], dtype=int)
+    drawn = np.arange(ts.num_periods - 1) >= orders[:, np.newaxis]
+    groups = []
+    for r in np.unique(orders).tolist():
+        goods = np.flatnonzero(orders == r)
+        groups.append((r, goods, np.array([models[i].beta for i in goods]).T))
+    return _PriceRecursion(first=ts.prices[0], drawn=drawn,
+                           scales=np.repeat([math.sqrt(model.sigma2) for model in models], drawn.sum(axis=1)),
+                           observed=log_relatives(ts).T[~drawn], orders=tuple(groups))
+
+
+def _simulate_stack(recursion: _PriceRecursion, rngs: Iterable[np.random.Generator], panels: int) -> FloatArray:
     """Simulated price panels ``[B, T, m]``, panel b drawn from the b-th of ``panels`` generators.
 
     The generators are consumed in order, each done with before the next
@@ -142,41 +165,36 @@ def _simulate_stack(ts: TradeStatistics, models: Sequence[ARModel],
     the same numbers as one call per good.  The recursion then runs one
     period at a time on ``[B, goods]`` arrays for each group of goods that
     share an AR order, and the exponentials and running products run over
-    the whole stack.  Every element goes through the same operations in the
-    same order as in a per-good, per-period loop, so each panel is
-    bit-identical to one simulated on its own.
+    the whole stack, in the output's own period-major layout.  Every
+    element goes through the same operations in the same order as in a
+    per-good, per-period loop, so each panel is bit-identical to one
+    simulated on its own.
     """
-    T, m = ts.num_periods, ts.num_goods
-    orders = np.array([model.order for model in models], dtype=int)
-    drawn = np.arange(T - 1) >= orders[:, np.newaxis]  # [good, period]: relatives that take noise
-    scales = np.repeat([math.sqrt(model.sigma2) for model in models], drawn.sum(axis=1))
-    noise = np.empty((panels, scales.size))
+    m, periods = recursion.drawn.shape
+    noise = np.empty((panels, recursion.scales.size))
     for row, rng in zip(noise, rngs):
         rng.standard_normal(out=row)
-    noise *= scales
-    relatives = np.empty((panels, m, T - 1))  # [b, good, period]
-    relatives[:, drawn] = noise  # the row-major order of the drawn entries is the draw order
+    noise *= recursion.scales
+    paths = np.empty((panels, periods + 1, m))
+    relatives = paths[:, 1:]  # [b, period, good]
+    by_good = relatives.transpose(0, 2, 1)
+    by_good[:, recursion.drawn] = noise  # the good-major order of the drawn entries is the draw order
     del noise
-    relatives[:, ~drawn] = log_relatives(ts).T[~drawn]
-    for r in np.unique(orders):
-        goods = np.flatnonzero(orders == r)
-        beta = np.array([models[i].beta for i in goods]).T  # beta[lag, good]
+    by_good[:, ~recursion.drawn] = recursion.observed
+    for r, goods, beta in recursion.orders:
         if r == 0:
-            relatives[:, goods] = beta[0][:, np.newaxis] + relatives[:, goods]  # mean + noise
+            relatives[:, :, goods] = beta[0] + relatives[:, :, goods]  # mean + noise
             continue
-        group = relatives[:, goods]
-        for j in range(r, T - 1):
+        group = relatives[:, :, goods]
+        for j in range(r, periods):
             mean = beta[0]
             for lag in range(1, r + 1):
-                mean = mean + beta[lag] * group[:, :, j - lag]
-            group[:, :, j] = mean + group[:, :, j]
-        relatives[:, goods] = group
-    paths = np.empty((panels, m, T))
-    paths[:, :, 0] = ts.prices[0]
-    paths[:, :, 1:] = np.exp(relatives, out=relatives)
-    del relatives
-    np.multiply.accumulate(paths, axis=2, out=paths)
-    return np.ascontiguousarray(paths.transpose(0, 2, 1))
+                mean = mean + beta[lag] * group[:, j - lag]
+            group[:, j] = mean + group[:, j]
+        relatives[:, :, goods] = group
+    paths[:, 0] = recursion.first
+    np.exp(relatives, out=relatives)
+    return np.multiply.accumulate(paths, axis=1, out=paths)
 
 
 def simulate_price_paths(ts: TradeStatistics, models: Sequence[ARModel],
@@ -191,16 +209,16 @@ def simulate_price_paths(ts: TradeStatistics, models: Sequence[ARModel],
     """
     if len(models) != ts.num_goods:
         raise ValueError(f"expected {ts.num_goods} models, got {len(models)}")
-    return _simulate_stack(ts, models, [rng], 1)[0]
+    return _simulate_stack(_price_recursion(ts, models), [rng], 1)[0]
 
 
-def _power_batch(ts: TradeStatistics, models: Sequence[ARModel], seed: int, trials: range) -> np.ndarray:
+def _power_batch(ts: TradeStatistics, recursion: _PriceRecursion, seed: int, trials: range) -> np.ndarray:
     """``(garp_rejected, harp_rejected)`` rows of the power trials in ``trials``."""
-    prices = _simulate_stack(ts, models, trial_streams((seed,), trials), len(trials))
-    garp_ok, harp_ok = _verdicts(_cross_values(prices, ts.quantities))
-    # an acyclicity failure is a homotheticity failure; enforce the
-    # implication against rounding at the cycle-product boundary
-    return np.column_stack([~garp_ok, ~(harp_ok & garp_ok)])
+    prices = _simulate_stack(recursion, trial_streams((seed,), trials), len(trials))
+    # an acyclicity failure is a homotheticity failure, also where rounding at the
+    # cycle-product boundary passes the closure: only the acyclic trials are pivoted
+    garp_ok, harp_ok = _verdicts(_cross_values(prices, ts.quantities), harp_first=False)
+    return np.column_stack([~garp_ok, ~harp_ok])
 
 
 def power_estimate(ts: TradeStatistics, trials: int, seed: int) -> PowerReport:
@@ -216,10 +234,10 @@ def power_estimate(ts: TradeStatistics, trials: int, seed: int) -> PowerReport:
         raise ValueError("trial count must be positive")
     if seed < 0:
         raise ValueError("seed must be nonnegative")
-    models = fit_price_models(ts)
+    recursion = _price_recursion(ts, fit_price_models(ts))
     # per trial: its cross-value matrix, its prices and its noise
     garp_rejections, harp_rejections = count_trials(
-        lambda batch: _power_batch(ts, models, seed, batch), trials,
+        lambda batch: _power_batch(ts, recursion, seed, batch), trials,
         batch_size(ts.num_periods * (ts.num_periods + 2 * ts.num_goods)))
     return PowerReport(trials=trials, garp_rejections=garp_rejections,
                        harp_rejections=harp_rejections, seed=seed)
@@ -227,9 +245,11 @@ def power_estimate(ts: TradeStatistics, trials: int, seed: int) -> PowerReport:
 
 def _group_batch(ts: TradeStatistics, groups: Sequence[np.ndarray]) -> np.ndarray:
     """``(garp_ok, harp_ok)`` rows of the panel restricted to each group of goods."""
+    # homotheticity implies acyclicity: only the trials that fail it close their relation
     garp_ok, harp_ok = _verdicts(_cross_values(np.stack([ts.prices[:, idx] for idx in groups]),
-                                               np.stack([ts.quantities[:, idx] for idx in groups])))
-    return np.column_stack([garp_ok | harp_ok, harp_ok])  # homotheticity implies acyclicity
+                                               np.stack([ts.quantities[:, idx] for idx in groups])),
+                                 harp_first=True)
+    return np.column_stack([garp_ok, harp_ok])
 
 
 def _group_valid(ts: TradeStatistics, idx: np.ndarray) -> bool:

@@ -32,7 +32,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from itertools import combinations, islice
-from typing import ClassVar
+from typing import ClassVar, Iterable
 
 import numpy as np
 
@@ -274,6 +274,26 @@ def sample_positive_sphere(m: int, rng: np.random.Generator) -> FloatArray:
             return draw / norm
 
 
+def _sphere_draws(out: FloatArray, rngs: Iterable[np.random.Generator]) -> None:
+    """Fill row b of ``out[B, m]`` with ``sample_positive_sphere(m, rng)`` of the b-th generator, bit for bit.
+
+    Each generator draws its normals straight into its row, and one BLAS
+    dot gives the squared norm; ``|z| . |z|`` is ``z . z`` bit for bit, so
+    the absolute values, square roots and divisions run once for the whole
+    batch.  A draw whose squared norm is zero is redrawn, as there.
+    """
+    squares = []
+    for row, rng in zip(out, rngs):
+        rng.standard_normal(out=row)
+        square = row.dot(row)
+        while not square > 0.0:
+            rng.standard_normal(out=row)
+            square = row.dot(row)
+        squares.append(square)
+    np.abs(out, out=out)
+    out /= np.sqrt(squares)[:, np.newaxis]
+
+
 def _size_batch(ts: TradeStatistics, base: _Insertion, seed: int, trials: range) -> np.ndarray:
     """``(garp_ok, harp_ok)`` rows of the size trials in ``trials``.
 
@@ -288,8 +308,7 @@ def _size_batch(ts: TradeStatistics, base: _Insertion, seed: int, trials: range)
     the full panel's row.
     """
     prices = np.empty((len(trials), 1, ts.num_goods))
-    for price, rng in zip(prices, trial_streams((seed,), trials)):
-        price[0] = sample_positive_sphere(ts.num_goods, rng)
+    _sphere_draws(prices[:, 0], trial_streams((seed,), trials))
     garp_ok, harp_ok = _inserted_verdicts(base, _cross_values(prices, ts.quantities)[:, 0])
     # homotheticity implies acyclicity; enforce the implication against
     # rounding at the cycle-product boundary so paired dominance is exact

@@ -27,10 +27,10 @@ from konus import (
     semiring,
     trade_statistics,
 )
-from konus.axioms import _garp_satisfied, _scaled_paasche
+from konus.axioms import _garp_satisfied, _garp_violations, _scaled_paasche
 from konus.core import FloatArray, validate_level
 from konus.forecast import CounterexampleFixture
-from konus.semiring import FLOAT_SLACK, _as_square, _canonical_rotation
+from konus.semiring import FLOAT_SLACK, _as_square, _canonical_rotation, _relax
 
 # Property tests draw the same examples on every run and have no per-example deadline.
 settings.register_profile("konus", derandomize=True, deadline=None, max_examples=100)
@@ -712,6 +712,17 @@ def verdicts_by_trial(px, omega=1.0, tol=0.0):
     if not np.isfinite(scaled).all():
         raise ValueError("matrix must be finite")
     return not bool(bad.any()), not closure_by_outer(scaled, tol)[1]
+
+
+def stacked_verdicts(px):
+    """``(garp_ok[B], harp_ok[B])`` of a stack ``px[B, T, T]``, both axioms decided on every trial.
+
+    The two-sided stacked reference: the library's relation closure and
+    max-times pivot loop over the whole stack, with no implication between
+    the verdicts.  It raises what ``paasche_matrix`` raises on the stack.
+    """
+    garp_ok = ~_garp_violations(px, 1.0, 0.0)[2].any(axis=(1, 2))
+    return garp_ok, ~_relax(_scaled_paasche(px, 1.0), 1.0 + FLOAT_SLACK)
 
 
 def finite_cross_values(px):

@@ -36,15 +36,17 @@ from konus import (
 )
 from konus import econometrics, forecast
 from konus.semiring import FLOAT_SLACK, _relax, boolean_closure, maxtimes_closure
-from konus.axioms import _inserted_verdicts, _insertion_base, _verdicts
+from konus.axioms import _garp_satisfied, _inserted_verdicts, _insertion_base, _verdicts
 from konus._mc import batch_size, trial_streams
-from konus.econometrics import _group_batch, _power_batch, _sampled_group, _simulate_stack
-from konus.forecast import _size_batch
+from konus.core import _cross_values
+from konus.econometrics import _group_batch, _power_batch, _price_recursion, _sampled_group, _simulate_stack
+from konus.forecast import _size_batch, _sphere_draws
 
 from conftest import (
     batches_of,
     closure_by_outer,
     closure_bound,
+    count_closures,
     group_verdicts,
     insertion_weights_by_closure,
     longest_walks_by_loops,
@@ -52,6 +54,7 @@ from conftest import (
     power_trial,
     simulate_price_paths_by_loop,
     size_trial,
+    stacked_verdicts,
     verdicts_by_trial,
 )
 from test_axioms import telescoping_panel
@@ -119,13 +122,45 @@ def px_stacks(draw):
     return np.array(stack)
 
 
+def implied(verdicts, harp_first):
+    """A ``(garp_ok, harp_ok)`` pair with homotheticity implying acyclicity, settled by the axiom decided first."""
+    garp_ok, harp_ok = verdicts
+    return (garp_ok or harp_ok, harp_ok) if harp_first else (garp_ok, garp_ok and harp_ok)
+
+
 @given(px_stacks())
 def test_stacked_verdicts_match_per_trial_oracle(stack):
     before = stack.copy()
-    expected = [verdicts_by_trial(px) for px in stack]
-    assert rows(zip(*_verdicts(stack))) == expected
-    np.testing.assert_array_equal(stack, before)  # the caller's stack is left alone
-    assert rows(zip(*_verdicts(np.asfortranarray(stack)))) == expected  # any memory layout
+    for harp_first in (True, False):
+        expected = [implied(verdicts_by_trial(px), harp_first) for px in stack]
+        assert rows(zip(*_verdicts(stack, harp_first))) == expected
+        np.testing.assert_array_equal(stack, before)  # the caller's stack is left alone
+        assert rows(zip(*_verdicts(np.asfortranarray(stack), harp_first))) == expected  # any memory layout
+
+
+def test_each_direction_closes_only_what_its_count_reads(monkeypatch):
+    # groups of a Cobb-Douglas panel all pass homotheticity, so none closes its relation; groups
+    # of a random panel mix passes and failures, and only the failures close their relation
+    homothetic, mixed = cobb_douglas_statistics(9, 6, seed=4), random_statistics(3, 6, seed=3)
+    groups = [np.array(c) for c in combinations(range(6), 3)]
+    harp_fails = {name: int((~stacked_verdicts(np.array([ts.prices[:, g] @ ts.quantities[:, g].T
+                                                          for g in groups]))[1]).sum())
+                  for name, ts in (("homothetic", homothetic), ("mixed", mixed))}
+    assert harp_fails["homothetic"] == 0 < harp_fails["mixed"] < len(groups)
+    # these power trials mix acyclic and cyclic ones; only the acyclic ones are pivoted
+    ts = cobb_douglas_statistics(8, 3, seed=2)
+    recursion = _price_recursion(ts, fit_price_models(ts))
+    power_px = _cross_values(_simulate_stack(recursion, trial_streams((5,), range(40)), 40), ts.quantities)
+    garp_passes = int(stacked_verdicts(power_px)[0].sum())
+    assert 0 < garp_passes < 40
+    warshalls, pivots = count_closures(monkeypatch, "_warshall"), count_closures(monkeypatch, "_relax")
+    _group_batch(homothetic, groups)
+    assert (warshalls, pivots) == ([], [len(groups)])
+    _group_batch(mixed, groups)
+    assert (warshalls, pivots) == ([harp_fails["mixed"]], [len(groups)] * 2)
+    del warshalls[:], pivots[:]
+    _power_batch(ts, recursion, 5, range(40))
+    assert (warshalls, pivots) == ([40], [garp_passes])
 
 
 @given(st.integers(1, 7), st.integers(1, 8), st.data())
@@ -194,13 +229,13 @@ def _last_period_cycles(*products):
                              *(_ulps_from(ROOT_OF_THRESHOLD, k) for k in (1, 3))))
 def test_inserted_verdicts_match_the_stacked_kernel(stack):
     base = _insertion_base(stack[0])
-    assert rows(zip(*_inserted_verdicts(base, stack[:, -1]))) == rows(zip(*_verdicts(stack)))
+    assert rows(zip(*_inserted_verdicts(base, stack[:, -1]))) == rows(zip(*stacked_verdicts(stack)))
 
 
 def test_the_cone_tie_falls_where_the_closure_squares():
     stack = _last_period_cycles(ROOT_OF_THRESHOLD, _ulps_from(ROOT_OF_THRESHOLD, 1), 1.0 + 4e-13)
     assert _inserted_verdicts(_insertion_base(stack[0]), stack[:, -1])[1].tolist() == [True, False, True]
-    assert _verdicts(stack)[1].tolist() == [True, False, True]
+    assert stacked_verdicts(stack)[1].tolist() == [True, False, True]
     assert 1.0 < ROOT_OF_THRESHOLD < 1.0 + FLOAT_SLACK  # a threshold on P itself would pass all three
 
 
@@ -221,7 +256,7 @@ def test_cone_verdicts_match_the_stacked_kernel_on_the_benchmark_panels():
             stack = np.repeat(base_px[np.newaxis], len(new_rows), axis=0)
             stack[:, -1] = new_rows
             garp_ok, harp_ok = _inserted_verdicts(base, new_rows)
-            expected_garp, expected_harp = _verdicts(stack)
+            expected_garp, expected_harp = stacked_verdicts(stack)
             assert garp_ok.tolist() == expected_garp.tolist()
             assert harp_ok.tolist() == expected_harp.tolist()
             harp_hits += int(harp_ok.sum())
@@ -230,8 +265,9 @@ def test_cone_verdicts_match_the_stacked_kernel_on_the_benchmark_panels():
 
 def test_stack_where_every_trial_diverges_at_pivot_zero():
     px = np.array([[3.0, 3.0], [4.0, 5.0]])  # the two-period panel: cycle product 1.25
-    garp_ok, harp_ok = _verdicts(np.array([px, px * 2.0, px]))
-    assert not harp_ok.any() and not garp_ok.any()
+    for harp_first in (True, False):
+        garp_ok, harp_ok = _verdicts(np.array([px, px * 2.0, px]), harp_first)
+        assert not harp_ok.any() and not garp_ok.any()
     assert [verdicts_by_trial(p) for p in (px, px * 2.0)] == [(False, False)] * 2
 
 
@@ -256,7 +292,8 @@ def ar_panels(draw):
           [ARModel(r, np.linspace(0.1, 0.3, r + 1), 0.01, np.zeros(r + 1)) for r in (0, 1, 2, 2, 1, 0)]), 4, 7)
 def test_simulated_stack_matches_scalar_recursion_bitwise(panel, trials, seed):
     ts, models = panel
-    stack = _simulate_stack(ts, models, [np.random.default_rng((seed, b)) for b in range(trials)], trials)
+    stack = _simulate_stack(_price_recursion(ts, models), [np.random.default_rng((seed, b)) for b in range(trials)],
+                            trials)
     assert stack.flags.c_contiguous
     for b in range(trials):
         oracle = simulate_price_paths_by_loop(ts, models, np.random.default_rng((seed, b)))
@@ -272,7 +309,7 @@ def test_fitted_models_mix_orders_on_the_benchmark_panel_shape():
     ts = cobb_douglas_statistics(27, 106, seed=5)
     models = fit_price_models(ts)
     assert {model.order for model in models} == {0, 1, 2}
-    stack = _simulate_stack(ts, models, [np.random.default_rng((3, b)) for b in range(5)], 5)
+    stack = _simulate_stack(_price_recursion(ts, models), [np.random.default_rng((3, b)) for b in range(5)], 5)
     for b in range(5):
         oracle = simulate_price_paths_by_loop(ts, models, np.random.default_rng((3, b)))
         assert stack[b].tobytes() == oracle.tobytes()
@@ -405,10 +442,19 @@ def test_size_trials_match_the_public_tests_on_each_trial_panel(ts):
 @given(mc_panels(min_periods=3), BATCHES, st.integers(1, 13), st.integers(0, 100))
 @example(cobb_douglas_statistics(3, 1, 0), 1, 5, 0)
 @example(random_statistics(5, 3, 2), 5, 11, 4)
+@example(random_statistics(5, 3, 1), 3, 7, 0)  # an explosive fit: every trial's prices overflow
 def test_power_trials_match_per_trial_oracle(ts, batch, trials, seed):
     models = fit_price_models(ts)
+    with np.errstate(over="ignore", invalid="ignore"):
+        refused = _error(lambda: [power_trial(ts, models, seed, b) for b in range(trials)])
+    if refused is not None:  # the kernels refuse those cross values as the oracle does
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert _error(lambda: _power_batch(ts, _price_recursion(ts, models), seed, range(trials))) == refused
+            with batches_of(batch):
+                assert _error(lambda: power_estimate(ts, trials, seed)) == refused
+        return
     expected = [power_trial(ts, models, seed, b) for b in range(trials)]
-    assert rows(_power_batch(ts, models, seed, range(trials))) == expected
+    assert rows(_power_batch(ts, _price_recursion(ts, models), seed, range(trials))) == expected
     with batches_of(batch):
         report = power_estimate(ts, trials, seed)
     assert (report.garp_rejections, report.harp_rejections) == tuple(sum(column) for column in zip(*expected))
@@ -467,17 +513,22 @@ def test_each_experiment_enforces_its_own_implication():
     # a verdict pair that fails acyclicity but passes homotheticity, as rounding at
     # the cycle-product boundary can give: power counts both rejections, size and
     # groups count both passes
-    def split(px):
-        return np.zeros(len(px), dtype=bool), np.ones(len(px), dtype=bool)
+    px = np.array([[1.0, 1.0], [1.0, 1.0 + 1e-13]])  # a GARP violation whose cycle product is 1 + 1e-13
+    assert rows(zip(*stacked_verdicts(px[np.newaxis]))) == [verdicts_by_trial(px)] == [(False, True)]
+    for harp_first in (True, False):
+        assert rows(zip(*_verdicts(px[np.newaxis], harp_first))) == [implied(verdicts_by_trial(px), harp_first)]
+
+    def split(rows):
+        return np.zeros(len(rows), dtype=bool), np.ones(len(rows), dtype=bool)
 
     ts = cobb_douglas_statistics(5, 3, seed=2)
-    with mock.patch.object(econometrics, "_verdicts", split), \
-            mock.patch.object(forecast, "_inserted_verdicts", lambda base, px: split(px)):
-        assert rows(_power_batch(ts, fit_price_models(ts), 1, range(3))) == [(True, True)] * 3
+    # every power and group trial gets that matrix as its cross values, every size trial that verdict pair
+    with mock.patch.object(econometrics, "_cross_values",
+                           lambda prices, quantities: np.repeat(px[np.newaxis], len(prices), axis=0)), \
+            mock.patch.object(forecast, "_inserted_verdicts", lambda base, rows: split(rows)):
+        assert rows(_power_batch(ts, _price_recursion(ts, fit_price_models(ts)), 1, range(3))) == [(True, True)] * 3
         assert rows(_size_batch(ts, _insertion_base(cross_value_matrix(ts)), 1, range(3))) == [(True, True)] * 3
         assert rows(_group_batch(ts, [np.array([0, 1])])) == [(True, True)]
-    px = np.array([[1.0, 1.0], [1.0, 1.0 + 1e-13]])  # a GARP violation whose cycle product is 1 + 1e-13
-    assert rows(zip(*_verdicts(px[np.newaxis]))) == [verdicts_by_trial(px)] == [(False, True)]
 
 
 def single_good_panel(T):
@@ -576,7 +627,9 @@ def test_overflowing_paasche_entries_raise_the_oracle_error():
             expected = _error(lambda: verdicts_by_trial(bad))
             assert expected is not None
             for stack in ([bad], [finite_px, bad], [finite_px, bad, finite_px]):
-                assert _error(lambda: _verdicts(np.array(stack))) == expected
+                assert _error(lambda: stacked_verdicts(np.array(stack))) == expected
+                for harp_first in (True, False):
+                    assert _error(lambda: _verdicts(np.array(stack), harp_first)) == expected
         assert _error(lambda: verdicts_by_trial(nan_px))[0] is TradeDataError
         # through the experiments: the trial panels inherit the overflowing base period; every
         # experiment refuses its cross values as cross_value_matrix does, the size trials where they
@@ -622,9 +675,66 @@ def test_invalid_trial_rows_raise_what_the_full_stack_raises():
                 new_rows = np.array([kinds[k] for k in batch])
                 stack = np.repeat(base_px[np.newaxis], len(batch), axis=0)
                 stack[:, -1] = new_rows
-                expected = _error(lambda: _verdicts(stack))
+                expected = _error(lambda: stacked_verdicts(stack))
                 assert (expected is None) == (base_px is valid_base and set(batch) == {"valid"})
+                for harp_first in (True, False):
+                    assert _error(lambda: _verdicts(stack, harp_first)) == expected, (batch, harp_first)
                 assert _error(lambda: _inserted_verdicts(base, new_rows)) == expected, (batch, expected)
+
+
+def test_a_power_trial_left_unclosed_still_raises_its_paasche_error(monkeypatch):
+    # the power experiment pivots only the trials that pass acyclicity; this trial fails it,
+    # and its Paasche entry px[1, 1] / px[0, 1] overflows, so the batch must still refuse it
+    passing = np.array([[1.0, 2.0], [2.0, 1.0]])
+    cyclic = np.array([[1.0, 0.5], [1.0, 2.0]])
+    overflowing = np.array([[1.0, 1e-10], [1.0, 1e300]])
+    assert verdicts_by_trial(passing) == (True, True) and verdicts_by_trial(cyclic)[0] is False
+    assert not _garp_satisfied(overflowing, 1.0, 0.0)
+    pivots = count_closures(monkeypatch, "_relax")
+    assert rows(zip(*_verdicts(np.array([passing, cyclic, passing]), False))) == [(True, True), (False, False),
+                                                                                   (True, True)]
+    assert pivots == [2]  # the cyclic trial is never pivoted
+    with np.errstate(over="ignore"):
+        expected = _error(lambda: verdicts_by_trial(overflowing))
+        assert expected == (TradeDataError, "Paasche matrix must be finite")
+        for stack in ([overflowing], [passing, overflowing], [passing, overflowing, passing]):
+            assert _error(lambda: _verdicts(np.array(stack), False)) == expected
+            assert _error(lambda: stacked_verdicts(np.array(stack))) == expected
+    assert pivots == [2]
+
+
+class ZeroFirst:
+    """A generator whose first normal draw is all zeros; later draws are those of ``rng``."""
+
+    def __init__(self, rng):
+        self.rng, self.zeros_left = rng, 1
+
+    def standard_normal(self, size=None, out=None):
+        if self.zeros_left:
+            self.zeros_left -= 1
+            if out is None:
+                return np.zeros(size)
+            out[...] = 0.0
+            return out
+        return self.rng.standard_normal(size, out=out)
+
+
+@pytest.mark.parametrize("m", [1, 2, 10, 106])
+def test_in_place_sphere_draws_are_sample_positive_sphere_bitwise(m):
+    trials = range(2000)
+    prices = np.empty((len(trials), 1, m))  # the size batch's layout: one-row price tables
+    _sphere_draws(prices[:, 0], trial_streams((11,), trials))
+    expected = np.array([sample_positive_sphere(m, np.random.default_rng((11, b))) for b in trials])
+    assert prices[:, 0].tobytes() == expected.tobytes()
+    # a zero draw is redrawn from the same generator, as sample_positive_sphere redraws it
+    stubs, oracle_stubs = ([ZeroFirst(np.random.default_rng((11, b))) for b in range(3)] for _ in range(2))
+    draws = np.empty((3, m))
+    _sphere_draws(draws, stubs)
+    expected = np.array([sample_positive_sphere(m, stub) for stub in oracle_stubs])
+    assert draws.tobytes() == expected.tobytes()
+    assert not any(stub.zeros_left for stub in stubs + oracle_stubs)
+    assert draws.tobytes() == np.array([sample_positive_sphere(m, np.random.default_rng((11, b)))
+                                        for b in range(3)]).tobytes()
 
 
 def test_overflowing_scaled_paasche_raises_the_oracle_error():
